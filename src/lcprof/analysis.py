@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .engine import MPConfig, _GenericCore, _make_core, mp_run, profile_steps
+from .engine import MPConfig, _make_core, mp_run, profile_steps
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField, is_prime
 from .poly import Poly, Seq, poly_divmod
@@ -319,22 +319,19 @@ def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
 def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
     """The unique sequence whose engine run produces the given discrepancies.
 
-    Inverts one step at a time: the next discrepancy is linear in the
-    unknown term with the current leading coefficient as the unit
+    Inverts one step at a time: the next discrepancy is affine in the
+    unknown term, with the current leading coefficient as the unit
     multiplier, so each target determines the term (field domains).
+    Trial steps on copies of the core read off the two coefficients.
     """
     if not domain.is_field:
         raise UnsupportedDomainError("solving for terms needs a field")
-    core = _GenericCore(domain, epsilon, keep_log=False)
+    core = _make_core(domain, MPConfig(epsilon=epsilon, keep_log=False))
     out = []
     for target in deltas:
-        target = domain.normalize(target)
-        mu = core.mu
-        d = len(mu) - 1
-        j = core.j + 1
-        base = j - 1 - d
-        partial = sum(mu[k] * core.s[base + k] for k in range(d))
-        term = domain.mul(domain.sub(target, partial), domain.inv(mu[-1]))
+        at_zero = core.copy().step(0)
+        lead = domain.sub(core.copy().step(1), at_zero)
+        term = domain.mul(domain.sub(target, at_zero), domain.inv(lead))
         out.append(term)
         core.step(term)
     return Seq(domain, out)

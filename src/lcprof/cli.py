@@ -5,7 +5,7 @@ stable, height, lcsum, rueppel, gamma, verify.  Sequences come from
 --seq (comma or whitespace separated digits) or --in (one sequence per
 line); digits must already lie in [0, p), out-of-range values are
 rejected rather than reduced.  --json swaps the table output for one
-JSON object per input sequence.
+JSON object per input sequence (per suite for verify).
 
 Exit codes: 0 success, 2 input/usage error, 3 verification or engine
 failure, 4 resource guard tripped.  The LCPROF_THREADS environment
@@ -15,6 +15,7 @@ variable sets the worker count for the verify sweeps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -282,7 +283,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     for suite in names:
         result = _run_suite(suite, args, threads)
-        print(result.line())
+        _emit(dataclasses.asdict(result)) if args.json else print(result.line())
         all_ok &= result.ok
     return EXIT_OK if all_ok else EXIT_FAIL
 

@@ -7,11 +7,12 @@ of a 2x2 polynomial matrix
         [ mu'  [mu'] ]        mu' : the one displaced at the last jump
 
 together with the exponent e = j + 1 - 2*deg(mu), the discrepancy
-delta' recorded at the last jump, the running product nabla of jump
-discrepancies, and a shift counter p_shift.  One step computes the new
-discrepancy delta and, when it is nonzero, replaces the top row by a
-cross-combination of the two rows; the recursion is division-free, so
-it runs unchanged over the integers.
+delta' recorded at the last jump, and the running product nabla of jump
+discrepancies.  One step computes the new discrepancy delta and, when it
+is nonzero, replaces the top row by a cross-combination of the two rows;
+the recursion is division-free, so it runs unchanged over the integers.
+The shift p_shift (steps since the last jump) is not kept in the loop;
+MPState derives it from the step log.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
@@ -23,14 +24,17 @@ gcd(mu, [mu]) = gcd(mu, mu') = 1 over a field).
 
 For p = 2 the engine switches to a packed representation (polynomials
 and the consumed prefix as Python ints, one bit per coefficient) with
-identical observable behavior.
+identical observable behavior.  A core (_GenericCore or _PackedCore) is
+the only holder of engine state: MPState is a read-only view over one,
+mp_step resumes a copy of it (the packed one for p = 2), and every
+conversion of a core into Poly rows goes through _poly_rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import gf2
@@ -133,34 +137,6 @@ def updating_matrix(domain: CoeffDomain, delta: int, delta_prime: int, e: int) -
     )
 
 
-@dataclass(frozen=True)
-class MPState:
-    """Value-typed engine state after j consumed terms."""
-
-    domain: CoeffDomain
-    config: MPConfig
-    j: int
-    consumed: tuple[int, ...]
-    mu_bar: tuple[Poly, Poly]
-    mu_bar_prev: tuple[Poly, Poly]
-    e: int
-    delta_prime: int
-    nabla: int
-    p_shift: int
-    log: tuple[StepRecord, ...]
-
-    @property
-    def lc(self) -> int:
-        d = self.mu_bar[0].degree
-        return int(d) if d >= 0 else 0
-
-    def matrix(self) -> Mat2:
-        return Mat2(*self.mu_bar, *self.mu_bar_prev)
-
-    def sequence(self) -> Seq:
-        return Seq(self.domain, self.consumed)
-
-
 class _GenericCore:
     """Dense coefficient-list engine over any coefficient domain."""
 
@@ -178,7 +154,6 @@ class _GenericCore:
         "e",
         "dprime",
         "nabla",
-        "pshift",
         "lc",
         "deltas",
         "exps",
@@ -202,7 +177,6 @@ class _GenericCore:
         self.e = 1
         self.dprime = 1
         self.nabla = 1
-        self.pshift = 0
         self.lc: list[int] = []
         self.deltas: list[int] = []
         self.exps: list[int] = [1]
@@ -246,7 +220,6 @@ class _GenericCore:
                 factor = delta
                 self.nabla = self.nabla * delta
                 self.e = e = -e
-                self.pshift = 0
             if self.normalize:
                 # scaling only the fresh row keeps the recursion consistent:
                 # the stored delta' belongs to the unscaled displaced row
@@ -258,7 +231,6 @@ class _GenericCore:
         if self.p:
             self.nabla %= self.p
         self.e = e + 1
-        self.pshift += 1
         if self.keep_log:
             self.deltas.append(delta)
             self.lc.append(len(self.mu) - 1)
@@ -269,12 +241,21 @@ class _GenericCore:
         return len(self.mu) - 1
 
     def pairs(self):
-        return (
-            tuple(self.mu),
-            tuple(self.mu_part),
-            tuple(self.mup),
-            tuple(self.mup_part),
-        )
+        """mu, [mu], mu', [mu'] as coefficient lists, shared with the core."""
+        return self.mu, self.mu_part, self.mup, self.mup_part
+
+    def terms(self) -> tuple[int, ...]:
+        return tuple(self.s)
+
+    def copy(self) -> "_GenericCore":
+        new = object.__new__(type(self))
+        for name in _GenericCore.__slots__:
+            setattr(new, name, getattr(self, name))
+        # a step replaces the rows but never edits them, so the copy shares
+        # them; the consumed prefix and the logs grow in place
+        new.s, new.lc = self.s[:], self.lc[:]
+        new.deltas, new.exps = self.deltas[:], self.exps[:]
+        return new
 
 
 class _PackedCore:
@@ -289,17 +270,13 @@ class _PackedCore:
         "mup",
         "mup_part",
         "e",
-        "pshift",
         "lc",
         "deltas",
         "exps",
     )
 
-    dom = PrimeField(2)
-    p = 2
     dprime = 1
     nabla = 1
-    normalize = False
 
     def __init__(self, epsilon: int = 0, *, keep_log: bool = True):
         self.keep_log = keep_log
@@ -310,7 +287,6 @@ class _PackedCore:
         self.mup = epsilon & 1
         self.mup_part = 1
         self.e = 1
-        self.pshift = 0
         self.lc: list[int] = []
         self.deltas: list[int] = []
         self.exps: list[int] = [1]
@@ -334,9 +310,7 @@ class _PackedCore:
                 self.mup, self.mup_part = mu, self.mu_part
                 self.mu, self.mu_part = nmu, npart
                 self.e = e = -e
-                self.pshift = 0
         self.e = e + 1
-        self.pshift += 1
         if self.keep_log:
             self.deltas.append(delta)
             self.lc.append(self.mu.bit_length() - 1)
@@ -346,13 +320,22 @@ class _PackedCore:
     def cur_lc(self) -> int:
         return self.mu.bit_length() - 1
 
+    def packed_rows(self) -> tuple[int, int, int, int]:
+        """mu, [mu], mu', [mu'] as packed polynomials (see gf2)."""
+        return self.mu, self.mu_part, self.mup, self.mup_part
+
     def pairs(self):
-        return (
-            tuple(gf2.to_coeffs(self.mu)),
-            tuple(gf2.to_coeffs(self.mu_part)),
-            tuple(gf2.to_coeffs(self.mup)),
-            tuple(gf2.to_coeffs(self.mup_part)),
-        )
+        return [gf2.to_coeffs(r) for r in self.packed_rows()]
+
+    def terms(self) -> tuple[int, ...]:
+        return tuple((self.S >> i) & 1 for i in range(self.j))
+
+    def copy(self) -> "_PackedCore":
+        new = object.__new__(type(self))
+        for name in _PackedCore.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.lc, new.deltas, new.exps = self.lc[:], self.deltas[:], self.exps[:]
+        return new
 
 
 def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = False):
@@ -366,61 +349,104 @@ def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = F
     )
 
 
-def _state_from_core(domain, config, core, consumed, log) -> MPState:
-    mu, mu_part, mup, mup_part = core.pairs()
-    return MPState(
-        domain=domain,
-        config=config,
-        j=core.j,
-        consumed=tuple(consumed),
-        mu_bar=(Poly(domain, mu), Poly(domain, mu_part)),
-        mu_bar_prev=(Poly(domain, mup), Poly(domain, mup_part)),
-        e=core.e,
-        delta_prime=domain.normalize(core.dprime),
-        nabla=domain.normalize(core.nabla),
-        p_shift=core.pshift,
-        log=tuple(log),
-    )
+def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
+    """The core's rows mu, [mu], mu', [mu'] as Poly values."""
+    return [Poly(domain, c) for c in core.pairs()]
+
+
+@dataclass(frozen=True, eq=False)
+class MPState:
+    """Read-only engine state after j consumed terms.
+
+    A view over a private core: the rows are converted on access, and
+    p_shift (the steps since the last jump, counting the jump step
+    itself; j before any jump) is derived from the log.  mp_step steps
+    a copy of the core, so a state never changes once made.
+    """
+
+    domain: CoeffDomain
+    config: MPConfig
+    _core: _GenericCore | _PackedCore
+
+    def __eq__(self, other):
+        # the engine is deterministic: equal inputs give equal states
+        return isinstance(other, MPState) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.domain, self.config, self.consumed
+
+    @property
+    def j(self) -> int:
+        return self._core.j
+
+    @property
+    def consumed(self) -> tuple[int, ...]:
+        return self._core.terms()
+
+    @property
+    def mu_bar(self) -> tuple[Poly, Poly]:
+        return tuple(_poly_rows(self.domain, self._core)[:2])
+
+    @property
+    def mu_bar_prev(self) -> tuple[Poly, Poly]:
+        return tuple(_poly_rows(self.domain, self._core)[2:])
+
+    @property
+    def e(self) -> int:
+        return self._core.e
+
+    @property
+    def delta_prime(self) -> int:
+        return self.domain.normalize(self._core.dprime)
+
+    @property
+    def nabla(self) -> int:
+        return self.domain.normalize(self._core.nabla)
+
+    @property
+    def log(self) -> tuple[StepRecord, ...]:
+        core = self._core
+        exps = core.exps
+        return tuple(
+            StepRecord(j, delta, exps[j - 1], lc, bool(delta) and exps[j - 1] > 0)
+            for j, (delta, lc) in enumerate(zip(core.deltas, core.lc), start=1)
+        )
+
+    @property
+    def p_shift(self) -> int:
+        for record in reversed(self.log):
+            if record.jumped:
+                return self.j - record.j + 1
+        return self.j
+
+    @property
+    def lc(self) -> int:
+        return self._core.cur_lc()
+
+    def matrix(self) -> Mat2:
+        return Mat2(*_poly_rows(self.domain, self._core))
+
+    def sequence(self) -> Seq:
+        return Seq(self.domain, self.consumed)
 
 
 def mp_init(domain: CoeffDomain, config: MPConfig = MPConfig()) -> MPState:
-    """State at step 0: mu_bar = (1, 0), mu_bar' = (eps, -1), e = 1."""
-    core = _GenericCore(domain, config.epsilon,
-                        normalize_each_step=config.normalize_each_step)
-    return _state_from_core(domain, config, core, (), ())
+    """State at step 0: mu_bar = (1, 0), mu_bar' = (eps, -1), e = 1.
 
-
-def _core_from_state(state: MPState) -> _GenericCore:
-    core = _GenericCore(
-        state.domain,
-        state.config.epsilon,
-        normalize_each_step=state.config.normalize_each_step,
-        keep_log=False,
-    )
-    core.j = state.j
-    core.s = list(state.consumed)
-    core.mu = list(state.mu_bar[0].coeffs)
-    core.mu_part = list(state.mu_bar[1].coeffs)
-    core.mup = list(state.mu_bar_prev[0].coeffs)
-    core.mup_part = list(state.mu_bar_prev[1].coeffs)
-    core.e = state.e
-    core.dprime = state.delta_prime
-    core.nabla = state.nabla
-    core.pshift = state.p_shift
-    return core
+    The state always keeps its step log (the log is what p_shift and
+    log are read from), whatever config.keep_log says.
+    """
+    return MPState(domain, config, _make_core(domain, replace(config, keep_log=True)))
 
 
 def mp_step(state: MPState, term: int) -> MPState:
-    """Consume one term and return the successor state."""
-    core = _core_from_state(state)
-    e_prev = core.e
-    delta = core.step(state.domain.normalize(term))
-    lc = len(core.mu) - 1
-    jumped = bool(delta) and e_prev > 0
-    record = StepRecord(core.j, state.domain.normalize(delta), e_prev, lc, jumped)
-    return _state_from_core(
-        state.domain, state.config, core, core.s, state.log + (record,)
-    )
+    """Consume one term and return the successor state; state is unchanged."""
+    core = state._core.copy()
+    core.step(state.domain.normalize(term))
+    return MPState(state.domain, state.config, core)
 
 
 @dataclass
@@ -489,29 +515,6 @@ class ProfileReport:
         )
 
 
-def _report_from_core(domain, config, core) -> ProfileReport:
-    mu, mu_part, mup, mup_part = core.pairs()
-    matrix = Mat2(
-        Poly(domain, mu),
-        Poly(domain, mu_part),
-        Poly(domain, mup),
-        Poly(domain, mup_part),
-    )
-    minpoly = matrix.a
-    if config.monic_output:
-        minpoly = minpoly.monic()
-    return ProfileReport(
-        domain=domain,
-        epsilon=domain.normalize(config.epsilon),
-        lc=list(core.lc),
-        deltas=[domain.normalize(d) for d in core.deltas],
-        exponents=list(core.exps),
-        minpoly=minpoly,
-        final_matrix=matrix,
-        nabla=domain.normalize(core.nabla),
-    )
-
-
 def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
            force_generic: bool = False) -> tuple[Mat2, ProfileReport]:
     """Run the engine over the whole sequence.
@@ -527,36 +530,33 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     step = core.step
     for t in s.terms:
         step(t)
-    report = _report_from_core(domain, config, core)
-    return report.final_matrix, report
+    matrix = Mat2(*_poly_rows(domain, core))
+    report = ProfileReport(
+        domain=domain,
+        epsilon=domain.normalize(config.epsilon),
+        lc=list(core.lc),
+        deltas=[domain.normalize(d) for d in core.deltas],
+        exponents=list(core.exps),
+        minpoly=matrix.a.monic() if config.monic_output else matrix.a,
+        final_matrix=matrix,
+        nabla=domain.normalize(core.nabla),
+    )
+    return matrix, report
 
 
 def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
     """Per-step snapshots j = 0..n (row 0 is the seed matrix)."""
     domain = s.domain
     core = _make_core(domain, config)
-    rows = []
 
-    def snap(j, delta):
-        mu, mu_part, mup, mup_part = core.pairs()
-        lc = len(mu) - 1 if mu else 0
-        rows.append(
-            ProfileRow(
-                j,
-                delta,
-                j + 1 - 2 * lc,
-                lc,
-                Poly(domain, mu),
-                Poly(domain, mu_part),
-                Poly(domain, mup),
-                Poly(domain, mup_part),
-            )
-        )
+    def row(j, delta):
+        lc = core.cur_lc()
+        return ProfileRow(j, delta, j + 1 - 2 * lc, lc, *_poly_rows(domain, core))
 
-    snap(0, 1)
+    rows = [row(0, 1)]
     for t in s.terms:
         delta = core.step(t)
-        snap(core.j, domain.normalize(delta))
+        rows.append(row(core.j, domain.normalize(delta)))
     return rows
 
 

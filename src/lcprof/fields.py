@@ -57,19 +57,8 @@ class CoeffDomain:
     def inv(self, a: int) -> int:
         raise UnsupportedDomainError(f"{self!r} has no multiplicative inverses")
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def is_zero(self, a: int) -> bool:
         return a == 0
-
-    def eq(self, a: int, b: int) -> bool:
-        return self.normalize(a) == self.normalize(b)
 
     # conveniences; Poly and Seq live in .poly but constructing them through
     # the domain reads well at call sites

@@ -11,11 +11,6 @@ path; the test suite cross-checks the two.
 from __future__ import annotations
 
 
-def degree(a: int) -> int:
-    """Degree of a packed polynomial; -1 for zero (internal convention)."""
-    return a.bit_length() - 1
-
-
 def mul(a: int, b: int) -> int:
     """Carry-less product."""
     if a == 0 or b == 0:
@@ -47,14 +42,6 @@ def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, divmod_(a, b)[1]
     return a
-
-
-def from_coeffs(coeffs) -> int:
-    out = 0
-    for k, c in enumerate(coeffs):
-        if c & 1:
-            out |= 1 << k
-    return out
 
 
 def to_coeffs(a: int) -> list[int]:

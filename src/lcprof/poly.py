@@ -40,6 +40,47 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
+# List-level kernels: Poly arithmetic runs on them, and so do the per-step
+# certificate checks, which would spend most of their time building Polys.
+
+def mul_coeffs(a, b) -> list[int]:
+    """Product of two coefficient lists, unreduced; [] if either is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def reduce_coeffs(rem: list[int], b, p: int, quot: list[int] | None = None) -> None:
+    """Reduce rem modulo b over F_p in place; b is canonical and nonzero.
+
+    If quot is given (len(rem) - deg b zeros), the quotient goes there.
+    """
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = (rem[i + db] * inv) % p
+        if c:
+            if quot is not None:
+                quot[i] = c
+            for k in range(db + 1):
+                rem[i + k] = (rem[i + k] - c * b[k]) % p
+    _trim(rem)
+
+
+def gcd_coeffs(a, b, p: int) -> list[int]:
+    """A gcd over F_p, not made monic; gcd(a, 0) = a."""
+    a, b = list(a), list(b)
+    while b:
+        reduce_coeffs(a, b, p)
+        a, b = b, a
+    return a
+
+
 def coeffs_to_text(coeffs) -> str:
     """Render ascending canonical coefficients in the text format."""
     if not coeffs:
@@ -141,17 +182,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        d = self.domain
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(d, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(d, out)
+        return Poly(self.domain, mul_coeffs(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         """Multiply by the domain element c."""
@@ -310,22 +341,10 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    dom = a.domain
-    p = dom.p
     rem = list(a.coeffs)
-    bc = b.coeffs
-    db = len(bc) - 1
-    if len(rem) - 1 < db:
-        return Poly(dom, ()), a
-    inv = dom.inv(bc[-1])
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - db - 1, -1, -1):
-        c = (rem[i + db] * inv) % p
-        if c:
-            quot[i] = c
-            for k in range(db + 1):
-                rem[i + k] = (rem[i + k] - c * bc[k]) % p
-    return Poly(dom, quot), Poly(dom, rem)
+    quot = [0] * max(len(rem) - b.degree, 0)
+    reduce_coeffs(rem, b.coeffs, a.domain.p, quot)
+    return Poly(a.domain, quot), Poly(a.domain, rem)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -335,6 +354,4 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+    return Poly(a.domain, gcd_coeffs(a.coeffs, b.coeffs, a.domain.p)).monic()

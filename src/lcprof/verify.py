@@ -7,15 +7,18 @@ call them with pinned parameters.
 
 Exhaustive binary sweeps can shard across processes; set the
 LCPROF_THREADS environment variable (the CLI forwards it) to use more
-than one worker.  Results are aggregated in shard order, so the
-reported counterexample is deterministic.
+than one worker.  The pool never gets more workers than there are CPUs
+or shards.  Results are aggregated in shard order, so the reported
+counterexample is deterministic.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import gf2
 from .analysis import (
@@ -38,7 +41,7 @@ from .engine import (
     mp_run,
 )
 from .fields import GF2, PrimeField
-from .poly import Seq
+from .poly import Seq, gcd_coeffs, mul_coeffs
 from .rueppel import (
     gamma_identities,
     power_column_identity,
@@ -71,11 +74,20 @@ def _bits_to_terms(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(n))
 
 
-def _shard_map(fn, shards, threads: int):
-    if threads <= 1 or len(shards) <= 1:
-        return [fn(sh) for sh in shards]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, shards))
+def _pool_size(threads: int, shards: int) -> int:
+    """Worker processes for a sweep: never more than the CPUs or the shards."""
+    return max(1, min(threads, os.cpu_count() or 1, shards))
+
+
+def _sweep(shard_fn, n: int, threads: int) -> list[tuple[int, str]]:
+    """shard_fn's (count, detail) for each shard of the length-n sweep, in order."""
+    count = max(1, min(threads, 1 << n))
+    shards = [(n, i, count) for i in range(count)]
+    workers = _pool_size(threads, count)
+    if workers == 1:
+        return [shard_fn(sh) for sh in shards]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(shard_fn, shards))
 
 
 # ---------------------------------------------------------------- oracle
@@ -114,57 +126,22 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
 
 # ---------------------------------------------------------------- bezout
 
-def _conv_mod(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    out = [v % p for v in out]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _gcd_is_unit(p, a, b):
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        for i in range(len(a) - db - 1, -1, -1):
-            c = (a[i + db] * inv) % p
-            if c:
-                for k in range(db + 1):
-                    a[i + k] = (a[i + k] - c * b[k]) % p
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _bezout_step_ok_packed(core) -> bool:
-    det = gf2.mul(core.mu, core.mup_part) ^ gf2.mul(core.mu_part, core.mup)
-    if det != 1:
+    mu, mu_part, mup, mup_part = core.packed_rows()
+    if gf2.mul(mu, mup_part) ^ gf2.mul(mu_part, mup) != 1:
         return False
-    return gf2.gcd(core.mu, core.mu_part) == 1 and gf2.gcd(core.mu, core.mup) == 1
+    return gf2.gcd(mu, mu_part) == 1 and gf2.gcd(mu, mup) == 1
 
 
 def _bezout_step_ok_generic(core) -> bool:
     p = core.p
-    det = _conv_mod(p, core.mu, core.mup_part)
-    sub = _conv_mod(p, core.mu_part, core.mup)
-    m = max(len(det), len(sub))
-    det += [0] * (m - len(det))
-    sub += [0] * (m - len(sub))
-    diff = [(x - y) % p for x, y in zip(det, sub)]
-    while diff and diff[-1] == 0:
-        diff.pop()
-    if diff != [(-core.nabla) % p]:
+    mu, mu_part, mup, mup_part = core.pairs()
+    det = [(x - y) % p for x, y in zip_longest(
+        mul_coeffs(mu, mup_part), mul_coeffs(mu_part, mup), fillvalue=0)]
+    if det[:1] != [-core.nabla % p] or any(det[1:]):
         return False
-    return (_gcd_is_unit(p, core.mu, core.mu_part or [0])
-            and _gcd_is_unit(p, core.mu, core.mup or [0]))
+    return (len(gcd_coeffs(mu, mu_part, p)) == 1
+            and len(gcd_coeffs(mu, mup, p)) == 1)
 
 
 def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
@@ -210,9 +187,7 @@ def verify_wang_massey(max_n: int = 15, threads: int = 1) -> VerifyResult:
     """PLCP <=> stability <=> even transform coefficients vanish (odd n)."""
     checked = 0
     for n in range(1, max_n + 1, 2):
-        nsh = min(threads, 1 << n) if threads > 1 else 1
-        results = _shard_map(_wm_shard, [(n, i, nsh) for i in range(nsh)], threads)
-        for cnt, detail in results:
+        for cnt, detail in _sweep(_wm_shard, n, threads):
             if detail:
                 return _fail("wang-massey", checked, detail)
             checked += cnt
@@ -256,9 +231,7 @@ def verify_plcp_equivalence(max_n: int = 12, threads: int = 1) -> VerifyResult:
     """Six witnesses agree; the three sum characterizations agree; sums bounded."""
     checked = 0
     for n in range(0, max_n + 1):
-        nsh = min(threads, 1 << n) if threads > 1 else 1
-        results = _shard_map(_equiv_shard, [(n, i, nsh) for i in range(nsh)], threads)
-        for cnt, detail in results:
+        for cnt, detail in _sweep(_equiv_shard, n, threads):
             if detail:
                 return _fail("plcp-equiv", checked, detail)
             checked += cnt
@@ -324,9 +297,7 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
     if hr.height != 1:
         return _fail("height", checked, f"power-of-two height {hr.height}")
     for n in range(1, exhaustive_n + 1):
-        nsh = min(threads, 1 << n) if threads > 1 else 1
-        results = _shard_map(_height_shard, [(n, i, nsh) for i in range(nsh)], threads)
-        for cnt, detail in results:
+        for cnt, detail in _sweep(_height_shard, n, threads):
             if detail:
                 return _fail("height", checked, detail)
             checked += cnt

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lcprof import verify as verify_mod
 from lcprof.cli import main, parse_sequence, worker_count
 from lcprof.engine import ProfileReport
 from lcprof.errors import SequenceParseError
@@ -234,6 +235,24 @@ def test_verify_small_sweeps(capsys):
     assert code == 0
 
 
+def test_verify_json(capsys, monkeypatch):
+    argv = ("verify", "lcsum", "--max-n", "6", "--trials", "40")
+    _, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data == {"suite": "lcsum", "ok": True, "checked": data["checked"],
+                    "detail": ""}
+    assert text == f"lcsum: pass, {data['checked']} checks\n"
+
+    failed = verify_mod.VerifyResult("lcsum", False, 7, "three ones")
+    monkeypatch.setattr(verify_mod, "verify_lcsum", lambda **kw: failed)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 3
+    assert json.loads(out) == {"suite": "lcsum", "ok": False, "checked": 7,
+                               "detail": "three ones"}
+
+
 # ---------------------------------------------------------------- threads
 
 def test_worker_count_env(monkeypatch):
@@ -245,6 +264,20 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("LCPROF_THREADS", "junk")
     assert worker_count() == 1
+
+
+def test_pool_size_is_capped(monkeypatch):
+    monkeypatch.setenv("LCPROF_THREADS", "100000")
+    assert worker_count() == 100000
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    assert verify_mod._pool_size(100000, 1 << 15) == 2
+    assert verify_mod._pool_size(100000, 1) == 1
+    assert verify_mod._pool_size(1, 8) == 1
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    assert verify_mod._pool_size(4, 8) == 4
+    assert verify_mod._pool_size(100000, 8) == 8
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+    assert verify_mod._pool_size(4, 8) == 1
 
 
 def test_sharded_sweep_matches_serial(monkeypatch, capsys):

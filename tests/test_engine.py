@@ -21,6 +21,7 @@ from lcprof.engine import (
     mp_step,
     profile_steps,
     updating_matrix,
+    _PackedCore,
 )
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, IntegerRing, PrimeField
@@ -490,6 +491,66 @@ def test_profile_matches_classic_synthesis():
             terms = [rng.randrange(q) for _ in range(n)]
             _, rep = mp_run(Seq(dom, terms))
             assert rep.lc == classic_synthesis_profile(terms, q)
+
+
+def _differential_inputs(rng, q):
+    """One single-spike, one sparse and one low-order-recurrence input."""
+    n = rng.randrange(150, 301)
+    spike = [0] * n
+    spike[rng.randrange(n)] = rng.randrange(1, q)
+    sparse = [rng.randrange(1, q) if rng.random() < 0.05 else 0 for _ in range(n)]
+    order = rng.randrange(1, 9)
+    taps = [rng.randrange(q) for _ in range(order)]
+    recurrence = [rng.randrange(q) for _ in range(order)]
+    while len(recurrence) < n:
+        recurrence.append(sum(c * recurrence[-1 - i] for i, c in enumerate(taps)) % q)
+    return {"spike": spike, "sparse": sparse, "recurrence": recurrence}
+
+
+def test_large_field_differential():
+    """The engine against textbook synthesis at word-size primes and n <= 300.
+
+    Also checks the packed path against the generic one, folded mp_step
+    states against mp_run, and regeneration from the feedback register.
+    """
+    rng = random.Random(0x1969)
+    for q in (2, 3, 65521, 2**31 - 1):
+        dom = PrimeField(q)
+        for shape, terms in _differential_inputs(rng, q).items():
+            s = Seq(dom, terms)
+            want = classic_synthesis_profile(terms, q)
+            for eps in sorted({0, 1, q - 1}):
+                config = MPConfig(epsilon=eps)
+                m, rep = mp_run(s, config)
+                assert rep.lc == want, (q, shape, eps)
+                if q == 2:
+                    assert mp_run(s, config, force_generic=True) == (m, rep)
+                state = run_states(s, config)[-1]
+                assert state.matrix() == m
+                assert [r.lc for r in state.log] == rep.lc
+                assert (state.consumed, state.nabla) == (s.terms, rep.nabla)
+                fb, lc = feedback_polynomial(rep)
+                assert lfsr_generate(fb, s.prefix(lc), len(s)) == s
+
+
+@pytest.mark.parametrize("dom", [GF2, F3])
+def test_mp_step_leaves_its_input_unchanged(dom):
+    parent = run_states(Seq(dom, [1, 0, 1, 1, 0]))[-1]
+    assert isinstance(parent._core, _PackedCore) == (dom.p == 2)
+
+    def snapshot(state):
+        return (state.mu_bar, state.mu_bar_prev, state.consumed, state.log,
+                state.p_shift)
+
+    before = snapshot(parent)
+    zero, one = mp_step(parent, 0), mp_step(parent, 1)
+    for _ in range(4):
+        zero, one = mp_step(zero, 1), mp_step(one, 0)
+    assert snapshot(parent) == before
+    assert zero.consumed == parent.consumed + (0, 1, 1, 1, 1)
+    assert one.consumed == parent.consumed + (1, 0, 0, 0, 0)
+    for child in (zero, one):
+        assert child.matrix() == mp_run(child.sequence())[0]
 
 
 # ----------------------------------------------------------- Min(s) coset
