@@ -9,10 +9,10 @@ counting, and the bijection between sequences and discrepancy lists.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .engine import MPConfig, _make_core, mp_run, profile_steps
+from .engine import MPConfig, _make_core, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField, is_prime
 from .poly import Poly, Seq, poly_divmod
@@ -23,8 +23,42 @@ def _require_binary(s: Seq, what: str) -> None:
         raise UnsupportedDomainError(f"{what} is defined for binary sequences only")
 
 
+def _log(s: Seq) -> tuple[list[int], list[int]]:
+    """LC_1..LC_n and the exponents e_0..e_n of one engine run."""
+    core = _make_core(s.domain, MPConfig())
+    for t in s.terms:
+        core.step(t)
+    return core.lc, core.exps
+
+
+# Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] (or
+# the exponents) of one run, so one run serves every analysis.
+
+def _halves(n: int) -> list[int]:
+    return [(j + 1) // 2 for j in range(1, n + 1)]
+
+
+def _perfect(lc: list[int]) -> bool:
+    return lc == _halves(len(lc))
+
+
+def _lc_sum(lc: list[int]) -> tuple[int, int]:
+    return sum(lc), (len(lc) + 1) ** 2 // 4
+
+
+def _char(lc: list[int]) -> tuple[bool, bool, bool]:
+    halves = _halves(len(lc))
+    sigma, bound = _lc_sum(lc)
+    return (
+        _perfect(lc),
+        all(a <= b for a, b in zip(lc, halves)) and sigma == bound,
+        all(a >= b for a, b in zip(lc, halves)),
+    )
+
+
 def is_plcp(s: Seq) -> bool:
     """LC_j = floor((j+1)/2) at every step (vacuously true when empty)."""
+    # stops at the first step off the profile, unlike a full run's log
     core = _make_core(s.domain, MPConfig(keep_log=False))
     for j, t in enumerate(s.terms, start=1):
         core.step(t)
@@ -73,94 +107,111 @@ class PlcpWitness:
         }
 
 
+WITNESSES = ("lc", "parity", "exponent", "odd_delta", "index", "recursion")
+
+
+class _WitnessTrail(NamedTuple):
+    """What the witness conditions at step j + 1 read from steps up to j."""
+
+    lc: int          # LC_j
+    e: int           # e_j = j + 1 - 2 LC_j
+    last_jump: int   # j - 1 for the last step j that jumped, -1 before any jump
+    deltas: tuple    # delta_j, delta_{j-1}
+    rows: tuple      # (mu, [mu]) as coefficient lists after steps j, j-1, j-2
+
+
+# step 0: every core starts from the row (mu, [mu]) = (1, 0) and e_0 = 1
+_WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), (([1], []),))
+
+
+def _lin(c1, a, shift, c2, b, p) -> list[int]:
+    """c1 * x^shift * a - c2 * b over F_p (the integers for p = 0), canonical."""
+    out = [0] * shift + [c1 * v for v in a]
+    out.extend([0] * (len(b) - len(out)))
+    for i, v in enumerate(b):
+        out[i] -= c2 * v
+    if p:
+        out = [v % p for v in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
+                  p: int) -> tuple[_WitnessTrail, int]:
+    """Fold step j (core has just consumed term j, giving delta) into the trail.
+
+    Also returns the conditions that fail at step j as a bit mask: bit i
+    stands for WITNESSES[i].  The index condition reads the jump history
+    after step j, which plcp_witnesses reports as step j + 1.
+    """
+    lc = core.cur_lc()
+    e = j + 1 - 2 * lc
+    odd = j & 1
+    fails = 0
+    if lc != (j + 1) // 2:
+        fails |= 1
+    if lc - trail.lc != odd:
+        fails |= 2
+    if e != 1 - odd:
+        fails |= 4
+    if odd and delta == 0:
+        fails |= 8
+    # a jump at every odd step pins the index history two steps back
+    last_jump = j - 1 if delta != 0 and trail.e > 0 else trail.last_jump
+    if last_jump != j - 2 + odd:
+        fails |= 16
+    # the pair recursion re-derives the row from the two-term recursions;
+    # the base row is (x - delta_1*eps, delta_1), over F_2 with a nonzero
+    # first term the usual (x + eps, 1)
+    row = tuple(core.pairs()[:2])
+    if j == 1:
+        want = (_lin(1, [1], 1, delta * eps, [1], p), _lin(delta, [1], 0, 0, [], p))
+    elif not odd and delta == 0:
+        want = trail.rows[0]  # nothing to absorb: the row carries over unscaled
+    else:
+        # even j: delta_{j-1} * row_{j-1} - delta_j * row_{j-2};
+        # odd j: delta_{j-2} * x * row_{j-1} - delta_j * row_{j-3}
+        c1, r2 = ((trail.deltas[1], trail.rows[2]) if odd
+                  else (trail.deltas[0], trail.rows[1]))
+        want = tuple(_lin(c1, a, odd, delta, b, p)
+                     for a, b in zip(trail.rows[0], r2))
+    if row != want:
+        fails |= 32
+    return _WitnessTrail(lc, e, last_jump, (delta, trail.deltas[0]),
+                         (row,) + trail.rows[:2]), fails
+
+
+def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int], list[int]]:
+    """The six witnesses, LC_1..LC_n and e_0..e_n, from one engine run.
+
+    The profile does not depend on epsilon (it only seeds the displaced
+    row), so the logs serve the epsilon-free analyses too.
+    """
+    dom = s.domain
+    core = _make_core(dom, MPConfig(epsilon=epsilon))
+    eps, p = dom.normalize(epsilon), dom.p
+    trail = _WITNESS_START
+    fails: dict[str, list[int]] = {name: [] for name in WITNESSES}
+    for j, t in enumerate(s.terms, start=1):
+        trail, bits = _witness_step(trail, j, core, core.step(t), eps, p)
+        for i, name in enumerate(WITNESSES):
+            if bits >> i & 1:
+                fails[name].append(j + 1 if name == "index" else j)
+    witness = PlcpWitness(*(not fails[name] for name in WITNESSES),
+                          details={k: v for k, v in fails.items() if v})
+    return witness, core.lc, core.exps
+
+
 def plcp_witnesses(s: Seq, epsilon: int = 0) -> PlcpWitness:
     """Evaluate the six profile characterizations independently.
 
-    The pair-recursion condition re-derives the engine rows from the
-    two-term recursions (base row (x - delta_1*eps, delta_1), which over
-    F_2 with a nonzero first term is the usual (x + eps, 1)) and
-    compares them to the actual rows.
+    One engine run, folded step by step through the same per-step
+    conditions the prefix-tree sweeps use.  The pair-recursion condition
+    re-derives the engine rows from the two-term recursions and compares
+    them to the actual rows.
     """
-    dom = s.domain
-    rows = profile_steps(s, MPConfig(epsilon=epsilon))
-    n = len(s)
-    fails: dict[str, list[int]] = {k: [] for k in
-                                   ("lc", "parity", "exponent", "odd_delta",
-                                    "index", "recursion")}
-
-    for j in range(1, n + 1):
-        if rows[j].lc != (j + 1) // 2:
-            fails["lc"].append(j)
-
-    if n >= 1 and rows[1].lc != 1:
-        fails["parity"].append(1)
-    for j in range(2, n + 1):
-        want = 0 if j % 2 == 0 else 1
-        if rows[j].lc - rows[j - 1].lc != want:
-            fails["parity"].append(j)
-
-    for j in range(1, n + 1):
-        if rows[j].e != (1 if j % 2 == 0 else 0):
-            fails["exponent"].append(j)
-
-    for j in range(1, n + 1, 2):
-        if rows[j].delta == 0:
-            fails["odd_delta"].append(j)
-
-    # jump history reconstructs the index function: j' = j-1 at a jump
-    nprime = [-1] * (n + 1)
-    for j in range(1, n + 1):
-        jumped = rows[j].delta != 0 and rows[j - 1].e > 0
-        nprime[j] = j - 1 if jumped else nprime[j - 1]
-    # a jump at every odd step pins the index history two steps back;
-    # the range runs to n+1 so the entry for step n itself is examined
-    for j in range(2, n + 2):
-        want = j - 2 if j % 2 == 0 else j - 3
-        if nprime[j - 1] != want:
-            fails["index"].append(j)
-
-    if n >= 1:
-        d1 = rows[1].delta
-        eps = dom.normalize(epsilon)
-        base = (
-            Poly(dom, (dom.neg(dom.mul(d1, eps)), 1)),
-            Poly(dom, (d1,)),
-        )
-        if (rows[1].mu, rows[1].mu_part) != base:
-            fails["recursion"].append(1)
-    x = Poly(dom, (0, 1))
-    for j in range(2, n + 1):
-        cur = (rows[j].mu, rows[j].mu_part)
-        if j % 2 == 0:
-            if rows[j].delta == 0:
-                # nothing to absorb: the row carries over unscaled
-                want = (rows[j - 1].mu, rows[j - 1].mu_part)
-            else:
-                c1, r1 = rows[j - 1].delta, rows[j - 1]
-                c2, r2 = rows[j].delta, rows[j - 2]
-                want = (
-                    r1.mu.scale(c1) - r2.mu.scale(c2),
-                    r1.mu_part.scale(c1) - r2.mu_part.scale(c2),
-                )
-        else:
-            c1, r1 = rows[j - 2].delta, rows[j - 1]
-            c2, r2 = rows[j].delta, rows[j - 3]
-            want = (
-                x * r1.mu.scale(c1) - r2.mu.scale(c2),
-                x * r1.mu_part.scale(c1) - r2.mu_part.scale(c2),
-            )
-        if cur != want:
-            fails["recursion"].append(j)
-
-    return PlcpWitness(
-        holds_lc=not fails["lc"],
-        holds_parity=not fails["parity"],
-        holds_exponent=not fails["exponent"],
-        holds_odd_delta=not fails["odd_delta"],
-        holds_index=not fails["index"],
-        holds_recursion=not fails["recursion"],
-        details={k: v for k, v in fails.items() if v},
-    )
+    return _witness_run(s, epsilon)[0]
 
 
 def is_stable(s: Seq) -> bool:
@@ -222,16 +273,18 @@ class HeightReport:
     exponents: list[int]
 
 
+def _height(exps: list[int]) -> HeightReport:
+    h = max(exps)
+    return HeightReport(height=h, argmax_j=exps.index(h), exponents=list(exps))
+
+
 def height(s: Seq) -> HeightReport:
     """Sequence height: max over the logged exponents.
 
     The seed exponent e_0 = 1 participates, so the height is always at
     least 1 and equals 1 exactly on perfect-profile sequences.
     """
-    _, rep = mp_run(s)
-    exps = rep.exponents
-    h = max(exps)
-    return HeightReport(height=h, argmax_j=exps.index(h), exponents=list(exps))
+    return _height(_log(s)[1])
 
 
 def cf_partial_quotients(s: Seq) -> list[Poly]:
@@ -264,9 +317,7 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
 
 def lc_sum(s: Seq) -> tuple[int, int]:
     """(sum of LC_1..LC_n, the bound floor((n+1)^2 / 4))."""
-    _, rep = mp_run(s)
-    n = len(s)
-    return sum(rep.lc), (n + 1) ** 2 // 4
+    return _lc_sum(_log(s)[0])
 
 
 def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
@@ -276,14 +327,7 @@ def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
     the LC sum attains its bound; (iii) profile never below
     floor((i+1)/2).
     """
-    _, rep = mp_run(s)
-    n = len(s)
-    lc = rep.lc
-    halves = [(i + 1) // 2 for i in range(1, n + 1)]
-    plcp = lc == halves
-    below = all(a <= b for a, b in zip(lc, halves))
-    above = all(a >= b for a, b in zip(lc, halves))
-    return (plcp, below and sum(lc) == (n + 1) ** 2 // 4, above)
+    return _char(_log(s)[0])
 
 
 def plcp_count(q: int, n: int) -> int:
@@ -298,22 +342,56 @@ def plcp_count(q: int, n: int) -> int:
 ENUM_GUARD = 10**7
 
 
-def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
-    """Yield every perfect-profile sequence in F_q^n, exhaustively.
+def _walk_prefixes(core, q: int, max_n: int, fold, state):
+    """Every prefix of at most max_n terms that extends the core's, depth first.
 
-    This is the independent oracle for the closed-form count: it scans
-    all q^n candidates (guarded) rather than inverting the discrepancy
-    bijection.
+    Yields (terms, state) for the core's own prefix and then for each
+    extension, in itertools.product order: a node before its children,
+    children in term order 0..q-1.  The engine is online, so a child's
+    core is a copy of its parent's stepped once, and fold(state, core,
+    delta, j) gives the child's state from its parent's after step j; a
+    fold that returns None cuts the child and its subtree.  The stack
+    holds O(max_n * q) cores.  The walk steps the given core itself.
+    """
+    stack = [(core, state, core.terms())]
+    while stack:
+        core, state, terms = stack.pop()
+        yield terms, state
+        j = len(terms) + 1
+        if j > max_n:
+            continue
+        children = []
+        for t in range(q):
+            # the last child takes over the parent's core: nothing reads it again
+            child = core.copy() if t < q - 1 else core
+            cstate = fold(state, child, child.step(t), j)
+            if cstate is not None:
+                children.append((child, cstate, terms + (t,)))
+        stack.extend(reversed(children))
+
+
+def _perfect_step(state, core, delta, j):
+    return True if core.cur_lc() == (j + 1) // 2 else None
+
+
+def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
+    """Yield every perfect-profile sequence in F_q^n, in product order.
+
+    This is the independent oracle for the closed-form count: it checks
+    the definition LC_j = floor((j+1)/2) step by step on a walk of the
+    prefix tree, never inverting the discrepancy bijection.  The perfect
+    profile is prefix-closed, so the walk cuts a subtree as soon as its
+    prefix leaves it.  The guard still bounds the q^n candidates.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if q**n > guard:
         raise ResourceLimitError(f"{q}^{n} exceeds the enumeration guard")
     dom = PrimeField(q)
-    for terms in itertools.product(range(q), repeat=n):
-        s = Seq(dom, terms)
-        if is_plcp(s):
-            yield s
+    core = _make_core(dom, MPConfig(keep_log=False))
+    for terms, _ in _walk_prefixes(core, q, n, _perfect_step, True):
+        if len(terms) == n:
+            yield Seq(dom, terms)
 
 
 def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
@@ -338,16 +416,15 @@ def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
 
 
 def analysis_report(s: Seq, epsilon: int = 0) -> dict:
-    """One-stop JSON-ready summary of the profile analyses."""
-    wit = plcp_witnesses(s, epsilon=epsilon)
-    hgt = height(s)
-    sigma, bound = lc_sum(s)
+    """One-stop JSON-ready summary of the profile analyses (one engine run)."""
+    wit, lc, exps = _witness_run(s, epsilon)
+    sigma, bound = _lc_sum(lc)
     return {
-        "plcp": is_plcp(s),
+        "plcp": _perfect(lc),
         "witnesses": wit.as_dict(),
         "stable": is_stable(s) if s.domain.p == 2 else None,
-        "height": hgt.height,
+        "height": _height(exps).height,
         "lc_sum": sigma,
         "lc_sum_bound": bound,
-        "char_equivalence": list(char_equivalence(s)),
+        "char_equivalence": list(_char(lc)),
     }

@@ -21,12 +21,18 @@ from .fields import GF2
 from .poly import Poly, Seq
 
 COLUMN_CHECK_BOUND = 2**16
+# Size guards, checked before anything is allocated.  The grow-only gamma
+# table holds about k^2/16 bytes once it reaches member k: 64 MiB here.
+GAMMA_GUARD = 2**15
+RUEPPEL_GUARD = 2**22
 
 
 def rueppel_terms(n: int) -> Seq:
     """First n terms: 1 at indices 1, 2, 4, 8, ..., 0 elsewhere."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > RUEPPEL_GUARD:
+        raise ResourceLimitError(f"{n} terms exceed the guard {RUEPPEL_GUARD}")
     return Seq(GF2, [1 if j & (j - 1) == 0 else 0 for j in range(1, n + 1)])
 
 
@@ -39,6 +45,8 @@ class GammaTable:
     def packed(self, k: int) -> int:
         if k < 0:
             raise ValueError("gamma index must be nonnegative")
+        if k > GAMMA_GUARD:
+            raise ResourceLimitError(f"gamma index {k} exceeds the guard {GAMMA_GUARD}")
         g = self._g
         while len(g) <= k:
             g.append((g[-1] << 1) ^ g[-2])
@@ -133,18 +141,29 @@ def rueppel_mp(n: int) -> tuple[Poly, Poly]:
     )
 
 
+def rueppel_matrix_pattern(n: int, matrix: Mat2, prev: Mat2 | None) -> bool:
+    """Whether the engine matrix after n terms (prev: after n - 1) fits the pattern.
+
+    M at n = 2, the previous matrix repeated at even n, and U^((n-1)/2) M
+    at odd n.
+    """
+    if n < 2:
+        raise ValueError("pattern starts at n = 2")
+    if n == 2:
+        return matrix == step2_matrix()
+    if n % 2 == 0:
+        return matrix == prev
+    return matrix == u_power((n - 1) // 2) @ step2_matrix()
+
+
 def rueppel_matrix_check(n: int) -> bool:
     """Engine matrix pattern: M at 2, repeat at even n, U-power at odd n."""
     if n < 2:
         raise ValueError("pattern starts at n = 2")
     terms = rueppel_terms(n)
     matrix, _ = mp_run(terms, MPConfig())
-    if n == 2:
-        return matrix == step2_matrix()
-    if n % 2 == 0:
-        prev, _ = mp_run(terms.prefix(n - 1), MPConfig())
-        return matrix == prev
-    return matrix == u_power((n - 1) // 2) @ step2_matrix()
+    prev = mp_run(terms.prefix(n - 1), MPConfig())[0] if n > 2 and n % 2 == 0 else None
+    return rueppel_matrix_pattern(n, matrix, prev)
 
 
 def _adjugate_packed(m):

@@ -5,11 +5,22 @@ stops at the first counterexample, and reports what it checked.  The
 sweeps are what the CLI's ``verify`` command runs; the acceptance tests
 call them with pinned parameters.
 
-Exhaustive binary sweeps can shard across processes; set the
-LCPROF_THREADS environment variable (the CLI forwards it) to use more
-than one worker.  The pool never gets more workers than there are CPUs
-or shards.  Results are aggregated in shard order, so the reported
-counterexample is deterministic.
+The exhaustive binary sweeps (wang-massey, plcp-equiv, height) walk the
+prefix tree once: the engine is online, so every sequence that extends
+a prefix resumes a copy of the prefix's engine core, and each node
+folds its parent's verdicts with the checks at its own step.  One walk
+covers every length of a sweep.  The reported counterexample is the
+one a length-by-length scan would report first: the least length, then
+the least value in _bits_to_terms order, with the sequences of the
+shorter checked lengths counted as checked.
+
+The tree sweeps can shard across processes; set the LCPROF_THREADS
+environment variable (the CLI forwards it) to use more than one worker.
+Each suite uses one pool; its shards are the subtrees under the prefixes
+of one fixed length, and the nodes above them are checked in-process.
+The pool never gets more workers than there are CPUs or shards.  The
+least counterexample over all shards is reported, so the result does
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -19,23 +30,27 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import Callable, NamedTuple
 
 from . import gf2
 from .analysis import (
+    WITNESSES,
+    _WITNESS_START,
+    _walk_prefixes,
+    _witness_step,
     cf_partial_quotients,
-    char_equivalence,
     enumerate_plcp,
     height,
-    is_plcp,
     is_stable,
     lc_sum,
     plcp_count,
-    plcp_witnesses,
     t_transform,
 )
 from .engine import (
+    Mat2,
     _GenericCore,
     _PackedCore,
+    _poly_rows,
     annihilates,
     brute_force_minpoly,
     mp_run,
@@ -45,8 +60,8 @@ from .poly import Seq, gcd_coeffs, mul_coeffs
 from .rueppel import (
     gamma_identities,
     power_column_identity,
+    rueppel_matrix_pattern,
     rueppel_mp,
-    rueppel_matrix_check,
     rueppel_terms,
 )
 
@@ -79,15 +94,106 @@ def _pool_size(threads: int, shards: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1, shards))
 
 
-def _sweep(shard_fn, n: int, threads: int) -> list[tuple[int, str]]:
-    """shard_fn's (count, detail) for each shard of the length-n sweep, in order."""
-    count = max(1, min(threads, 1 << n))
-    shards = [(n, i, count) for i in range(count)]
-    workers = _pool_size(threads, count)
+# ---------------------------------------------------------- prefix tree
+
+class _TreeSuite(NamedTuple):
+    """One exhaustive binary sweep, as a walk of the prefix tree."""
+
+    start: object     # state of the empty prefix
+    fold: Callable    # (parent state, core, delta, j) -> state after step j
+    check: Callable   # (state, terms) -> "" or the counterexample
+
+
+def _least_failure(found):
+    """The failure a length-by-length scan meets first: least n, then least v.
+
+    found holds (n, v, detail) triples and None for subtrees that passed.
+    """
+    return min((f for f in found if f is not None), default=None,
+               key=lambda f: f[:2])
+
+
+def _check_subtree(args):
+    """Walk the subtree under one prefix to max_n terms.
+
+    Returns the number of nodes checked at each length 0..lengths[-1]
+    and the least failing node.
+    """
+    suite, prefix, max_n, lengths = args
+    core = _PackedCore(keep_log=False)
+    state = suite.start
+    for j, t in enumerate(prefix, start=1):
+        state = suite.fold(state, core, core.step(t), j)
+    counts = [0] * (lengths[-1] + 1)
+    least = None
+    for terms, st in _walk_prefixes(core, 2, max_n, suite.fold, state):
+        n = len(terms)
+        if n in lengths:
+            counts[n] += 1
+            detail = suite.check(st, terms)
+            if detail:
+                v = sum(t << i for i, t in enumerate(terms))
+                least = _least_failure([least, (n, v, detail)])
+    return counts, least
+
+
+def _merge(results):
+    """Subtree results as one: counts added per length, the least failure."""
+    results = list(results)
+    counts = [sum(c) for c in zip(*(r[0] for r in results))]
+    return counts, _least_failure(r[1] for r in results)
+
+
+def _tree_sweep(suite: _TreeSuite, lengths: range, threads: int) -> tuple[int, str]:
+    """(checked, detail) over every binary sequence whose length is in lengths.
+
+    With no failure, checked counts every sequence the walk checked;
+    otherwise only those shorter than the failing one.
+    """
+    if not lengths:
+        return 0, ""
+    max_n = lengths[-1]
+    # a few shards per worker even out subtrees whose checks cost unequally
+    depth = min(max_n, (threads - 1).bit_length() + 2)
+    workers = _pool_size(threads, 1 << depth)
     if workers == 1:
-        return [shard_fn(sh) for sh in shards]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(shard_fn, shards))
+        counts, least = _check_subtree((suite, (), max_n, lengths))
+    else:
+        shards = [(suite, _bits_to_terms(i, depth), max_n, lengths)
+                  for i in range(1 << depth)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            below = list(pool.map(_check_subtree, shards))
+        counts, least = _merge([_check_subtree((suite, (), depth - 1, lengths)),
+                                *below])
+    if least is None:
+        return sum(counts), ""
+    return sum(counts[:least[0]]), least[2]
+
+
+class _Profile(NamedTuple):
+    """Prefix-local profile verdicts after j steps."""
+
+    perfect: bool   # LC_i = floor((i+1)/2) for every i <= j
+    below: bool     # LC_i <= floor((i+1)/2) for every i <= j
+    above: bool     # LC_i >= floor((i+1)/2) for every i <= j
+    lc_sum: int     # LC_1 + ... + LC_j
+    height: int     # max(e_0, ..., e_j)
+
+
+_PROFILE_START = _Profile(True, True, True, 0, 1)
+
+
+def _profile_step(st: _Profile, core, delta: int, j: int) -> _Profile:
+    lc = core.cur_lc()
+    half = (j + 1) // 2
+    return _Profile(st.perfect and lc == half, st.below and lc <= half,
+                    st.above and lc >= half, st.lc_sum + lc,
+                    max(st.height, j + 1 - 2 * lc))
+
+
+def _char_verdicts(st: _Profile, n: int) -> tuple[bool, bool, bool]:
+    """The three char_equivalence forms of a prefix of n terms."""
+    return st.perfect, st.below and st.lc_sum == (n + 1) ** 2 // 4, st.above
 
 
 # ---------------------------------------------------------------- oracle
@@ -169,28 +275,27 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
 
 # ----------------------------------------------------------- wang-massey
 
-def _wm_shard(args) -> tuple[int, str]:
-    n, idx, step = args
-    for v in range(idx, 1 << n, step):
-        s = Seq(GF2, _bits_to_terms(v, n))
-        plcp = is_plcp(s)
-        stable = is_stable(s)
-        if plcp != stable:
-            return 0, f"n={n} {list(s.terms)} plcp={plcp} stable={stable}"
-        t = t_transform(s)
-        if stable != all(t[j] == 0 for j in range(0, n + 1, 2)):
-            return 0, f"n={n} {list(s.terms)} transform criterion"
-    return len(range(idx, 1 << n, step)), ""
+def _wm_check(st: _Profile, terms) -> str:
+    # stability and the transform are engine-free oracles, run per sequence
+    n = len(terms)
+    s = Seq(GF2, terms)
+    plcp, stable = st.perfect, is_stable(s)
+    if plcp != stable:
+        return f"n={n} {list(terms)} plcp={plcp} stable={stable}"
+    t = t_transform(s)
+    if stable != all(t[j] == 0 for j in range(0, n + 1, 2)):
+        return f"n={n} {list(terms)} transform criterion"
+    return ""
+
+
+_WANG_MASSEY = _TreeSuite(_PROFILE_START, _profile_step, _wm_check)
 
 
 def verify_wang_massey(max_n: int = 15, threads: int = 1) -> VerifyResult:
     """PLCP <=> stability <=> even transform coefficients vanish (odd n)."""
-    checked = 0
-    for n in range(1, max_n + 1, 2):
-        for cnt, detail in _sweep(_wm_shard, n, threads):
-            if detail:
-                return _fail("wang-massey", checked, detail)
-            checked += cnt
+    checked, detail = _tree_sweep(_WANG_MASSEY, range(1, max_n + 1, 2), threads)
+    if detail:
+        return _fail("wang-massey", checked, detail)
     return VerifyResult("wang-massey", True, checked)
 
 
@@ -211,30 +316,48 @@ def verify_plcp_count(cases=((2, 14), (3, 8))) -> VerifyResult:
     return VerifyResult("plcp-count", True, checked)
 
 
-def _equiv_shard(args) -> tuple[int, str]:
-    n, idx, step = args
-    for v in range(idx, 1 << n, step):
-        s = Seq(GF2, _bits_to_terms(v, n))
-        w = plcp_witnesses(s)
-        if not w.agree():
-            return 0, f"n={n} {list(s.terms)} {w.all()}"
-        c = char_equivalence(s)
-        if len(set(c)) != 1 or c[0] != w.holds_lc:
-            return 0, f"n={n} {list(s.terms)} char {c}"
-        sigma, bound = lc_sum(s)
-        if sigma > bound:
-            return 0, f"n={n} {list(s.terms)} sum {sigma} > {bound}"
-    return len(range(idx, 1 << n, step)), ""
+class _Equiv(NamedTuple):
+    profile: _Profile
+    trail: object   # analysis._WitnessTrail
+    failed: int     # bit i: WITNESSES[i] failed at some step
+
+
+_EQUIV_START = _Equiv(_PROFILE_START, _WITNESS_START, 0)
+
+
+def _equiv_step(st: _Equiv, core, delta: int, j: int) -> _Equiv:
+    trail, fails = _witness_step(st.trail, j, core, delta, 0, 2)
+    return _Equiv(_profile_step(st.profile, core, delta, j), trail,
+                  st.failed | fails)
+
+
+def _witness_verdicts(st: _Equiv) -> tuple[bool, ...]:
+    """The six plcp_witnesses verdicts of the prefix, in WITNESSES order."""
+    return tuple(not st.failed >> i & 1 for i in range(len(WITNESSES)))
+
+
+def _equiv_check(st: _Equiv, terms) -> str:
+    n = len(terms)
+    w = _witness_verdicts(st)
+    if len(set(w)) != 1:
+        return f"n={n} {list(terms)} {w}"
+    c = _char_verdicts(st.profile, n)
+    if len(set(c)) != 1 or c[0] != w[0]:
+        return f"n={n} {list(terms)} char {c}"
+    sigma, bound = st.profile.lc_sum, (n + 1) ** 2 // 4
+    if sigma > bound:
+        return f"n={n} {list(terms)} sum {sigma} > {bound}"
+    return ""
+
+
+_PLCP_EQUIV = _TreeSuite(_EQUIV_START, _equiv_step, _equiv_check)
 
 
 def verify_plcp_equivalence(max_n: int = 12, threads: int = 1) -> VerifyResult:
     """Six witnesses agree; the three sum characterizations agree; sums bounded."""
-    checked = 0
-    for n in range(0, max_n + 1):
-        for cnt, detail in _sweep(_equiv_shard, n, threads):
-            if detail:
-                return _fail("plcp-equiv", checked, detail)
-            checked += cnt
+    checked, detail = _tree_sweep(_PLCP_EQUIV, range(0, max_n + 1), threads)
+    if detail:
+        return _fail("plcp-equiv", checked, detail)
     return VerifyResult("plcp-equiv", True, checked)
 
 
@@ -243,27 +366,45 @@ def verify_plcp_equivalence(max_n: int = 12, threads: int = 1) -> VerifyResult:
 def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
                    closed_n: int = 1025, gamma_n: int = 1024,
                    r0_k: int = 10) -> VerifyResult:
-    """Closed forms of the power-of-two sequence against the engine."""
+    """Closed forms of the power-of-two sequence against one engine run.
+
+    The run goes as far as the longest check needs; each check compares
+    the snapshot after n terms (and the one before it) with its closed
+    form, which is still computed on its own.
+    """
+    snap_n = max(matrix_n, closed_n + 1)
+    core = _PackedCore()
+    pattern, closed, repeat = {}, {}, {}
+    prev = None
+    for j, t in enumerate(rueppel_terms(max(profile_n, snap_n)).terms, start=1):
+        core.step(t)
+        if j > snap_n:
+            continue
+        cur = Mat2(*_poly_rows(GF2, core))
+        if 2 <= j <= matrix_n:
+            pattern[j] = rueppel_matrix_pattern(j, cur, prev)
+        if j % 2 and 3 <= j <= closed_n:
+            closed[j] = (cur.a, cur.b) == rueppel_mp(j)
+        elif j % 2 == 0 and 3 <= j - 1 <= closed_n:
+            repeat[j - 1] = (cur.a, cur.b) == (prev.a, prev.b)
+        prev = cur
     checked = 0
-    _, rep = mp_run(rueppel_terms(profile_n))
     for j in range(1, profile_n + 1):
         checked += 1
-        if rep.lc[j - 1] != (j + 1) // 2:
-            return _fail("rueppel", checked, f"LC_{j} = {rep.lc[j - 1]}")
-        if rep.exponents[j] not in (0, 1):
-            return _fail("rueppel", checked, f"e_{j} = {rep.exponents[j]}")
+        if core.lc[j - 1] != (j + 1) // 2:
+            return _fail("rueppel", checked, f"LC_{j} = {core.lc[j - 1]}")
+        if core.exps[j] not in (0, 1):
+            return _fail("rueppel", checked, f"e_{j} = {core.exps[j]}")
     for n in range(2, matrix_n + 1):
         checked += 1
-        if not rueppel_matrix_check(n):
+        if not pattern[n]:
             return _fail("rueppel", checked, f"matrix pattern at n={n}")
     for n in range(3, closed_n + 1, 2):
-        matrix, _ = mp_run(rueppel_terms(n))
         checked += 1
-        if (matrix.a, matrix.b) != rueppel_mp(n):
+        if not closed[n]:
             return _fail("rueppel", checked, f"closed form at n={n}")
-        even, _ = mp_run(rueppel_terms(n + 1))
         checked += 1
-        if (even.a, even.b) != (matrix.a, matrix.b):
+        if not repeat[n]:
             return _fail("rueppel", checked, f"even repeat at n={n + 1}")
     for k in range(1, gamma_n + 1):
         checked += 1
@@ -278,13 +419,11 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
 
 # ------------------------------------------------------------- height
 
-def _height_shard(args) -> tuple[int, str]:
-    n, idx, step = args
-    for v in range(idx, 1 << n, step):
-        s = Seq(GF2, _bits_to_terms(v, n))
-        if (height(s).height == 1) != is_plcp(s):
-            return 0, f"n={n} {list(s.terms)}"
-    return len(range(idx, 1 << n, step)), ""
+def _height_check(st: _Profile, terms) -> str:
+    return "" if (st.height == 1) == st.perfect else f"n={len(terms)} {list(terms)}"
+
+
+_HEIGHT = _TreeSuite(_PROFILE_START, _profile_step, _height_check)
 
 
 def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
@@ -296,11 +435,10 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
     checked += 1
     if hr.height != 1:
         return _fail("height", checked, f"power-of-two height {hr.height}")
-    for n in range(1, exhaustive_n + 1):
-        for cnt, detail in _sweep(_height_shard, n, threads):
-            if detail:
-                return _fail("height", checked, detail)
-            checked += cnt
+    cnt, detail = _tree_sweep(_HEIGHT, range(1, exhaustive_n + 1), threads)
+    checked += cnt
+    if detail:
+        return _fail("height", checked, detail)
     rng = random.Random(seed)
     for _ in range(bound_trials):
         q = rng.choice((2, 3))

@@ -406,3 +406,32 @@ def test_deltas_round_trip_both_ways(q, data):
 def test_deltas_needs_field():
     with pytest.raises(UnsupportedDomainError):
         deltas_to_sequence(ZZ, [1, 0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_enumerate_matches_definition_in_product_order(q):
+    dom = PrimeField(q)
+    for n in range(7):
+        want = [t for t in product(range(q), repeat=n) if is_plcp(dom.seq(t))]
+        assert [s.terms for s in enumerate_plcp(q, n)] == want
+
+
+def test_analysis_report_runs_the_engine_once(monkeypatch):
+    from lcprof import analysis
+
+    real = analysis._make_core
+    cases = [(GF2.seq([1, 1, 0, 1, 0, 0]), 0), (GF2.seq([0, 1, 1, 1]), 1),
+             (F3.seq([1, 2, 0, 2, 1]), 2), (F3.seq([]), 0)]
+    for s, eps in cases:
+        made = []
+        monkeypatch.setattr(analysis, "_make_core",
+                            lambda *a, **k: made.append(1) or real(*a, **k))
+        report = analysis.analysis_report(s, epsilon=eps)
+        assert len(made) == 1
+        monkeypatch.setattr(analysis, "_make_core", real)
+        sigma, bound = lc_sum(s)
+        assert report["plcp"] == is_plcp(s)
+        assert report["witnesses"] == plcp_witnesses(s, epsilon=eps).as_dict()
+        assert report["height"] == height(s).height
+        assert (report["lc_sum"], report["lc_sum_bound"]) == (sigma, bound)
+        assert report["char_equivalence"] == list(char_equivalence(s))

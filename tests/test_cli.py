@@ -303,3 +303,20 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_size_guards_exit_4(capsys):
+    for command in ("gamma", "rueppel"):
+        code, out, err = run(capsys, command, "--n", str(10**9))
+        assert code == 4 and out == "" and "guard" in err
+
+
+def test_gamma_guard_allocates_nothing():
+    from lcprof.errors import ResourceLimitError
+    from lcprof.rueppel import GAMMA_GUARD, GammaTable
+
+    table = GammaTable()
+    with pytest.raises(ResourceLimitError):
+        table.packed(GAMMA_GUARD + 1)
+    assert len(table._g) == 2  # the table did not grow
+    assert table.packed(4) == 0b1000
