@@ -9,6 +9,7 @@ counting, and the bijection between sequences and discrepancy lists.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -238,18 +239,11 @@ def t_transform(s: Seq) -> list[int]:
     is stable exactly when every even-index coefficient vanishes.
     """
     _require_binary(s, "the t-transform")
-    t = s.terms
-    n = len(t)
-
-    def at(j):  # s_j with out-of-range terms absent
-        return t[j - 1] if 1 <= j <= n else 0
-
-    out = [at(1) ^ 1]
-    for i in range(1, n + 1):
-        v = at(i) ^ at(i + 1)
-        if i % 2 == 0:
-            v ^= at(i // 2)
-        out.append(v)
+    t = (0, *s.terms, 0)  # t[j] = s_j, with zeros past both ends
+    out = [t[1] ^ 1]
+    out += map(operator.xor, t[1:-1], t[2:])
+    for i in range(2, len(t) - 1, 2):
+        out[i] ^= t[i // 2]
     return out
 
 

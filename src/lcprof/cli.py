@@ -30,7 +30,7 @@ from .analysis import (
     lc_sum,
     plcp_count,
 )
-from .engine import MPConfig, feedback_polynomial, mp_run, profile_steps
+from .engine import MPConfig, feedback_polynomial, mp_run, profile_text_rows
 from .errors import (
     LcprofError,
     ResourceLimitError,
@@ -101,46 +101,47 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _render_table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [headers] + rows:
-        line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        lines.append(line.rstrip())
-    return "\n".join(lines)
+_TABLE_HEADERS = ("j", "Delta_j", "e_{j-1}", "mu^(j)", "mu'^(j)")
+TABLE_GUARD = 2**14  # terms; the table text grows as n^2
+
+
+def profile_table_lines(s: Seq, config: MPConfig):
+    """Lines of the per-step table, made one at a time.
+
+    The columns are j, Delta_j, e_{j-1}, mu^(j), mu'^(j).  Row j lists
+    the discrepancy consumed at step j (the conventional 1 at j = 0) and
+    the exponent reached after the step (blank at j = 0).  Cells are
+    padded to their column's width and each line is right-stripped.
+    """
+    table = [_TABLE_HEADERS] + [
+        (str(j), str(delta), str(e) if j else "", mu, mup)
+        for j, delta, e, mu, mup in profile_text_rows(s, config)
+    ]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for row in table:
+        yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
 
 
 def render_profile_table(s: Seq, config: MPConfig) -> str:
-    """The per-step table: j, Delta_j, e_{j-1}, mu^(j), mu'^(j).
-
-    Row j lists the discrepancy consumed at step j (the conventional 1 at
-    j = 0) and the exponent reached after the step (blank at j = 0).
-    """
-    rows = profile_steps(s, config)
-    cells = [
-        [
-            str(r.j),
-            str(r.delta),
-            "" if r.j == 0 else str(r.e),
-            str(r.mu),
-            str(r.mu_prev),
-        ]
-        for r in rows
-    ]
-    return _render_table(["j", "Delta_j", "e_{j-1}", "mu^(j)", "mu'^(j)"], cells)
+    """The per-step table (see profile_table_lines) as one string."""
+    return "\n".join(profile_table_lines(s, config))
 
 
 def cmd_profile(args) -> int:
     config = MPConfig(epsilon=args.epsilon)
-    for s in _input_sequences(args):
+    seqs = _input_sequences(args)
+    longest = max(map(len, seqs), default=0)
+    if not args.json and longest > TABLE_GUARD:
+        raise ResourceLimitError(
+            f"a table of {longest} terms exceeds the guard of {TABLE_GUARD} terms; "
+            "use --json")
+    for s in seqs:
         if args.json:
             _, rep = mp_run(s, config)
             _emit(rep.to_json_dict())
         else:
-            print(render_profile_table(s, config))
+            for line in profile_table_lines(s, config):
+                print(line)
     return EXIT_OK
 
 

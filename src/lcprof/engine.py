@@ -27,7 +27,9 @@ and the consumed prefix as Python ints, one bit per coefficient) with
 identical observable behavior.  A core (_GenericCore or _PackedCore) is
 the only holder of engine state: MPState is a read-only view over one,
 mp_step resumes a copy of it (the packed one for p = 2), and every
-conversion of a core into Poly rows goes through _poly_rows.
+conversion of a core into Poly rows goes through _poly_rows.  The
+profile table needs only text, so profile_text_rows renders it from the
+core's coefficients without building Poly rows.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 from . import gf2
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, IntegerRing, PrimeField
-from .poly import Poly, Seq, poly_gcd, reciprocal
+from .poly import Poly, Seq, coeffs_to_text, poly_gcd, reciprocal
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -544,20 +546,55 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     return matrix, report
 
 
+def _each_step(core, s: Seq):
+    """Step core through s; yield delta_j after each step j = 0..n (1 at j = 0)."""
+    yield 1
+    normalize = s.domain.normalize
+    step = core.step
+    for t in s.terms:
+        yield normalize(step(t))
+
+
 def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
     """Per-step snapshots j = 0..n (row 0 is the seed matrix)."""
     domain = s.domain
     core = _make_core(domain, config)
-
-    def row(j, delta):
-        lc = core.cur_lc()
-        return ProfileRow(j, delta, j + 1 - 2 * lc, lc, *_poly_rows(domain, core))
-
-    rows = [row(0, 1)]
-    for t in s.terms:
-        delta = core.step(t)
-        rows.append(row(core.j, domain.normalize(delta)))
+    rows = []
+    for delta in _each_step(core, s):
+        j, lc = core.j, core.cur_lc()
+        rows.append(ProfileRow(j, delta, j + 1 - 2 * lc, lc, *_poly_rows(domain, core)))
     return rows
+
+
+def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
+    """Per-step (j, delta_j, e, mu text, mu' text) for j = 0..n, from one run.
+
+    The texts are those of profile_steps' mu and mu_prev, rendered from
+    the core's own canonical coefficients.  A polynomial is rendered only
+    at a step that changes it, and a mu' that is the previous mu reuses
+    that text, so the rows of an unchanged polynomial share one str.
+    """
+    core = _make_core(s.domain, config)
+    if isinstance(core, _PackedCore):
+        rows_of = core.packed_rows
+
+        def text(row):
+            return coeffs_to_text(gf2.to_coeffs(row))
+    else:
+        rows_of, text = core.pairs, coeffs_to_text
+    out = []
+    mu = mup = None
+    mu_text = mup_text = ""
+    for delta in _each_step(core, s):
+        new_mu, _, new_mup, _ = rows_of()
+        # mu' changes only at a jump, where it takes the previous mu
+        if new_mup != mup:
+            mup, mup_text = new_mup, mu_text if new_mup == mu else text(new_mup)
+        if new_mu != mu:
+            mu, mu_text = new_mu, text(new_mu)
+        j = core.j
+        out.append((j, delta, j + 1 - 2 * core.cur_lc(), mu_text, mup_text))
+    return out
 
 
 def annihilates(f: Poly, s: Seq) -> bool:

@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple
 
 from . import gf2
 from .analysis import (
+    ENUM_GUARD,
     WITNESSES,
     _WITNESS_START,
     _walk_prefixes,
@@ -55,6 +56,7 @@ from .engine import (
     brute_force_minpoly,
     mp_run,
 )
+from .errors import ResourceLimitError
 from .fields import GF2, PrimeField
 from .poly import Seq, gcd_coeffs, mul_coeffs
 from .rueppel import (
@@ -144,6 +146,14 @@ def _merge(results):
     return counts, _least_failure(r[1] for r in results)
 
 
+def _guard_binary_sweep(max_n: int) -> None:
+    """Refuse to sweep the binary sequences of up to max_n terms past the guard."""
+    if 2 ** (max_n + 1) > ENUM_GUARD:
+        raise ResourceLimitError(
+            f"the binary sequences of up to {max_n} terms exceed the "
+            "enumeration guard")
+
+
 def _tree_sweep(suite: _TreeSuite, lengths: range, threads: int) -> tuple[int, str]:
     """(checked, detail) over every binary sequence whose length is in lengths.
 
@@ -153,6 +163,7 @@ def _tree_sweep(suite: _TreeSuite, lengths: range, threads: int) -> tuple[int, s
     if not lengths:
         return 0, ""
     max_n = lengths[-1]
+    _guard_binary_sweep(max_n)
     # a few shards per worker even out subtrees whose checks cost unequally
     depth = min(max_n, (threads - 1).bit_length() + 2)
     workers = _pool_size(threads, 1 << depth)
@@ -204,6 +215,7 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
     """Engine degree == brute-force least degree, and the output annihilates."""
     checked = 0
     if 2 in fields:
+        _guard_binary_sweep(exhaustive_n)
         for n in range(1, exhaustive_n + 1):
             for v in range(1 << n):
                 s = Seq(GF2, _bits_to_terms(v, n))

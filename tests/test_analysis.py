@@ -107,6 +107,30 @@ def test_transform_values():
     assert all(t_transform(rueppel_terms(5))[j] == 0 for j in (0, 2, 4))
 
 
+def _t_transform_reference(s):
+    """t_transform written term by term, with out-of-range terms read as 0."""
+    t = s.terms
+    n = len(t)
+
+    def at(j):  # s_j with out-of-range terms absent
+        return t[j - 1] if 1 <= j <= n else 0
+
+    out = [at(1) ^ 1]
+    for i in range(1, n + 1):
+        v = at(i) ^ at(i + 1)
+        if i % 2 == 0:
+            v ^= at(i // 2)
+        out.append(v)
+    return out
+
+
+def test_transform_matches_reference_exhaustive():
+    for n in range(13):
+        for terms in product((0, 1), repeat=n):
+            s = GF2.seq(terms)
+            assert t_transform(s) == _t_transform_reference(s)
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
 def test_stable_iff_even_coefficients_vanish(n):
     for v in range(1 << n):

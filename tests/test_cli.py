@@ -1,15 +1,29 @@
 """Command-line behavior: parsing, exit codes, output formats."""
 
+import contextlib
 import json
+import random
 import subprocess
 import sys
+import time
+import tracemalloc
+from itertools import product
 
 import pytest
 
+from lcprof import cli
 from lcprof import verify as verify_mod
-from lcprof.cli import main, parse_sequence, worker_count
-from lcprof.engine import ProfileReport
+from lcprof.cli import (
+    TABLE_GUARD,
+    main,
+    parse_sequence,
+    profile_table_lines,
+    render_profile_table,
+    worker_count,
+)
+from lcprof.engine import MPConfig, ProfileReport, profile_steps
 from lcprof.errors import SequenceParseError
+from lcprof.fields import PrimeField
 
 R6_TABLE = """\
 j  Delta_j  e_{j-1}  mu^(j)     mu'^(j)
@@ -99,6 +113,90 @@ def test_profile_file_input(tmp_path, capsys):
     assert len(lines) == 2
     assert json.loads(lines[0])["lc"] == [1, 1, 1]
     assert json.loads(lines[1])["lc"] == [0, 0]
+
+
+def _reference_table(s, config):
+    """The table rebuilt from profile_steps rows through str()."""
+    headers = ["j", "Delta_j", "e_{j-1}", "mu^(j)", "mu'^(j)"]
+    rows = [headers] + [
+        [str(r.j), str(r.delta), "" if r.j == 0 else str(r.e), str(r.mu),
+         str(r.mu_prev)]
+        for r in profile_steps(s, config)
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in rows)
+
+
+def _table_cases():
+    for p, top in ((2, 10), (3, 6)):
+        for n in range(top + 1):
+            for terms in product(range(p), repeat=n):
+                yield PrimeField(p).seq(terms)
+    rng = random.Random(0x7AB1E)
+    for p in (5, 65521):
+        for n in (0, 1, 2, 7, 30, 99, 200):
+            yield PrimeField(p).seq([rng.randrange(p) for _ in range(n)])
+
+
+def test_profile_table_matches_reference():
+    for s in _table_cases():
+        p = s.domain.p
+        for eps in sorted({0, 1, p - 1}):
+            config = MPConfig(epsilon=eps)
+            want = _reference_table(s, config)
+            assert "\n".join(profile_table_lines(s, config)) == want
+            assert render_profile_table(s, config) == want
+
+
+def test_profile_table_file_of_several_sequences(tmp_path, capsys):
+    dom = PrimeField(5)
+    rng = random.Random(5)
+    seqs = [dom.seq([rng.randrange(5) for _ in range(n)]) for n in (12, 0, 40, 3)]
+    path = tmp_path / "seqs.txt"
+    path.write_text("".join(",".join(map(str, s.terms)) + "\n" for s in seqs),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "profile", "--field", "5", "--epsilon", "4",
+                       "--in", str(path))
+    assert code == 0
+    config = MPConfig(epsilon=4)
+    assert out == "".join(_reference_table(s, config) + "\n" for s in seqs)
+
+
+def test_profile_table_streams(tmp_path):
+    rng = random.Random(1024)
+    path = tmp_path / "f3.txt"
+    path.write_text(",".join(str(rng.randrange(3)) for _ in range(1024)),
+                    encoding="utf-8")
+    out_path = tmp_path / "out.txt"
+    with open(out_path, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(["profile", "--field", "3", "--in", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    size = out_path.stat().st_size
+    assert size > 3 * 2**20
+    assert peak < size / 2
+
+
+def test_table_guard_exit_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "long.txt"
+    path.write_text("1," * TABLE_GUARD + "1\n", encoding="utf-8")
+
+    def no_engine(*args):
+        raise AssertionError("the engine ran past the table guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "profile_text_rows", no_engine)
+        code, out, err = run(capsys, "profile", "--in", str(path))
+    assert code == 4 and out == "" and "--json" in err
+    code, out, _ = run(capsys, "profile", "--in", str(path), "--json")
+    assert code == 0 and json.loads(out)["lc"][-1] == 1
 
 
 def test_profile_rejects_both_sources(tmp_path, capsys):
@@ -309,6 +407,19 @@ def test_size_guards_exit_4(capsys):
     for command in ("gamma", "rueppel"):
         code, out, err = run(capsys, command, "--n", str(10**9))
         assert code == 4 and out == "" and "guard" in err
+
+
+@pytest.mark.parametrize("suite", ["plcp-equiv", "wang-massey", "oracle", "all"])
+def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started past the guard")
+
+    monkeypatch.setattr(verify_mod, "_check_subtree", no_work)
+    monkeypatch.setattr(verify_mod, "mp_run", no_work)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--max-n", "40")
+    assert code == 4 and out == "" and "guard" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_gamma_guard_allocates_nothing():
