@@ -102,7 +102,10 @@ def _emit(obj) -> None:
 
 
 _TABLE_HEADERS = ("j", "Delta_j", "e_{j-1}", "mu^(j)", "mu'^(j)")
-TABLE_GUARD = 2**14  # terms; the table text grows as n^2
+# Terms of a table over F_2..F_7.  The table text grows as n^2 times the
+# printed width w of a coefficient, so a table of n terms is refused when
+# n^2 * w > TABLE_GUARD^2.
+TABLE_GUARD = 2**14
 
 
 def profile_table_lines(s: Seq, config: MPConfig):
@@ -131,10 +134,11 @@ def cmd_profile(args) -> int:
     config = MPConfig(epsilon=args.epsilon)
     seqs = _input_sequences(args)
     longest = max(map(len, seqs), default=0)
-    if not args.json and longest > TABLE_GUARD:
+    width = len(str(args.field - 1))
+    if not args.json and longest * longest * width > TABLE_GUARD**2:
         raise ResourceLimitError(
-            f"a table of {longest} terms exceeds the guard of {TABLE_GUARD} terms; "
-            "use --json")
+            f"a table of {longest} terms over F_{args.field} exceeds the size "
+            f"guard of {TABLE_GUARD} terms at one digit per coefficient; use --json")
     for s in seqs:
         if args.json:
             _, rep = mp_run(s, config)

@@ -25,22 +25,15 @@ def mul(a: int, b: int) -> int:
     return out
 
 
-def divmod_(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of packed polynomials (b != 0)."""
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = b.bit_length() - 1
-    quot = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        quot |= 1 << shift
-        a ^= b << shift
-    return quot, a
-
-
 def gcd(a: int, b: int) -> int:
+    """Greatest common divisor of packed polynomials (Euclid, in place)."""
     while b:
-        a, b = b, divmod_(a, b)[1]
+        db = b.bit_length()
+        s = a.bit_length() - db
+        while s >= 0:
+            a ^= b << s
+            s = a.bit_length() - db
+        a, b = b, a
     return a
 
 

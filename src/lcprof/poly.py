@@ -261,13 +261,18 @@ class Seq:
             raise IndexError(f"term index {j} outside 1..{len(self.terms)}")
         return self.terms[j - 1]
 
+    @classmethod
+    def _canonical(cls, domain: CoeffDomain, terms: tuple[int, ...]) -> "Seq":
+        """A Seq over a tuple of terms already in canonical form; no renormalizing."""
+        s = cls.__new__(cls)
+        s.domain = domain
+        s.terms = terms
+        return s
+
     def prefix(self, i: int) -> "Seq":
         if not 0 <= i <= len(self.terms):
             raise IndexError(f"prefix length {i} outside 0..{len(self.terms)}")
-        s = Seq.__new__(Seq)
-        s.domain = self.domain
-        s.terms = self.terms[:i]
-        return s
+        return Seq._canonical(self.domain, self.terms[:i])
 
     def __eq__(self, other):
         return (

@@ -8,14 +8,16 @@ family g(0) = 0, g(1) = 1, g(k) = x*g(k-1) + g(k-2) (written gamma
 here).  All checks in this module are executable verifications of
 those closed forms against the engine, at exact arithmetic.
 
-Internally the family is cached bit-packed (see gf2); the public
-functions hand out Poly values over F_2.
+Internally the family is cached bit-packed (see gf2), and each closed
+form is defined once on packed integers (the *_packed functions, which
+verify compares with the packed engine rows); the public Poly functions
+wrap them.
 """
 
 from __future__ import annotations
 
 from . import gf2
-from .engine import Mat2, MPConfig, mp_run
+from .engine import Mat2, _PackedCore
 from .errors import ResourceLimitError
 from .fields import GF2
 from .poly import Poly, Seq
@@ -36,6 +38,10 @@ def rueppel_terms(n: int) -> Seq:
     return Seq(GF2, [1 if j & (j - 1) == 0 else 0 for j in range(1, n + 1)])
 
 
+def _poly(r: int) -> Poly:
+    return Poly(GF2, gf2.to_coeffs(r))
+
+
 class GammaTable:
     """Grow-only cache of the gamma family, packed one bit per coefficient."""
 
@@ -53,7 +59,7 @@ class GammaTable:
         return g[k]
 
     def poly(self, k: int) -> Poly:
-        return Poly(GF2, gf2.to_coeffs(self.packed(k)))
+        return _poly(self.packed(k))
 
 
 _TABLE = GammaTable()
@@ -68,18 +74,48 @@ def gamma_packed(k: int) -> int:
     return _TABLE.packed(k)
 
 
-def u_power(k: int) -> Mat2:
-    """U^k = [[gamma(k+1), gamma(k)], [gamma(k), gamma(k-1)]]; U^0 = I."""
+# Packed 2x2 matrices are (a, b, c, d) = [[a, b], [c, d]], the order of
+# Mat2's fields and of _PackedCore.packed_rows() (mu, [mu], mu', [mu']).
+_STEP2_PACKED = (0b11, 0b1, 0b1, 0b0)
+
+
+def _mat2(m) -> Mat2:
+    return Mat2(*map(_poly, m))
+
+
+def _mat_col_packed(m, v):
+    a, b, c, d = m
+    top, bot = v
+    return (gf2.mul(a, top) ^ gf2.mul(b, bot), gf2.mul(c, top) ^ gf2.mul(d, bot))
+
+
+def _mat_mul_packed(m, n):
+    e, f, g, h = n
+    (a, c), (b, d) = _mat_col_packed(m, (e, g)), _mat_col_packed(m, (f, h))
+    return a, b, c, d
+
+
+def _adjugate_packed(m):
+    # char-2 adjugate of [[a, b], [c, d]]; determinant must be 1
+    a, b, c, d = m
+    if gf2.mul(a, d) ^ gf2.mul(b, c) != 1:
+        raise ValueError("matrix is not unimodular")
+    return (d, b, c, a)
+
+
+def u_power_packed(k: int) -> tuple[int, int, int, int]:
+    """U^k = [[gamma(k+1), gamma(k)], [gamma(k), gamma(k-1)]], packed; U^0 = I."""
     if k == 0:
-        return Mat2.identity(GF2)
+        return (1, 0, 0, 1)
     if k < 0:
         raise ValueError("negative power; invert via adjugate instead")
-    return Mat2(
-        _TABLE.poly(k + 1),
-        _TABLE.poly(k),
-        _TABLE.poly(k),
-        _TABLE.poly(k - 1),
-    )
+    g = _TABLE.packed
+    return (g(k + 1), g(k), g(k), g(k - 1))
+
+
+def u_power(k: int) -> Mat2:
+    """U^k = [[gamma(k+1), gamma(k)], [gamma(k), gamma(k-1)]]; U^0 = I."""
+    return _mat2(u_power_packed(k))
 
 
 def jump_matrix() -> Mat2:
@@ -89,10 +125,7 @@ def jump_matrix() -> Mat2:
 
 def step2_matrix() -> Mat2:
     """M, the engine matrix after the first two terms."""
-    x1 = Poly(GF2, (1, 1))
-    one = Poly(GF2, (1,))
-    zero = Poly(GF2, ())
-    return Mat2(x1, one, one, zero)
+    return _mat2(_STEP2_PACKED)
 
 
 def gamma_identities(m: int, n: int) -> bool:
@@ -124,8 +157,8 @@ def gamma_identities(m: int, n: int) -> bool:
     return True
 
 
-def rueppel_mp(n: int) -> tuple[Poly, Poly]:
-    """Closed-form engine row (mu, [mu]) for an odd-length prefix.
+def rueppel_mp_packed(n: int) -> tuple[int, int]:
+    """Closed-form engine row (mu, [mu]) for an odd-length prefix, packed.
 
     For odd n >= 3 the row is (gamma(p) + gamma(p-1), gamma(p-1)) with
     p = (n+3)/2; even lengths keep the previous row, so ask the engine
@@ -135,50 +168,41 @@ def rueppel_mp(n: int) -> tuple[Poly, Poly]:
         raise ValueError("closed form applies to odd n >= 3")
     p = (n + 3) // 2
     gp, gp1 = _TABLE.packed(p), _TABLE.packed(p - 1)
-    return (
-        Poly(GF2, gf2.to_coeffs(gp ^ gp1)),
-        Poly(GF2, gf2.to_coeffs(gp1)),
-    )
+    return gp ^ gp1, gp1
 
 
-def rueppel_matrix_pattern(n: int, matrix: Mat2, prev: Mat2 | None) -> bool:
-    """Whether the engine matrix after n terms (prev: after n - 1) fits the pattern.
+def rueppel_mp(n: int) -> tuple[Poly, Poly]:
+    """rueppel_mp_packed(n) as Poly values."""
+    mu, mu_part = rueppel_mp_packed(n)
+    return _poly(mu), _poly(mu_part)
 
-    M at n = 2, the previous matrix repeated at even n, and U^((n-1)/2) M
-    at odd n.
+
+def rueppel_matrix_pattern(n: int, rows, prev) -> bool:
+    """Whether the packed engine rows after n terms (prev: after n - 1) fit.
+
+    rows and prev are (mu, [mu], mu', [mu']) as _PackedCore.packed_rows()
+    gives them.  The pattern is M at n = 2, the previous matrix repeated
+    at even n, and U^((n-1)/2) M at odd n.
     """
     if n < 2:
         raise ValueError("pattern starts at n = 2")
     if n == 2:
-        return matrix == step2_matrix()
+        return rows == _STEP2_PACKED
     if n % 2 == 0:
-        return matrix == prev
-    return matrix == u_power((n - 1) // 2) @ step2_matrix()
+        return rows == prev
+    return rows == _mat_mul_packed(u_power_packed((n - 1) // 2), _STEP2_PACKED)
 
 
 def rueppel_matrix_check(n: int) -> bool:
     """Engine matrix pattern: M at 2, repeat at even n, U-power at odd n."""
     if n < 2:
         raise ValueError("pattern starts at n = 2")
-    terms = rueppel_terms(n)
-    matrix, _ = mp_run(terms, MPConfig())
-    prev = mp_run(terms.prefix(n - 1), MPConfig())[0] if n > 2 and n % 2 == 0 else None
-    return rueppel_matrix_pattern(n, matrix, prev)
-
-
-def _adjugate_packed(m):
-    # char-2 adjugate of ((a, b), (c, d)); determinant must be 1
-    (a, b), (c, d) = m
-    det = gf2.mul(a, d) ^ gf2.mul(b, c)
-    if det != 1:
-        raise ValueError("matrix is not unimodular")
-    return ((d, b), (c, a))
-
-
-def _mat_col_packed(m, v):
-    (a, b), (c, d) = m
-    top, bot = v
-    return (gf2.mul(a, top) ^ gf2.mul(b, bot), gf2.mul(c, top) ^ gf2.mul(d, bot))
+    core = _PackedCore(keep_log=False)
+    prev = None
+    for t in rueppel_terms(n).terms:
+        prev = core.packed_rows()
+        core.step(t)
+    return rueppel_matrix_pattern(n, core.packed_rows(), prev)
 
 
 def power_column_identity(k: int, bound: int = COLUMN_CHECK_BOUND) -> bool:
@@ -194,14 +218,9 @@ def power_column_identity(k: int, bound: int = COLUMN_CHECK_BOUND) -> bool:
     if 2**k > bound:
         raise ResourceLimitError(f"2^{k} exceeds the size bound")
     p = 2**k
-    q = p - 2
-    # U^{2-2^k} = (U^q)^{-1}; powers via the gamma closed form
-    upow = (
-        (_TABLE.packed(q + 1), _TABLE.packed(q)),
-        (_TABLE.packed(q), _TABLE.packed(q - 1)),
-    ) if q >= 1 else ((1, 0), (0, 1))
-    u_inv = _adjugate_packed(upow)
-    m_inv = _adjugate_packed(((0b11, 0b1), (0b1, 0b0)))
+    # U^{2-2^k} = (U^(2^k - 2))^{-1}; powers via the gamma closed form
+    u_inv = _adjugate_packed(u_power_packed(p - 2))
+    m_inv = _adjugate_packed(_STEP2_PACKED)
     col = _mat_col_packed(m_inv, _mat_col_packed(u_inv, (0b1, 0b11)))
     want_top = 0
     for i in range(k + 1):

@@ -48,10 +48,8 @@ from .analysis import (
     t_transform,
 )
 from .engine import (
-    Mat2,
     _GenericCore,
     _PackedCore,
-    _poly_rows,
     annihilates,
     brute_force_minpoly,
     mp_run,
@@ -63,7 +61,7 @@ from .rueppel import (
     gamma_identities,
     power_column_identity,
     rueppel_matrix_pattern,
-    rueppel_mp,
+    rueppel_mp_packed,
     rueppel_terms,
 )
 
@@ -290,7 +288,7 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
 def _wm_check(st: _Profile, terms) -> str:
     # stability and the transform are engine-free oracles, run per sequence
     n = len(terms)
-    s = Seq(GF2, terms)
+    s = Seq._canonical(GF2, terms)
     plcp, stable = st.perfect, is_stable(s)
     if plcp != stable:
         return f"n={n} {list(terms)} plcp={plcp} stable={stable}"
@@ -381,8 +379,8 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     """Closed forms of the power-of-two sequence against one engine run.
 
     The run goes as far as the longest check needs; each check compares
-    the snapshot after n terms (and the one before it) with its closed
-    form, which is still computed on its own.
+    the packed rows after n terms (and the ones before them) with its
+    closed form, which is still computed on its own from the gamma table.
     """
     snap_n = max(matrix_n, closed_n + 1)
     core = _PackedCore()
@@ -392,13 +390,13 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
         core.step(t)
         if j > snap_n:
             continue
-        cur = Mat2(*_poly_rows(GF2, core))
+        cur = core.packed_rows()
         if 2 <= j <= matrix_n:
             pattern[j] = rueppel_matrix_pattern(j, cur, prev)
         if j % 2 and 3 <= j <= closed_n:
-            closed[j] = (cur.a, cur.b) == rueppel_mp(j)
+            closed[j] = cur[:2] == rueppel_mp_packed(j)
         elif j % 2 == 0 and 3 <= j - 1 <= closed_n:
-            repeat[j - 1] = (cur.a, cur.b) == (prev.a, prev.b)
+            repeat[j - 1] = cur[:2] == prev[:2]
         prev = cur
     checked = 0
     for j in range(1, profile_n + 1):

@@ -199,6 +199,39 @@ def test_table_guard_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["lc"][-1] == 1
 
 
+@pytest.mark.parametrize("field,n,refused", [
+    (2, TABLE_GUARD, False),
+    (3, TABLE_GUARD, False),
+    (3, TABLE_GUARD + 1, True),
+    (65521, 7327, False),
+    (65521, 7328, True),
+    (2**31 - 1, 5181, False),
+    (2**31 - 1, 5182, True),
+])
+def test_table_guard_bounds_the_text_size(tmp_path, capsys, monkeypatch,
+                                          field, n, refused):
+    # n^2 times the digits of p - 1 may not pass TABLE_GUARD^2
+    path = tmp_path / "long.txt"
+    path.write_text("1," * (n - 1) + "1\n", encoding="utf-8")
+    ran = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "profile_text_rows", lambda s, config: ran.append(len(s)) or ())
+        code, out, err = run(capsys, "profile", "--field", str(field),
+                             "--in", str(path))
+    if refused:
+        assert code == 4 and out == "" and "--json" in err and ran == []
+    else:
+        assert code == 0 and ran == [n]
+
+
+def test_table_guard_leaves_json_to_large_fields(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("1," * 7327 + "1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "profile", "--field", "65521", "--in", str(path),
+                       "--json")
+    assert code == 0 and json.loads(out)["lc"][-1] == 1
+
+
 def test_profile_rejects_both_sources(tmp_path, capsys):
     path = tmp_path / "x.txt"
     path.write_text("1\n", encoding="utf-8")
@@ -331,6 +364,24 @@ def test_verify_small_sweeps(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "plcp-equiv", "--max-n", "7")
     assert code == 0
+
+
+VERIFY_ALL = """\
+oracle: pass, 2046 checks
+bezout: pass, 16790 checks
+wang-massey: pass, 43690 checks
+plcp-count: pass, 32766 checks
+plcp-equiv: pass, 8191 checks
+rueppel: pass, 6665 checks
+height: pass, 34167 checks
+lcsum: pass, 942 checks
+"""
+
+
+def test_verify_all_counts(capsys, monkeypatch):
+    monkeypatch.delenv("LCPROF_THREADS", raising=False)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0 and out == VERIFY_ALL
 
 
 def test_verify_json(capsys, monkeypatch):

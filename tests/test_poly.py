@@ -1,8 +1,11 @@
 """Polynomial and sequence layer: frozen examples plus algebraic laws."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcprof import gf2
 from lcprof.errors import DomainMismatchError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, PrimeField, is_prime
 from lcprof.poly import (
@@ -10,11 +13,13 @@ from lcprof.poly import (
     Poly,
     Seq,
     discrepancy,
+    gcd_coeffs,
     poly_divmod,
     poly_gcd,
     polynomial_part,
     reciprocal,
 )
+from lcprof.rueppel import gamma_packed
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -243,6 +248,41 @@ def test_divmod_contract(p, data):
     q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+# ------------------------------------------------- packed F_2 gcd kernel
+
+def _gcd_list(a: int, b: int) -> list[int]:
+    """The list kernel's gcd of two packed polynomials (monic over F_2)."""
+    return gcd_coeffs(gf2.to_coeffs(a), gf2.to_coeffs(b), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**300), st.integers(0, 2**300))
+def test_gf2_gcd_matches_list_kernel(a, b):
+    assert gf2.to_coeffs(gf2.gcd(a, b)) == _gcd_list(a, b)
+
+
+def test_gf2_gcd_edge_operands():
+    rng = random.Random(11)
+    for a, b, want in [(0, 0, 0), (0, 0b1011, 0b1011), (0b1011, 0, 0b1011),
+                       (0b1101, 0b1101, 0b1101), (1, 1, 1), (0b110, 0b11, 0b11)]:
+        assert gf2.gcd(a, b) == want
+        assert gf2.to_coeffs(want) == _gcd_list(a, b)
+    for _ in range(200):
+        a = rng.getrandbits(rng.randrange(1, 120)) | 1
+        c = rng.getrandbits(rng.randrange(1, 120)) or 1
+        for x, y in ((gf2.mul(a, c), a), (a, gf2.mul(a, c))):
+            assert gf2.gcd(x, y) == a
+            assert gf2.to_coeffs(a) == _gcd_list(x, y)
+
+
+def test_gf2_gcd_of_consecutive_gammas():
+    # Euclid's worst case: every remainder step lowers the degree by one
+    for k in range(1, 301):
+        a, b = gamma_packed(k), gamma_packed(k - 1)
+        assert gf2.gcd(a, b) == 1
+        assert _gcd_list(a, b) == [1]
 
 
 # ------------------------------------------------------------ text format

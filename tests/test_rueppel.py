@@ -15,7 +15,9 @@ from lcprof.rueppel import (
     jump_matrix,
     power_column_identity,
     rueppel_matrix_check,
+    rueppel_matrix_pattern,
     rueppel_mp,
+    rueppel_mp_packed,
     rueppel_terms,
     step2_matrix,
     u_power,
@@ -24,6 +26,10 @@ from lcprof.rueppel import (
 
 def p(text):
     return Poly.from_text(GF2, text)
+
+
+def unpack(r: int) -> Poly:
+    return Poly(GF2, gf2.to_coeffs(r))
 
 
 def test_terms():
@@ -111,6 +117,29 @@ def test_closed_form_matches_engine():
         assert (matrix.a, matrix.b) == rueppel_mp(n)
         even, _ = mp_run(rueppel_terms(n + 1))
         assert (even.a, even.b) == (matrix.a, matrix.b)
+
+
+def _packed(f: Poly) -> int:
+    return sum(c << k for k, c in enumerate(f.coeffs))
+
+
+def test_packed_forms_match_poly_forms():
+    m = step2_matrix()
+    prev = None
+    for n in range(2, 131):
+        # M at n = 2, U^((n-1)/2) M at odd n, the odd matrix again at even n
+        want = u_power((n - 1) // 2) @ m
+        rows = tuple(_packed(f) for f in (want.a, want.b, want.c, want.d))
+        assert rueppel_matrix_pattern(n, rows, prev), n
+        for i in range(4):
+            bad = list(rows)
+            bad[i] ^= 1 << n
+            assert not rueppel_matrix_pattern(n, tuple(bad), prev), (n, i)
+        if n % 2:
+            mu, mu_part = rueppel_mp_packed(n)
+            assert (mu, mu_part) == rows[:2]
+            assert (unpack(mu), unpack(mu_part)) == rueppel_mp(n)
+        prev = rows
 
 
 def test_matrix_pattern():

@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import pytest
+
 from lcprof import analysis
 from lcprof import verify as verify_mod
 from lcprof.analysis import (
@@ -115,3 +117,36 @@ def test_shard_merge():
     assert verify_mod._merge([top]) == ([1, 2, 0, 0], None)
     for shards in ([top, left, right], [right, left, top]):
         assert verify_mod._merge(shards) == ([1, 2, 4, 8], (3, 1, "b"))
+
+
+# ------------------------------------------------------------- rueppel
+
+RUEPPEL_SMALL = dict(profile_n=256, matrix_n=64, closed_n=129, gamma_n=128)
+
+
+def test_verify_rueppel_builds_no_poly(monkeypatch):
+    def no_poly(self, *args):
+        raise AssertionError("verify_rueppel built a Poly")
+
+    monkeypatch.setattr("lcprof.poly.Poly.__init__", no_poly)
+    result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
+    assert result.ok, result.detail
+    assert result.checked == 256 + 63 + 2 * 64 + 128 + 10
+
+
+@pytest.mark.parametrize("step,checked,detail", [
+    (9, 256 + 8, "matrix pattern at n=9"),
+    (10, 256 + 9, "matrix pattern at n=10"),
+    (101, 256 + 63 + 2 * 49 + 1, "closed form at n=101"),
+])
+def test_verify_rueppel_reports_a_flipped_row(monkeypatch, step, checked, detail):
+    class FlipCore(verify_mod._PackedCore):
+        """Flips the constant term of [mu] after one step."""
+
+        def packed_rows(self):
+            mu, mu_part, *prev = super().packed_rows()
+            return (mu, mu_part ^ (self.j == step), *prev)
+
+    monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
+    result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
+    assert (result.ok, result.checked, result.detail) == (False, checked, detail)
