@@ -8,8 +8,7 @@ rejected rather than reduced.  --json swaps the table output for one
 JSON object per input sequence (per suite for verify).
 
 Exit codes: 0 success, 2 input/usage error, 3 verification or engine
-failure, 4 resource guard tripped.  The LCPROF_THREADS environment
-variable sets the worker count for the verify sweeps.
+failure, 4 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 
@@ -58,14 +56,6 @@ SUITE_DEFAULTS = {
     "height": {"max_n": 14, "trials": 1000},
     "lcsum": {"max_n": 12, "trials": 500},
 }
-
-
-def worker_count() -> int:
-    raw = os.environ.get("LCPROF_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def parse_sequence(text: str, p: int) -> Seq:
@@ -239,7 +229,7 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, args, threads: int) -> verify_mod.VerifyResult:
+def _run_suite(name: str, args) -> verify_mod.VerifyResult:
     max_n = args.max_n if args.max_n is not None else SUITE_DEFAULTS[name]["max_n"]
     trials = args.trials if args.trials is not None else SUITE_DEFAULTS[name]["trials"]
     if name == "oracle":
@@ -250,11 +240,11 @@ def _run_suite(name: str, args, threads: int) -> verify_mod.VerifyResult:
     if name == "bezout":
         return verify_mod.verify_bezout(field=args.field, trials=trials, max_n=max_n)
     if name == "wang-massey":
-        return verify_mod.verify_wang_massey(max_n=max_n, threads=threads)
+        return verify_mod.verify_wang_massey(max_n=max_n)
     if name == "plcp-count":
         return verify_mod.verify_plcp_count(cases=((args.field, max_n),))
     if name == "plcp-equiv":
-        return verify_mod.verify_plcp_equivalence(max_n=max_n, threads=threads)
+        return verify_mod.verify_plcp_equivalence(max_n=max_n)
     if name == "rueppel":
         return verify_mod.verify_rueppel(
             profile_n=8 * max_n,
@@ -266,7 +256,7 @@ def _run_suite(name: str, args, threads: int) -> verify_mod.VerifyResult:
     if name == "height":
         return verify_mod.verify_height(
             exhaustive_n=min(max_n, 14), bound_trials=trials,
-            cf_trials=max(1, trials // 5), threads=threads)
+            cf_trials=max(1, trials // 5))
     if name == "lcsum":
         return verify_mod.verify_lcsum(max_n=max_n, trials=trials)
     raise AssertionError(name)
@@ -284,10 +274,9 @@ def cmd_verify(args) -> int:
               f"{', '.join(sorted(SUITE_DEFAULTS))} or all", file=sys.stderr)
         return EXIT_INPUT
     names = list(SUITE_DEFAULTS) if name == "all" else [name]
-    threads = worker_count()
     all_ok = True
     for suite in names:
-        result = _run_suite(suite, args, threads)
+        result = _run_suite(suite, args)
         _emit(dataclasses.asdict(result)) if args.json else print(result.line())
         all_ok &= result.ok
     return EXIT_OK if all_ok else EXIT_FAIL

@@ -134,7 +134,8 @@ def gamma_identities(m: int, n: int) -> bool:
     Covers the product rule gamma(m+n) = x*gamma(m)*gamma(n) +
     gamma(m-n) (indices swapped if needed), the doubling special case,
     the degree law, the unit constant term of gamma(i) + gamma(i-1),
-    and coprimality of consecutive members.
+    and coprimality of consecutive members, certified by Cassini's
+    identity gamma(i+1)*gamma(i-1) + gamma(i)^2 = 1 (det U^i).
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -152,7 +153,8 @@ def gamma_identities(m: int, n: int) -> bool:
                 return False
             if (gi ^ _TABLE.packed(i - 1)) & 1 != 1:
                 return False
-            if gf2.gcd(gi, _TABLE.packed(i - 1)) != 1:
+            cassini = gf2.mul(_TABLE.packed(i + 1), _TABLE.packed(i - 1))
+            if cassini ^ gf2.mul(gi, gi) != 1:
                 return False
     return True
 

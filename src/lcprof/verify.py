@@ -13,21 +13,11 @@ covers every length of a sweep.  The reported counterexample is the
 one a length-by-length scan would report first: the least length, then
 the least value in _bits_to_terms order, with the sequences of the
 shorter checked lengths counted as checked.
-
-The tree sweeps can shard across processes; set the LCPROF_THREADS
-environment variable (the CLI forwards it) to use more than one worker.
-Each suite uses one pool; its shards are the subtrees under the prefixes
-of one fixed length, and the nodes above them are checked in-process.
-The pool never gets more workers than there are CPUs or shards.  The
-least counterexample over all shards is reported, so the result does
-not depend on the worker count.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, NamedTuple
@@ -58,6 +48,8 @@ from .errors import ResourceLimitError
 from .fields import GF2, PrimeField
 from .poly import Seq, gcd_coeffs, mul_coeffs
 from .rueppel import (
+    COLUMN_CHECK_BOUND,
+    GAMMA_GUARD,
     gamma_identities,
     power_column_identity,
     rueppel_matrix_pattern,
@@ -89,11 +81,6 @@ def _bits_to_terms(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(n))
 
 
-def _pool_size(threads: int, shards: int) -> int:
-    """Worker processes for a sweep: never more than the CPUs or the shards."""
-    return max(1, min(threads, os.cpu_count() or 1, shards))
-
-
 # ---------------------------------------------------------- prefix tree
 
 class _TreeSuite(NamedTuple):
@@ -107,26 +94,22 @@ class _TreeSuite(NamedTuple):
 def _least_failure(found):
     """The failure a length-by-length scan meets first: least n, then least v.
 
-    found holds (n, v, detail) triples and None for subtrees that passed.
+    found holds (n, v, detail) triples and None where nothing failed.
     """
     return min((f for f in found if f is not None), default=None,
                key=lambda f: f[:2])
 
 
-def _check_subtree(args):
-    """Walk the subtree under one prefix to max_n terms.
+def _check_subtree(suite: _TreeSuite, lengths: range):
+    """Walk the prefix tree from the empty prefix to lengths[-1] terms.
 
     Returns the number of nodes checked at each length 0..lengths[-1]
     and the least failing node.
     """
-    suite, prefix, max_n, lengths = args
-    core = _PackedCore(keep_log=False)
-    state = suite.start
-    for j, t in enumerate(prefix, start=1):
-        state = suite.fold(state, core, core.step(t), j)
     counts = [0] * (lengths[-1] + 1)
     least = None
-    for terms, st in _walk_prefixes(core, 2, max_n, suite.fold, state):
+    core = _PackedCore(keep_log=False)
+    for terms, st in _walk_prefixes(core, 2, lengths[-1], suite.fold, suite.start):
         n = len(terms)
         if n in lengths:
             counts[n] += 1
@@ -137,13 +120,6 @@ def _check_subtree(args):
     return counts, least
 
 
-def _merge(results):
-    """Subtree results as one: counts added per length, the least failure."""
-    results = list(results)
-    counts = [sum(c) for c in zip(*(r[0] for r in results))]
-    return counts, _least_failure(r[1] for r in results)
-
-
 def _guard_binary_sweep(max_n: int) -> None:
     """Refuse to sweep the binary sequences of up to max_n terms past the guard."""
     if 2 ** (max_n + 1) > ENUM_GUARD:
@@ -152,7 +128,7 @@ def _guard_binary_sweep(max_n: int) -> None:
             "enumeration guard")
 
 
-def _tree_sweep(suite: _TreeSuite, lengths: range, threads: int) -> tuple[int, str]:
+def _tree_sweep(suite: _TreeSuite, lengths: range) -> tuple[int, str]:
     """(checked, detail) over every binary sequence whose length is in lengths.
 
     With no failure, checked counts every sequence the walk checked;
@@ -160,20 +136,8 @@ def _tree_sweep(suite: _TreeSuite, lengths: range, threads: int) -> tuple[int, s
     """
     if not lengths:
         return 0, ""
-    max_n = lengths[-1]
-    _guard_binary_sweep(max_n)
-    # a few shards per worker even out subtrees whose checks cost unequally
-    depth = min(max_n, (threads - 1).bit_length() + 2)
-    workers = _pool_size(threads, 1 << depth)
-    if workers == 1:
-        counts, least = _check_subtree((suite, (), max_n, lengths))
-    else:
-        shards = [(suite, _bits_to_terms(i, depth), max_n, lengths)
-                  for i in range(1 << depth)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            below = list(pool.map(_check_subtree, shards))
-        counts, least = _merge([_check_subtree((suite, (), depth - 1, lengths)),
-                                *below])
+    _guard_binary_sweep(lengths[-1])
+    counts, least = _check_subtree(suite, lengths)
     if least is None:
         return sum(counts), ""
     return sum(counts[:least[0]]), least[2]
@@ -301,9 +265,9 @@ def _wm_check(st: _Profile, terms) -> str:
 _WANG_MASSEY = _TreeSuite(_PROFILE_START, _profile_step, _wm_check)
 
 
-def verify_wang_massey(max_n: int = 15, threads: int = 1) -> VerifyResult:
+def verify_wang_massey(max_n: int = 15) -> VerifyResult:
     """PLCP <=> stability <=> even transform coefficients vanish (odd n)."""
-    checked, detail = _tree_sweep(_WANG_MASSEY, range(1, max_n + 1, 2), threads)
+    checked, detail = _tree_sweep(_WANG_MASSEY, range(1, max_n + 1, 2))
     if detail:
         return _fail("wang-massey", checked, detail)
     return VerifyResult("wang-massey", True, checked)
@@ -363,9 +327,9 @@ def _equiv_check(st: _Equiv, terms) -> str:
 _PLCP_EQUIV = _TreeSuite(_EQUIV_START, _equiv_step, _equiv_check)
 
 
-def verify_plcp_equivalence(max_n: int = 12, threads: int = 1) -> VerifyResult:
+def verify_plcp_equivalence(max_n: int = 12) -> VerifyResult:
     """Six witnesses agree; the three sum characterizations agree; sums bounded."""
-    checked, detail = _tree_sweep(_PLCP_EQUIV, range(0, max_n + 1), threads)
+    checked, detail = _tree_sweep(_PLCP_EQUIV, range(0, max_n + 1))
     if detail:
         return _fail("plcp-equiv", checked, detail)
     return VerifyResult("plcp-equiv", True, checked)
@@ -381,7 +345,17 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     The run goes as far as the longest check needs; each check compares
     the packed rows after n terms (and the ones before them) with its
     closed form, which is still computed on its own from the gamma table.
+    The sizes are checked against the gamma and column guards first.
     """
+    if r0_k >= COLUMN_CHECK_BOUND.bit_length():
+        raise ResourceLimitError(
+            f"2^{r0_k} exceeds the column check guard {COLUMN_CHECK_BOUND}")
+    # the largest gamma index each check reads (2^r0_k - 1: the column form)
+    top = max(gamma_n + gamma_n // 2, gamma_n + 1, (closed_n + 3) // 2,
+              (matrix_n + 1) // 2, 2**r0_k - 1)
+    if top > GAMMA_GUARD:
+        raise ResourceLimitError(
+            f"gamma index {top} exceeds the guard {GAMMA_GUARD}")
     snap_n = max(matrix_n, closed_n + 1)
     core = _PackedCore()
     pattern, closed, repeat = {}, {}, {}
@@ -438,14 +412,14 @@ _HEIGHT = _TreeSuite(_PROFILE_START, _profile_step, _height_check)
 
 def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
                   bound_trials: int = 1000, cf_trials: int = 200,
-                  seed: int = DEFAULT_SEED, threads: int = 1) -> VerifyResult:
+                  seed: int = DEFAULT_SEED) -> VerifyResult:
     """Height bounds, the height-1 characterization, and the CF oracle."""
     checked = 0
     hr = height(rueppel_terms(rueppel_n))
     checked += 1
     if hr.height != 1:
         return _fail("height", checked, f"power-of-two height {hr.height}")
-    cnt, detail = _tree_sweep(_HEIGHT, range(1, exhaustive_n + 1), threads)
+    cnt, detail = _tree_sweep(_HEIGHT, range(1, exhaustive_n + 1))
     checked += cnt
     if detail:
         return _fail("height", checked, detail)

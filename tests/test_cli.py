@@ -19,7 +19,6 @@ from lcprof.cli import (
     parse_sequence,
     profile_table_lines,
     render_profile_table,
-    worker_count,
 )
 from lcprof.engine import MPConfig, ProfileReport, profile_steps
 from lcprof.errors import SequenceParseError
@@ -404,37 +403,25 @@ def test_verify_json(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- threads
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LCPROF_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("LCPROF_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("LCPROF_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("LCPROF_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_pool_size_is_capped(monkeypatch):
-    monkeypatch.setenv("LCPROF_THREADS", "100000")
-    assert worker_count() == 100000
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-    assert verify_mod._pool_size(100000, 1 << 15) == 2
-    assert verify_mod._pool_size(100000, 1) == 1
-    assert verify_mod._pool_size(1, 8) == 1
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
-    assert verify_mod._pool_size(4, 8) == 4
-    assert verify_mod._pool_size(100000, 8) == 8
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
-    assert verify_mod._pool_size(4, 8) == 1
-
-
 def test_sharded_sweep_matches_serial(monkeypatch, capsys):
     monkeypatch.setenv("LCPROF_THREADS", "2")
     code, out, _ = run(capsys, "verify", "wang-massey", "--max-n", "7")
     assert code == 0
     serial_checked = sum(1 << n for n in range(1, 8, 2))
     assert f"{serial_checked} checks" in out
+
+
+def test_verify_loads_no_process_pool():
+    code = (
+        "import sys\n"
+        "from lcprof.cli import main\n"
+        "assert main(['verify', 'wang-massey', '--max-n', '7']) == 0\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------------------ entry point
@@ -469,6 +456,18 @@ def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
     monkeypatch.setattr(verify_mod, "mp_run", no_work)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", suite, "--max-n", "40")
+    assert code == 4 and out == "" and "guard" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_rueppel_guard_exit_4(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the rueppel suite started past the guard")
+
+    monkeypatch.setattr(verify_mod, "_PackedCore", no_work)
+    monkeypatch.setattr(verify_mod, "gamma_identities", no_work)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "rueppel", "--max-n", "30000")
     assert code == 4 and out == "" and "guard" in err
     assert time.perf_counter() - t0 < 1.0
 

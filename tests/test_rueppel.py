@@ -2,7 +2,7 @@
 
 import pytest
 
-from lcprof import gf2
+from lcprof import gf2, rueppel
 from lcprof.engine import Mat2, mp_run, profile_steps
 from lcprof.errors import ResourceLimitError
 from lcprof.fields import GF2
@@ -82,6 +82,24 @@ def test_gamma_identity_examples():
     assert gamma_identities(3, 2)
     assert gamma_identities(6, 5)
     assert gamma_identities(0, 0)
+
+
+@pytest.mark.parametrize("i", [3, 8, 33])
+def test_gamma_identities_reject_a_corrupted_member(monkeypatch, i):
+    # A flipped middle bit keeps the degree of gamma(i) and the unit
+    # constant term of gamma(i) + gamma(i-1), and at (i, 0) the product
+    # and doubling rules hold trivially, so only the Cassini certificate
+    # gamma(i+1)*gamma(i-1) + gamma(i)^2 = 1 is left to catch it.
+    table = GammaTable()
+    table.packed(i + 1)
+    monkeypatch.setattr(rueppel, "_TABLE", table)
+    assert gamma_identities(i, 0)
+    for bit in range(1, i - 1):
+        table._g[i] ^= 1 << bit
+        assert not gamma_identities(i, 0)
+        assert not gamma_identities(0, i)
+        table._g[i] ^= 1 << bit
+    assert gamma_identities(i, 0)
 
 
 def test_gamma_bulk_laws():

@@ -1,10 +1,10 @@
-"""Prefix-tree sweeps: per-node verdicts, counterexample order, sharding."""
+"""Prefix-tree sweeps: per-node verdicts and counterexample order."""
 
 from itertools import product
 
 import pytest
 
-from lcprof import analysis
+from lcprof import analysis, rueppel
 from lcprof import verify as verify_mod
 from lcprof.analysis import (
     char_equivalence,
@@ -14,6 +14,7 @@ from lcprof.analysis import (
     plcp_witnesses,
     t_transform,
 )
+from lcprof.errors import ResourceLimitError
 from lcprof.fields import GF2
 
 
@@ -73,37 +74,6 @@ def test_tree_counterexample_matches_scan(monkeypatch):
     assert result.detail == "n=5 [1, 0, 0, 0, 0] plcp=False stable=True"
 
 
-class _InlinePool:
-    """Stands in for the process pool: maps in this process."""
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_sharded_counterexample_matches_serial(monkeypatch):
-    _fault_stability(monkeypatch)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
-    serial = verify_mod.verify_wang_massey(max_n=7)
-    for threads in (2, 3, 4):
-        assert verify_mod.verify_wang_massey(max_n=7, threads=threads) == serial
-    monkeypatch.undo()
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
-    for max_n in (0, 1, 2, 5):
-        assert (verify_mod.verify_plcp_equivalence(max_n=max_n, threads=4)
-                == verify_mod.verify_plcp_equivalence(max_n=max_n))
-
-
 def test_shard_merge():
     least = verify_mod._least_failure
     assert least([]) is None
@@ -111,12 +81,6 @@ def test_shard_merge():
     found = [None, (5, 9, "b"), (3, 6, "a"), None, (3, 2, "c"), (7, 0, "d")]
     assert least(found) == (3, 2, "c")
     assert least(reversed(found)) == (3, 2, "c")
-    top = ([1, 2, 0, 0], None)
-    left = ([0, 0, 2, 4], (3, 6, "a"))
-    right = ([0, 0, 2, 4], (3, 1, "b"))
-    assert verify_mod._merge([top]) == ([1, 2, 0, 0], None)
-    for shards in ([top, left, right], [right, left, top]):
-        assert verify_mod._merge(shards) == ([1, 2, 4, 8], (3, 1, "b"))
 
 
 # ------------------------------------------------------------- rueppel
@@ -150,3 +114,27 @@ def test_verify_rueppel_reports_a_flipped_row(monkeypatch, step, checked, detail
     monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
     result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
     assert (result.ok, result.checked, result.detail) == (False, checked, detail)
+
+
+@pytest.mark.parametrize("past", [
+    dict(gamma_n=44),     # gamma(44 + 22)
+    dict(closed_n=127),   # gamma(65)
+    dict(matrix_n=129),   # U^64 reads gamma(65)
+    dict(r0_k=7),         # U^126 reads gamma(127)
+])
+def test_verify_rueppel_guard_is_exact(monkeypatch, past):
+    # With the gamma guard at 64, the sizes at the limit read gamma(64)
+    # and pass; one size past it is refused before the engine runs.
+    monkeypatch.setattr(rueppel, "GAMMA_GUARD", 64)
+    monkeypatch.setattr(verify_mod, "GAMMA_GUARD", 64)
+    limit = dict(profile_n=16, matrix_n=128, closed_n=126, gamma_n=43, r0_k=6)
+    assert verify_mod.verify_rueppel(**limit).ok
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the rueppel suite started past the guard")
+
+    monkeypatch.setattr(verify_mod, "_PackedCore", no_work)
+    with pytest.raises(ResourceLimitError, match="guard"):
+        verify_mod.verify_rueppel(**{**limit, **past})
+    with pytest.raises(ResourceLimitError, match="column"):
+        verify_mod.verify_rueppel(**{**limit, "r0_k": 17})
