@@ -5,7 +5,11 @@ stable, height, lcsum, rueppel, gamma, verify.  Sequences come from
 --seq (comma or whitespace separated digits) or --in (one sequence per
 line); digits must already lie in [0, p), out-of-range values are
 rejected rather than reduced.  --json swaps the table output for one
-JSON object per input sequence (per suite for verify).
+JSON object per input sequence (per suite for verify).  Each subcommand
+takes only the flags it reads: all but rueppel and gamma take --field,
+and only profile, minpoly and plcp-check take --epsilon.  verify takes
+its defaults from verify.SUITES, and a single suite refuses a --field or
+--trials it does not read.
 
 Exit codes: 0 success, 2 input/usage error, 3 verification or engine
 failure, 4 resource guard tripped.
@@ -33,7 +37,6 @@ from .errors import (
     LcprofError,
     ResourceLimitError,
     SequenceParseError,
-    UnsupportedDomainError,
 )
 from .fields import PrimeField
 from .poly import Seq
@@ -45,18 +48,6 @@ EXIT_FAIL = 3
 EXIT_RESOURCE = 4
 
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
-
-SUITE_DEFAULTS = {
-    "oracle": {"max_n": 10, "trials": 500},
-    "bezout": {"max_n": 32, "trials": 1000},
-    "wang-massey": {"max_n": 15, "trials": 0},
-    "plcp-count": {"max_n": 14, "trials": 0},
-    "plcp-equiv": {"max_n": 12, "trials": 0},
-    "rueppel": {"max_n": 512, "trials": 0},
-    "height": {"max_n": 14, "trials": 1000},
-    "lcsum": {"max_n": 12, "trials": 500},
-}
-
 
 def parse_sequence(text: str, p: int) -> Seq:
     """Strict parse: integer tokens in [0, p); no wrapping."""
@@ -229,62 +220,28 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, args) -> verify_mod.VerifyResult:
-    max_n = args.max_n if args.max_n is not None else SUITE_DEFAULTS[name]["max_n"]
-    trials = args.trials if args.trials is not None else SUITE_DEFAULTS[name]["trials"]
-    if name == "oracle":
-        if args.field == 2:
-            return verify_mod.verify_oracle(fields=(2,), exhaustive_n=max_n)
-        return verify_mod.verify_oracle(
-            fields=(args.field,), exhaustive_n=0, trials=trials, max_n=max_n)
-    if name == "bezout":
-        return verify_mod.verify_bezout(field=args.field, trials=trials, max_n=max_n)
-    if name == "wang-massey":
-        return verify_mod.verify_wang_massey(max_n=max_n)
-    if name == "plcp-count":
-        return verify_mod.verify_plcp_count(cases=((args.field, max_n),))
-    if name == "plcp-equiv":
-        return verify_mod.verify_plcp_equivalence(max_n=max_n)
-    if name == "rueppel":
-        return verify_mod.verify_rueppel(
-            profile_n=8 * max_n,
-            matrix_n=max_n,
-            closed_n=2 * max_n + 1,
-            gamma_n=2 * max_n,
-            r0_k=max(1, (2 * max_n).bit_length() - 1),
-        )
-    if name == "height":
-        return verify_mod.verify_height(
-            exhaustive_n=min(max_n, 14), bound_trials=trials,
-            cf_trials=max(1, trials // 5))
-    if name == "lcsum":
-        return verify_mod.verify_lcsum(max_n=max_n, trials=trials)
-    raise AssertionError(name)
-
-
 def cmd_verify(args) -> int:
-    name = args.suite_pos or args.suite
-    if args.suite_pos and args.suite and args.suite_pos != args.suite:
-        print("conflicting suite names", file=sys.stderr)
-        return EXIT_INPUT
-    if name is None:
-        name = "all"
-    if name != "all" and name not in SUITE_DEFAULTS:
+    suites = verify_mod.SUITES
+    name = args.suite
+    if name != "all" and name not in suites:
         print(f"unknown suite {name!r}; choose from "
-              f"{', '.join(sorted(SUITE_DEFAULTS))} or all", file=sys.stderr)
+              f"{', '.join(sorted(suites))} or all", file=sys.stderr)
         return EXIT_INPUT
-    names = list(SUITE_DEFAULTS) if name == "all" else [name]
+    if name != "all":
+        suite = suites[name]
+        unread = ("--field" if args.field != 2 and not suite.field else
+                  "--trials" if args.trials is not None and suite.trials is None else "")
+        if unread:
+            print(f"verify {name} does not read {unread}", file=sys.stderr)
+            return EXIT_INPUT
     all_ok = True
-    for suite in names:
-        result = _run_suite(suite, args)
+    for suite in suites.values() if name == "all" else [suites[name]]:
+        result = suite.run(args.max_n if args.max_n is not None else suite.max_n,
+                           args.trials if args.trials is not None else suite.trials,
+                           args.field)
         _emit(dataclasses.asdict(result)) if args.json else print(result.line())
         all_ok &= result.ok
     return EXIT_OK if all_ok else EXIT_FAIL
-
-
-def _add_seq_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seq", help="inline sequence, comma or space separated")
-    p.add_argument("--in", dest="infile", help="file with one sequence per line")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,24 +252,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, seq=False, n_arg=False):
+    def add(name, fn, help_, seq=False, n_arg=False, field=True, epsilon=False):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--field", type=int, default=2, metavar="P",
-                       help="field characteristic (prime, default 2)")
-        p.add_argument("--epsilon", type=int, default=0, metavar="E",
-                       help="seed element for the displaced row (default 0)")
+        if field:
+            p.add_argument("--field", type=int, default=2, metavar="P",
+                           help="field characteristic (prime, default 2)")
+        if epsilon:
+            p.add_argument("--epsilon", type=int, default=0, metavar="E",
+                           help="seed element for the displaced row (default 0)")
         p.add_argument("--json", action="store_true", help="JSON output")
         if seq:
-            _add_seq_options(p)
+            p.add_argument("--seq", help="inline sequence, comma or space separated")
+            p.add_argument("--in", dest="infile", help="file with one sequence per line")
         if n_arg:
             p.add_argument("--n", type=int, required=True, help="size parameter")
         p.set_defaults(func=fn)
         return p
 
-    add("profile", cmd_profile, "per-step profile table or report", seq=True)
+    add("profile", cmd_profile, "per-step profile table or report", seq=True,
+        epsilon=True)
     add("minpoly", cmd_minpoly, "minimal polynomial and feedback polynomial",
-        seq=True)
-    add("plcp-check", cmd_plcp_check, "perfect-profile analysis", seq=True)
+        seq=True, epsilon=True)
+    add("plcp-check", cmd_plcp_check, "perfect-profile analysis", seq=True,
+        epsilon=True)
     add("plcp-count", cmd_plcp_count, "closed-form perfect-profile count",
         n_arg=True)
     add("plcp-enum", cmd_plcp_enum, "enumerate perfect-profile sequences",
@@ -321,14 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("height", cmd_height, "sequence height", seq=True)
     add("lcsum", cmd_lcsum, "sum of the complexity profile", seq=True)
     add("rueppel", cmd_rueppel, "power-of-two indicator sequence terms",
-        n_arg=True)
+        n_arg=True, field=False)
     add("gamma", cmd_gamma, "member of the jump-matrix polynomial family",
-        n_arg=True)
+        n_arg=True, field=False)
 
     v = add("verify", cmd_verify, "run a verification suite")
-    v.add_argument("suite_pos", nargs="?", metavar="SUITE",
-                   help="suite name (or 'all')")
-    v.add_argument("--suite", help="suite name (alternative to the positional)")
+    v.add_argument("suite", nargs="?", default="all", metavar="SUITE",
+                   help="suite name or all (default all)")
     v.add_argument("--max-n", dest="max_n", type=int, default=None)
     v.add_argument("--trials", type=int, default=None)
     return parser
@@ -348,7 +309,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (UnsupportedDomainError, LcprofError) as exc:
+    except LcprofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:

@@ -42,7 +42,7 @@ from typing import NamedTuple
 from . import gf2
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, IntegerRing, PrimeField
-from .poly import Poly, Seq, coeffs_to_text, poly_gcd, reciprocal
+from .poly import Poly, Seq, coeffs_to_text, gcd_coeffs, mul_coeffs, reciprocal
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -668,20 +668,29 @@ def lfsr_generate(feedback: Poly, fill: Seq, length: int) -> Seq:
     return Seq(dom, out)
 
 
+def _bezout_ok(core) -> bool:
+    """det M = -nabla, and over F_p gcd(mu, [mu]) = gcd(mu, mu') = 1.
+
+    Over ZZ (p = 0) only the determinant is checked.
+    """
+    if isinstance(core, _PackedCore):
+        mu, mu_part, mup, mup_part = core.packed_rows()
+        return (gf2.mul(mu, mup_part) ^ gf2.mul(mu_part, mup) == 1
+                and gf2.gcd(mu, mu_part) == 1 and gf2.gcd(mu, mup) == 1)
+    p = core.p
+    mu, mu_part, mup, mup_part = core.pairs()
+    prods = itertools.zip_longest(mul_coeffs(mu, mup_part), mul_coeffs(mu_part, mup),
+                                  fillvalue=0)
+    det = [(x - y) % p for x, y in prods] if p else [x - y for x, y in prods]
+    if det[:1] != [-core.nabla % p if p else -core.nabla] or any(det[1:]):
+        return False
+    return not p or (len(gcd_coeffs(mu, mu_part, p)) == 1
+                     and len(gcd_coeffs(mu, mup, p)) == 1)
+
+
 def bezout_check(state: MPState) -> bool:
     """Certify mu*[mu'] - [mu]*mu' = -nabla (and coprimality over a field)."""
-    dom = state.domain
-    mu, mu_part = state.mu_bar
-    mup, mup_part = state.mu_bar_prev
-    det = mu * mup_part - mu_part * mup
-    if det != Poly(dom, (dom.neg(state.nabla),)):
-        return False
-    if dom.is_field:
-        if poly_gcd(mu, mu_part).degree != 0:
-            return False
-        if poly_gcd(mu, mup).degree != 0:
-            return False
-    return True
+    return _bezout_ok(state._core)
 
 
 def minpoly_coset(state: MPState) -> list[Poly]:

@@ -1,9 +1,10 @@
 """Verification sweeps: executable checks of the structural identities.
 
 Each suite scans a slice of input space (exhaustive or seeded-random),
-stops at the first counterexample, and reports what it checked.  The
-sweeps are what the CLI's ``verify`` command runs; the acceptance tests
-call them with pinned parameters.
+stops at the first counterexample, and reports what it checked.  SUITES
+declares each suite once for the CLI's ``verify`` command: its default
+sizes, the flags it reads and how they map onto its parameters.  The
+acceptance tests call the suites with pinned parameters.
 
 The exhaustive binary sweeps (wang-massey, plcp-equiv, height) walk the
 prefix tree once: the engine is online, so every sequence that extends
@@ -19,10 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
-from . import gf2
 from .analysis import (
     ENUM_GUARD,
     WITNESSES,
@@ -40,13 +39,14 @@ from .analysis import (
 from .engine import (
     _GenericCore,
     _PackedCore,
+    _bezout_ok,
     annihilates,
     brute_force_minpoly,
     mp_run,
 )
 from .errors import ResourceLimitError
 from .fields import GF2, PrimeField
-from .poly import Seq, gcd_coeffs, mul_coeffs
+from .poly import Seq
 from .rueppel import (
     COLUMN_CHECK_BOUND,
     GAMMA_GUARD,
@@ -206,24 +206,6 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
 
 # ---------------------------------------------------------------- bezout
 
-def _bezout_step_ok_packed(core) -> bool:
-    mu, mu_part, mup, mup_part = core.packed_rows()
-    if gf2.mul(mu, mup_part) ^ gf2.mul(mu_part, mup) != 1:
-        return False
-    return gf2.gcd(mu, mu_part) == 1 and gf2.gcd(mu, mup) == 1
-
-
-def _bezout_step_ok_generic(core) -> bool:
-    p = core.p
-    mu, mu_part, mup, mup_part = core.pairs()
-    det = [(x - y) % p for x, y in zip_longest(
-        mul_coeffs(mu, mup_part), mul_coeffs(mu_part, mup), fillvalue=0)]
-    if det[:1] != [-core.nabla % p] or any(det[1:]):
-        return False
-    return (len(gcd_coeffs(mu, mu_part, p)) == 1
-            and len(gcd_coeffs(mu, mup, p)) == 1)
-
-
 def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
                   seed: int = DEFAULT_SEED, epsilon: int = 0) -> VerifyResult:
     """det M = -nabla and both gcd certificates, at every step."""
@@ -233,16 +215,12 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
     for _ in range(trials):
         n = rng.randrange(1, max_n + 1)
         terms = [rng.randrange(field) for _ in range(n)]
-        if field == 2:
-            core = _PackedCore(epsilon, keep_log=False)
-            ok_fn = _bezout_step_ok_packed
-        else:
-            core = _GenericCore(dom, epsilon, keep_log=False)
-            ok_fn = _bezout_step_ok_generic
+        core = (_PackedCore(epsilon, keep_log=False) if field == 2
+                else _GenericCore(dom, epsilon, keep_log=False))
         for j, t in enumerate(terms, start=1):
             core.step(t)
             checked += 1
-            if not ok_fn(core):
+            if not _bezout_ok(core):
                 return _fail("bezout", checked, f"F_{field} {terms} step {j}")
     return VerifyResult("bezout", True, checked)
 
@@ -485,3 +463,38 @@ def verify_lcsum(max_n: int = 12, sum_k: int = 20, sum_l: int = 20,
     if lc_sum(ext) != (6, 6) or rep.lc[-1] != 3 or str(rep.minpoly) != "x^3+x^2+1":
         return _fail("lcsum", checked, "three ones then zero")
     return VerifyResult("lcsum", True, checked)
+
+
+# ------------------------------------------------------------- registry
+
+class Suite(NamedTuple):
+    """One suite as ``lcprof verify`` runs it.
+
+    run calls its suite by module-global name with keyword arguments
+    only, so a suite patched on this module is the one that runs.
+    """
+
+    max_n: int           # default --max-n
+    trials: int | None   # default --trials; None: the suite takes no --trials
+    field: bool          # whether the suite reads --field
+    run: Callable        # (max_n, trials, field) -> VerifyResult
+
+
+SUITES = {
+    # over F_2 an exhaustive sweep to n terms, otherwise t random sequences
+    "oracle": Suite(10, 500, True, lambda n, t, q: verify_oracle(
+        fields=(q,), exhaustive_n=n, trials=t, max_n=n)),
+    "bezout": Suite(32, 1000, True, lambda n, t, q: verify_bezout(
+        field=q, trials=t, max_n=n)),
+    "wang-massey": Suite(15, None, False, lambda n, t, q: verify_wang_massey(max_n=n)),
+    "plcp-count": Suite(14, None, True, lambda n, t, q: verify_plcp_count(
+        cases=((q, n),))),
+    "plcp-equiv": Suite(12, None, False,
+                        lambda n, t, q: verify_plcp_equivalence(max_n=n)),
+    "rueppel": Suite(512, None, False, lambda n, t, q: verify_rueppel(
+        profile_n=8 * n, matrix_n=n, closed_n=2 * n + 1, gamma_n=2 * n,
+        r0_k=max(1, (2 * n).bit_length() - 1))),
+    "height": Suite(14, 1000, False, lambda n, t, q: verify_height(
+        exhaustive_n=min(n, 14), bound_trials=t, cf_trials=max(1, t // 5))),
+    "lcsum": Suite(12, 500, False, lambda n, t, q: verify_lcsum(max_n=n, trials=t)),
+}

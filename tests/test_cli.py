@@ -3,11 +3,13 @@
 import contextlib
 import json
 import random
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -335,12 +337,106 @@ def test_verify_named_suite(capsys):
     assert out.startswith("bezout: pass")
 
 
-def test_verify_suite_flag_and_conflict(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "lcsum", "--max-n", "6",
-                       "--trials", "40")
-    assert code == 0 and out.startswith("lcsum: pass")
-    code, _, err = run(capsys, "verify", "bezout", "--suite", "lcsum")
-    assert code == 2 and "conflicting" in err
+# Each verify invocation and the direct call it must equal.  The parameters
+# are written out here rather than read from verify.SUITES, so the
+# registry's mapping of flags onto parameters is checked against a copy.
+SUITE_CALLS = [
+    (("oracle", "--max-n", "6"),
+     lambda: verify_mod.verify_oracle(fields=(2,), exhaustive_n=6)),
+    (("oracle", "--field", "3", "--max-n", "6", "--trials", "40"),
+     lambda: verify_mod.verify_oracle(fields=(3,), exhaustive_n=0, trials=40,
+                                      max_n=6)),
+    (("bezout", "--field", "3", "--max-n", "12", "--trials", "60"),
+     lambda: verify_mod.verify_bezout(field=3, trials=60, max_n=12)),
+    (("bezout", "--max-n", "10", "--trials", "30"),
+     lambda: verify_mod.verify_bezout(field=2, trials=30, max_n=10)),
+    (("wang-massey", "--max-n", "7"),
+     lambda: verify_mod.verify_wang_massey(max_n=7)),
+    (("plcp-count", "--field", "3", "--max-n", "5"),
+     lambda: verify_mod.verify_plcp_count(cases=((3, 5),))),
+    (("plcp-equiv", "--max-n", "7"),
+     lambda: verify_mod.verify_plcp_equivalence(max_n=7)),
+    (("rueppel", "--max-n", "16"),
+     lambda: verify_mod.verify_rueppel(profile_n=128, matrix_n=16, closed_n=33,
+                                       gamma_n=32, r0_k=5)),
+    (("height", "--max-n", "8", "--trials", "50"),
+     lambda: verify_mod.verify_height(exhaustive_n=8, bound_trials=50,
+                                      cf_trials=10)),
+    (("height", "--max-n", "16", "--trials", "3"),
+     lambda: verify_mod.verify_height(exhaustive_n=14, bound_trials=3,
+                                      cf_trials=1)),
+    (("lcsum", "--max-n", "6", "--trials", "40"),
+     lambda: verify_mod.verify_lcsum(max_n=6, trials=40)),
+]
+
+
+@pytest.mark.parametrize("argv, direct", SUITE_CALLS,
+                         ids=[" ".join(argv) for argv, _ in SUITE_CALLS])
+def test_verify_flags_map_onto_the_suite(capsys, argv, direct):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and out == direct().line() + "\n"
+
+
+NO_FIELD = ("wang-massey", "plcp-equiv", "rueppel", "height", "lcsum")
+NO_TRIALS = ("wang-massey", "plcp-count", "plcp-equiv", "rueppel")
+
+
+@pytest.mark.parametrize("suite, flag", [(s, ("--field", "3")) for s in NO_FIELD]
+                         + [(s, ("--trials", "5")) for s in NO_TRIALS],
+                         ids=lambda x: x if isinstance(x, str) else x[0])
+def test_verify_suite_refuses_a_flag_it_does_not_read(capsys, monkeypatch,
+                                                      suite, flag):
+    def no_work(**kwargs):
+        raise AssertionError("the suite ran")
+
+    for name in ("verify_wang_massey", "verify_plcp_count",
+                 "verify_plcp_equivalence", "verify_rueppel", "verify_height",
+                 "verify_lcsum"):
+        monkeypatch.setattr(verify_mod, name, no_work)
+    code, out, err = run(capsys, "verify", suite, *flag)
+    assert code == 2 and out == ""
+    assert suite in err and flag[0] in err
+
+
+def test_verify_all_applies_each_flag_where_it_is_read(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "6", "--field", "3",
+                       "--trials", "20")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        suite = line.split(":")[0]
+        read = ["--max-n", "6"]
+        if suite not in NO_FIELD:
+            read += ["--field", "3"]
+        if suite not in NO_TRIALS:
+            read += ["--trials", "20"]
+        _, single, _ = run(capsys, "verify", suite, *read)
+        assert single == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--n", "5", "--field", "3"),
+    ("rueppel", "--n", "5", "--field", "3"),
+    ("height", "--seq", "0,0,0", "--epsilon", "1"),
+    ("plcp-count", "--n", "3", "--epsilon", "1"),
+    ("verify", "lcsum", "--epsilon", "1"),
+    ("verify", "--suite", "lcsum"),
+], ids=" ".join)
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#")[0] for line in block.splitlines()
+                if line.startswith("lcprof ")]
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_verify_unknown_suite(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lcprof.engine import (
     Mat2,
     MPConfig,
+    MPState,
     ProfileReport,
     annihilates,
     bezout_check,
@@ -276,6 +277,16 @@ def test_integer_domain_runs_without_division():
     _, rep = mp_run(ZZ.seq([3, 1, 4, 1, 5, 9, 2, 6]))
     assert annihilates(rep.minpoly, ZZ.seq([3, 1, 4, 1, 5, 9, 2, 6]))
     assert rep.final_matrix.det() == Poly(ZZ, (-rep.nabla,))
+
+
+@pytest.mark.parametrize("s", [ZZ.seq([3, 1, 4, 1, 5, 9, 2, 6]),
+                               Seq(F3, [1, 2, 0, 2, 1, 1, 0, 2])])
+def test_bezout_check_rejects_a_tampered_nabla(s):
+    states = run_states(s)
+    assert all(bezout_check(st_) for st_ in states)
+    core = states[-1]._core.copy()
+    core.nabla += 1
+    assert not bezout_check(MPState(s.domain, MPConfig(), core))
 
 
 def test_monic_output_needs_field():
