@@ -13,7 +13,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import MPConfig, _make_core, mp_run
+from . import gf2
+from .engine import MPConfig, _make_core, _PackedCore, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField, is_prime
 from .poly import Poly, Seq, poly_divmod
@@ -118,11 +119,11 @@ class _WitnessTrail(NamedTuple):
     e: int           # e_j = j + 1 - 2 LC_j
     last_jump: int   # j - 1 for the last step j that jumped, -1 before any jump
     deltas: tuple    # delta_j, delta_{j-1}
-    rows: tuple      # (mu, [mu]) as coefficient lists after steps j, j-1, j-2
+    rows: tuple      # mu as coefficient lists after steps j, j-1, j-2
 
 
-# step 0: every core starts from the row (mu, [mu]) = (1, 0) and e_0 = 1
-_WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), (([1], []),))
+# step 0: every core starts from mu = 1 and e_0 = 1
+_WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), ([1],))
 
 
 def _lin(c1, a, shift, c2, b, p) -> list[int]:
@@ -145,6 +146,16 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
     Also returns the conditions that fail at step j as a bit mask: bit i
     stands for WITNESSES[i].  The index condition reads the jump history
     after step j, which plcp_witnesses reports as step j + 1.
+
+    The pair recursion is checked on the row (mu, [mu]) with [mu] = P(mu),
+    the polynomial part over the consumed prefix, which the generic core
+    derives rather than carries.  Only mu is kept and compared: P is
+    linear and P(x*a) = x*P(a) + sum_m a_m s_{m+1}, so when mu follows
+    its recursion, [mu] follows its own exactly when c1 times that sum
+    vanishes at an odd step j past the first.  With a = mu_{j-1} the sum
+    is the first window of a, which is zero when deg a <= j - 2; when
+    deg a = j - 1 and c1 != 0 the mu recursion asks for degree j > LC_j,
+    so the mu comparison has failed already.  Comparing mu decides both.
     """
     lc = core.cur_lc()
     e = j + 1 - 2 * lc
@@ -162,12 +173,12 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
     last_jump = j - 1 if delta != 0 and trail.e > 0 else trail.last_jump
     if last_jump != j - 2 + odd:
         fails |= 16
-    # the pair recursion re-derives the row from the two-term recursions;
-    # the base row is (x - delta_1*eps, delta_1), over F_2 with a nonzero
-    # first term the usual (x + eps, 1)
-    row = tuple(core.pairs()[:2])
+    # the pair recursion re-derives mu from the two-term recursions; the
+    # base row is mu = x - delta_1*eps, over F_2 with a nonzero first term
+    # the usual x + eps
+    row = gf2.to_coeffs(core.mu) if isinstance(core, _PackedCore) else core.mu
     if j == 1:
-        want = (_lin(1, [1], 1, delta * eps, [1], p), _lin(delta, [1], 0, 0, [], p))
+        want = _lin(1, [1], 1, delta * eps, [1], p)
     elif not odd and delta == 0:
         want = trail.rows[0]  # nothing to absorb: the row carries over unscaled
     else:
@@ -175,8 +186,7 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
         # odd j: delta_{j-2} * x * row_{j-1} - delta_j * row_{j-3}
         c1, r2 = ((trail.deltas[1], trail.rows[2]) if odd
                   else (trail.deltas[0], trail.rows[1]))
-        want = tuple(_lin(c1, a, odd, delta, b, p)
-                     for a, b in zip(trail.rows[0], r2))
+        want = _lin(c1, trail.rows[0], odd, delta, r2, p)
     if row != want:
         fails |= 32
     return _WitnessTrail(lc, e, last_jump, (delta, trail.deltas[0]),
@@ -209,8 +219,8 @@ def plcp_witnesses(s: Seq, epsilon: int = 0) -> PlcpWitness:
 
     One engine run, folded step by step through the same per-step
     conditions the prefix-tree sweeps use.  The pair-recursion condition
-    re-derives the engine rows from the two-term recursions and compares
-    them to the actual rows.
+    re-derives the engine row (mu, [mu]) from the two-term recursions and
+    compares it to the actual row (see _witness_step).
     """
     return _witness_run(s, epsilon)[0]
 
@@ -379,6 +389,8 @@ def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if q**n > guard:
         raise ResourceLimitError(f"{q}^{n} exceeds the enumeration guard")
     dom = PrimeField(q)

@@ -244,6 +244,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+def _size(text: str) -> int:
+    """A --max-n or --trials value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcprof",
@@ -290,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = add("verify", cmd_verify, "run a verification suite")
     v.add_argument("suite", nargs="?", default="all", metavar="SUITE",
                    help="suite name or all (default all)")
-    v.add_argument("--max-n", dest="max_n", type=int, default=None)
-    v.add_argument("--trials", type=int, default=None)
+    v.add_argument("--max-n", dest="max_n", type=_size, default=None)
+    v.add_argument("--trials", type=_size, default=None)
     return parser
 
 

@@ -16,7 +16,11 @@ MPState derives it from the step log.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
-track the polynomial part of the first through every update.
+the polynomial part of the first: once the first jump has happened,
+[f] = (f * s)_+ over the consumed prefix for both rows.  The generic
+core therefore carries only the first column and derives the second on
+request (poly.part_coeffs, one Kronecker product per row); the packed
+F_2 core carries both, since there a column update is one shift and XOR.
 
 Determinant convention: det M = -nabla at every step (the identity
 mu*[mu'] - [mu]*mu' = -nabla is a Bezout certificate, forcing
@@ -42,7 +46,15 @@ from typing import NamedTuple
 from . import gf2
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, IntegerRing, PrimeField
-from .poly import Poly, Seq, coeffs_to_text, gcd_coeffs, mul_coeffs, reciprocal
+from .poly import (
+    Poly,
+    Seq,
+    coeffs_to_text,
+    gcd_coeffs,
+    mul_coeffs,
+    part_coeffs,
+    reciprocal,
+)
 
 BRUTE_FORCE_GUARD = 10**7
 
@@ -140,7 +152,10 @@ def updating_matrix(domain: CoeffDomain, delta: int, delta_prime: int, e: int) -
 
 
 class _GenericCore:
-    """Dense coefficient-list engine over any coefficient domain."""
+    """Dense coefficient-list engine over any coefficient domain.
+
+    Carries mu and mu' only; pairs() derives the polynomial parts.
+    """
 
     __slots__ = (
         "dom",
@@ -150,15 +165,14 @@ class _GenericCore:
         "j",
         "s",
         "mu",
-        "mu_part",
         "mup",
-        "mup_part",
         "e",
         "dprime",
         "nabla",
         "lc",
         "deltas",
         "exps",
+        "parts",
     )
 
     def __init__(self, domain: CoeffDomain, epsilon: int = 0, *,
@@ -173,15 +187,14 @@ class _GenericCore:
         self.s: list[int] = []
         eps = domain.normalize(epsilon)
         self.mu = [1]
-        self.mu_part: list[int] = []
         self.mup = [eps] if eps else []
-        self.mup_part = [domain.neg(1)]
         self.e = 1
         self.dprime = 1
         self.nabla = 1
         self.lc: list[int] = []
         self.deltas: list[int] = []
         self.exps: list[int] = [1]
+        self.parts = ()  # (row, [row]) pairs derived so far, at most two
 
     def _lin(self, c1, a, ashift, c2, b, bshift):
         # c1 * x^ashift * a  -  c2 * x^bshift * b, canonical
@@ -211,25 +224,20 @@ class _GenericCore:
         if not self.dom.is_zero(delta):
             if e <= 0:
                 nmu = self._lin(self.dprime, mu, 0, delta, self.mup, -e)
-                npart = self._lin(self.dprime, self.mu_part, 0, delta, self.mup_part, -e)
                 factor = self.dprime
-                self.nabla = self.nabla * self.dprime
             else:
                 nmu = self._lin(self.dprime, mu, e, delta, self.mup, 0)
-                npart = self._lin(self.dprime, self.mu_part, e, delta, self.mup_part, 0)
-                self.mup, self.mup_part = mu, self.mu_part
-                self.dprime = delta
-                factor = delta
-                self.nabla = self.nabla * delta
+                self.mup = mu
+                self.dprime = factor = delta
                 self.e = e = -e
+            self.nabla = self.nabla * factor
             if self.normalize:
                 # scaling only the fresh row keeps the recursion consistent:
                 # the stored delta' belongs to the unscaled displaced row
                 inv = self.dom.inv(factor)
                 p = self.p
                 nmu = [(v * inv) % p for v in nmu]
-                npart = [(v * inv) % p for v in npart]
-            self.mu, self.mu_part = nmu, npart
+            self.mu = nmu
         if self.p:
             self.nabla %= self.p
         self.e = e + 1
@@ -243,8 +251,27 @@ class _GenericCore:
         return len(self.mu) - 1
 
     def pairs(self):
-        """mu, [mu], mu', [mu'] as coefficient lists, shared with the core."""
-        return self.mu, self.mu_part, self.mup, self.mup_part
+        """mu, [mu], mu', [mu'] as coefficient lists, shared with the core.
+
+        The parts are derived, not carried: before the first jump the rows
+        are the seed (1, 0) and (eps, -1), and after it [f] is the
+        polynomial part of f over the consumed prefix.  A step never edits
+        a row and a jump hands the old mu to mu', so a memo keyed by row
+        identity derives each row once.
+        """
+        mu, mup = self.mu, self.mup
+        if len(mu) == 1:
+            return mu, [], mup, [self.dom.neg(1)]
+        parts = []
+        for row in (mu, mup):
+            for known in self.parts:
+                if known[0] is row:
+                    break
+            else:
+                known = row, part_coeffs(row, self.s, self.p)
+            parts.append(known)
+        self.parts = tuple(parts)
+        return mu, parts[0][1], mup, parts[1][1]
 
     def terms(self) -> tuple[int, ...]:
         return tuple(self.s)
@@ -254,7 +281,8 @@ class _GenericCore:
         for name in _GenericCore.__slots__:
             setattr(new, name, getattr(self, name))
         # a step replaces the rows but never edits them, so the copy shares
-        # them; the consumed prefix and the logs grow in place
+        # them and their derived parts; the consumed prefix and the logs
+        # grow in place
         new.s, new.lc = self.s[:], self.lc[:]
         new.deltas, new.exps = self.deltas[:], self.exps[:]
         return new
@@ -570,23 +598,22 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     """Per-step (j, delta_j, e, mu text, mu' text) for j = 0..n, from one run.
 
     The texts are those of profile_steps' mu and mu_prev, rendered from
-    the core's own canonical coefficients.  A polynomial is rendered only
-    at a step that changes it, and a mu' that is the previous mu reuses
-    that text, so the rows of an unchanged polynomial share one str.
+    the core's own canonical coefficients; the polynomial parts are never
+    read.  A polynomial is rendered only at a step that changes it, and a
+    mu' that is the previous mu reuses that text, so the rows of an
+    unchanged polynomial share one str.
     """
     core = _make_core(s.domain, config)
     if isinstance(core, _PackedCore):
-        rows_of = core.packed_rows
-
         def text(row):
             return coeffs_to_text(gf2.to_coeffs(row))
     else:
-        rows_of, text = core.pairs, coeffs_to_text
+        text = coeffs_to_text
     out = []
     mu = mup = None
     mu_text = mup_text = ""
     for delta in _each_step(core, s):
-        new_mu, _, new_mup, _ = rows_of()
+        new_mu, new_mup = core.mu, core.mup
         # mu' changes only at a jump, where it takes the previous mu
         if new_mup != mup:
             mup, mup_text = new_mup, mu_text if new_mup == mu else text(new_mup)

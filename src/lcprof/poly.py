@@ -23,7 +23,10 @@ the ascending coefficient list instead.
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
+from array import array
 from typing import Iterable
 
 from .errors import DomainMismatchError, UnsupportedDomainError
@@ -32,6 +35,11 @@ from .fields import CoeffDomain
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _TERM_RE = re.compile(r"^(-?\d+)?(x(\^(\d+))?)?$")
+
+# array type code of each unsigned item size in bytes: a Kronecker slot
+# of 1, 2, 4 or 8 bytes is one array item
+_SLOT_CODES = {array(c).itemsize: c for c in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -288,27 +296,71 @@ class Seq:
         return f"Seq({self.domain!r}, {list(self.terms)})"
 
 
+def _slot_bytes(p: int, m: int) -> int | None:
+    """Bytes per Kronecker slot for products of m-term sums over F_p.
+
+    A slot holds at most m * (p-1)^2, below 2^(2 bits(p-1) + bits(m)):
+    the smallest array item of 1, 2, 4 or 8 bytes that fits, else None.
+    """
+    need = (2 * (p - 1).bit_length() + m.bit_length() + 7) // 8
+    return next((w for w in (1, 2, 4, 8) if w >= need), None)
+
+
+def _pack(xs, w: int) -> int:
+    """Values in [0, 2^(8w)) as consecutive w-byte slots of one int, lowest first."""
+    items = array(_SLOT_CODES[w], xs)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return int.from_bytes(items.tobytes(), "little")
+
+
+def _unpack(raw: bytes, w: int) -> array:
+    """The w-byte slots of little-endian bytes, lowest first."""
+    items = array(_SLOT_CODES[w], raw)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
+
+
+def part_coeffs(f, terms, p: int) -> list[int]:
+    """Polynomial part of f times the generating series of terms, as a list.
+
+    f is a canonical coefficient list, terms is s_1, s_2, ... with every
+    value in [0, p), and coefficient j of the result is sum_k f_k s_{k-j}
+    for j < d = deg f; terms past the end count as zero.  The result is
+    reduced mod p (p = 0: the integers) and canonical.
+
+    Coefficient j is coefficient d + j of f times the reversed window
+    s_d..s_1.  Over F_p, when a slot of at most 8 bytes holds every sum,
+    that product is one integer multiply (Kronecker substitution): both
+    lists are packed into slots wide enough that none carries, and slots
+    d..2d-1 are read back.  Otherwise each coefficient is its own sum.
+    """
+    d = len(f) - 1
+    if d <= 0:
+        return []
+    w = _slot_bytes(p, d) if p else None
+    if w is None:
+        out = [sum(map(operator.mul, f[j + 1:], terms)) for j in range(d)]
+        if p:
+            out = [v % p for v in out]
+    else:
+        window = terms[d - 1::-1]
+        if len(window) < d:
+            window = [0] * (d - len(window)) + list(window)
+        prod = _pack(f, w) * _pack(window, w)
+        raw = prod.to_bytes((len(f) + d - 1) * w, "little")[d * w:2 * d * w]
+        out = [v % p for v in _unpack(raw, w)]
+    return _trim(out)
+
+
 def polynomial_part(f: Poly, s: Seq) -> Poly:
     """Nonnegative-power part of f times the generating series of s.
 
     Coefficient j of the result is sum_k f_k * s_{k-j}; only s_1..s_d
     contribute (d = deg f), so the value is stable under extending s.
     """
-    if f.is_zero:
-        return Poly(f.domain, ())
-    dom = f.domain
-    fc = f.coeffs
-    d = len(fc) - 1
-    terms = s.terms
-    out = []
-    for j in range(d):
-        acc = 0
-        for k in range(j + 1, d + 1):
-            i = k - j  # index into s, 1-based
-            if i <= len(terms):
-                acc += fc[k] * terms[i - 1]
-        out.append(dom.normalize(acc))
-    return Poly(dom, out)
+    return Poly(f.domain, part_coeffs(f.coeffs, s.terms, f.domain.p))
 
 
 def discrepancy(f: Poly, s: Seq, n: int) -> int:

@@ -1,5 +1,6 @@
 """Profile analyses: characterizations, stability, height, sums, bijection."""
 
+import operator
 import random
 from itertools import product
 
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcprof.analysis import (
+    _WITNESS_START,
+    _walk_prefixes,
+    _witness_step,
     cf_partial_quotients,
     char_equivalence,
     deltas_to_sequence,
@@ -20,7 +24,7 @@ from lcprof.analysis import (
     sigma_poly,
     t_transform,
 )
-from lcprof.engine import MPConfig, mp_run
+from lcprof.engine import MPConfig, _make_core, mp_run
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, PrimeField
 from lcprof.poly import Poly, Seq
@@ -85,6 +89,80 @@ def test_witnesses_with_epsilon():
     for v in range(1 << 8):
         s = GF2.seq(bits(v, 8))
         assert plcp_witnesses(s, epsilon=1).agree()
+
+
+def _lin_ref(c1, a, shift, c2, b, p):
+    out = [0] * max(shift + len(a), len(b))
+    for i, v in enumerate(a):
+        out[shift + i] += c1 * v
+    for i, v in enumerate(b):
+        out[i] -= c2 * v
+    out = [v % p for v in out] if p else out
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+# reference pair recursion on whole rows (mu, [mu]), [mu] read from the core
+_REF_START = ((([1], []),), (1, None))
+
+
+def _ref_recursion_step(ref, j, core, delta, eps, p):
+    """Step j of the pair recursion on (mu, [mu]) rows.
+
+    Returns the next reference state and which halves failed, (mu, [mu]).
+    """
+    rows, deltas = ref
+    row = tuple(core.pairs()[:2])
+    odd = j & 1
+    if j == 1:
+        want = (_lin_ref(1, [1], 1, delta * eps, [1], p), _lin_ref(delta, [1], 0, 0, [], p))
+    elif not odd and delta == 0:
+        want = rows[0]
+    else:
+        c1, r2 = (deltas[1], rows[2]) if odd else (deltas[0], rows[1])
+        want = tuple(_lin_ref(c1, a, odd, delta, b, p) for a, b in zip(rows[0], r2))
+    return ((row,) + rows[:2], (delta, deltas[0])), tuple(map(operator.ne, row, want))
+
+
+def _recursion_failures(s, eps):
+    core = _make_core(s.domain, MPConfig(epsilon=eps))
+    ref, out = _REF_START, []
+    for j, t in enumerate(s.terms, start=1):
+        ref, failed = _ref_recursion_step(ref, j, core, core.step(t), eps, s.domain.p)
+        if any(failed):
+            out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("q, n, eps, generic", [
+    (2, 12, 0, False), (2, 12, 1, False), (2, 12, 0, True), (2, 12, 1, True),
+    (3, 7, 0, True), (3, 7, 1, True), (3, 7, 2, True),
+])
+def test_recursion_witness_matches_the_two_column_reference(q, n, eps, generic):
+    # every sequence of up to n terms: the per-step verdicts agree at each node
+    dom = PrimeField(q)
+    core = _make_core(dom, MPConfig(epsilon=eps), force_generic=generic)
+    def fold(state, core, delta, j):
+        trail, ref = state
+        trail, bits = _witness_step(trail, j, core, delta, eps, q)
+        ref, failed = _ref_recursion_step(ref, j, core, delta, eps, q)
+        assert bool(bits & 32) == any(failed), (core.terms(), j)
+        return trail, ref
+
+    nodes = sum(1 for _ in _walk_prefixes(core, q, n, fold, (_WITNESS_START, _REF_START)))
+    assert nodes == sum(q**k for k in range(n + 1))
+
+
+@pytest.mark.parametrize("q", [5, 65521])
+def test_recursion_witness_matches_the_reference_on_random_inputs(q):
+    rng = random.Random(q)
+    dom = PrimeField(q)
+    for _ in range(150):
+        s = Seq(dom, [rng.randrange(q) for _ in range(rng.randrange(1, 30))])
+        eps = rng.randrange(q)
+        want = _recursion_failures(s, eps)
+        assert plcp_witnesses(s, epsilon=eps).details.get("recursion", []) == want
 
 
 # ---------------------------------------------------------------- stable
@@ -389,6 +467,11 @@ def test_enumerate_small():
     assert {tuple(s.terms) for s in enumerate_plcp(2, 3)} == {(1, 1, 0), (1, 0, 1)}
     assert sum(1 for _ in enumerate_plcp(2, 4)) == 4
     assert sum(1 for _ in enumerate_plcp(3, 4)) == 36
+
+
+def test_enumerate_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(enumerate_plcp(2, -1))
 
 
 def test_enumerate_guard():

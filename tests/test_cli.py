@@ -556,6 +556,40 @@ def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("wang-massey", "--max-n", "0"), "--max-n"),
+    (("oracle", "--max-n", "-2"), "--max-n"),
+    (("lcsum", "--max-n", "-4", "--trials", "-1"), "--max-n"),
+    (("lcsum", "--trials", "-1"), "--trials"),
+    (("rueppel", "--max-n", "0"), "--max-n"),
+    (("bezout", "--trials", "0"), "--trials"),
+    (("height", "--trials", "0"), "--trials"),
+    (("all", "--max-n", "0"), "--max-n"),
+    (("all", "--trials", "-3"), "--trials"),
+], ids=" ".join)
+def test_verify_sizes_below_one_exit_2(capsys, monkeypatch, argv, flag):
+    def no_work(**kwargs):
+        raise AssertionError("the suite ran")
+
+    for name in ("verify_oracle", "verify_bezout", "verify_wang_massey",
+                 "verify_plcp_count", "verify_plcp_equivalence", "verify_rueppel",
+                 "verify_height", "verify_lcsum"):
+        monkeypatch.setattr(verify_mod, name, no_work)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: must be at least 1" in err
+
+
+def test_verify_sizes_of_one_run(capsys):
+    code, out, _ = run(capsys, "verify", "bezout", "--max-n", "1", "--trials", "1")
+    assert code == 0 and out == "bezout: pass, 1 checks\n"
+
+
+def test_plcp_enum_negative_n_exit_2(capsys):
+    code, out, err = run(capsys, "plcp-enum", "--n", "-1")
+    assert code == 2 and out == "" and "n must be nonnegative" in err
+
+
 def test_verify_rueppel_guard_exit_4(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the rueppel suite started past the guard")

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcprof import engine
 from lcprof.engine import (
     Mat2,
     MPConfig,
@@ -22,6 +23,7 @@ from lcprof.engine import (
     mp_step,
     profile_steps,
     updating_matrix,
+    _GenericCore,
     _PackedCore,
 )
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
@@ -287,6 +289,116 @@ def test_bezout_check_rejects_a_tampered_nabla(s):
     core = states[-1]._core.copy()
     core.nabla += 1
     assert not bezout_check(MPState(s.domain, MPConfig(), core))
+
+
+# ------------------------------------------------- the derived second column
+
+def _lin_ref(p, c1, a, ashift, c2, b, bshift):
+    """c1 * x^ashift * a - c2 * x^bshift * b over F_p (ZZ for p = 0), canonical."""
+    out = [0] * max(ashift + len(a), bshift + len(b))
+    for i, v in enumerate(a):
+        out[ashift + i] += c1 * v
+    for i, v in enumerate(b):
+        out[bshift + i] -= c2 * v
+    if p:
+        out = [v % p for v in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+class TwoColumnCore:
+    """Reference engine that carries both columns of M through every step."""
+
+    def __init__(self, dom, eps=0, normalize=False):
+        self.dom, self.normalize = dom, normalize
+        eps = dom.normalize(eps)
+        self.s = []
+        self.rows = ([1], [], [eps] if eps else [], [dom.neg(1)])
+        self.e = self.dprime = 1
+
+    def clone(self):
+        new = TwoColumnCore.__new__(TwoColumnCore)
+        new.__dict__.update(self.__dict__, s=self.s[:])
+        return new
+
+    def step(self, t):
+        dom, p = self.dom, self.dom.p
+        self.s.append(t)
+        mu, part, mup, mup_part = self.rows
+        base = len(self.s) - len(mu)
+        delta = dom.normalize(sum(c * self.s[base + k] for k, c in enumerate(mu)))
+        e = self.e
+        if not dom.is_zero(delta):
+            ashift, bshift = max(e, 0), max(-e, 0)
+            new = [_lin_ref(p, self.dprime, a, ashift, delta, b, bshift)
+                   for a, b in ((mu, mup), (part, mup_part))]
+            factor = delta if e > 0 else self.dprime
+            if e > 0:
+                mup, mup_part, self.dprime, e = mu, part, delta, -e
+            if self.normalize:
+                inv = dom.inv(factor)
+                new = [[v * inv % p for v in row] for row in new]
+            self.rows = (*new, mup, mup_part)
+        self.e = e + 1
+        return delta
+
+
+def _walk_both(core, ref, q, depth):
+    """Every extension of up to depth terms: the cores must agree at each node."""
+    assert core.pairs() == ref.rows, (core.terms(), core.pairs(), ref.rows)
+    if depth:
+        for t in range(q):
+            child, rchild = core.copy(), ref.clone()
+            assert child.step(t) == rchild.step(t)
+            _walk_both(child, rchild, q, depth - 1)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_pairs_match_a_core_that_carries_both_columns(eps, normalize):
+    # every F_3 sequence of up to 7 terms, through copies that share memos
+    _walk_both(_GenericCore(F3, eps, normalize_each_step=normalize),
+               TwoColumnCore(F3, eps, normalize), 3, 7)
+
+
+@pytest.mark.parametrize("eps", [0, 2, -5])
+def test_pairs_match_the_two_column_core_over_zz(eps):
+    core, ref = _GenericCore(ZZ, eps), TwoColumnCore(ZZ, eps)
+    for t in [3, 1, 4, 1, 5, 9, 2, 6]:
+        assert core.step(t) == ref.step(t)
+        assert core.pairs() == ref.rows
+
+
+def test_generic_step_updates_one_row(monkeypatch):
+    assert not {"mu_part", "mup_part"} & set(_GenericCore.__slots__)
+    calls = []
+    real = _GenericCore._lin
+    monkeypatch.setattr(_GenericCore, "_lin",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    rng = random.Random(4)
+    core = _GenericCore(F5)
+    nonzero = sum(core.step(rng.randrange(5)) != 0 for _ in range(200))
+    assert len(calls) == nonzero > 50
+
+
+def test_pairs_derives_each_row_once(monkeypatch):
+    calls = []
+    real = engine.part_coeffs
+    monkeypatch.setattr(engine, "part_coeffs",
+                        lambda f, terms, p: calls.append(1) or real(f, terms, p))
+    core = _GenericCore(F5, 3)
+    nonzero = 0
+    for t in [0, 0, 2, 1, 0, 4, 3, 3, 0, 1, 2, 0, 0, 4]:
+        nonzero += core.step(t) != 0
+        assert core.pairs() == core.pairs()
+    # the first jump also derives the part of the constant row it displaces
+    assert len(calls) == nonzero + 1
+    child = core.copy()
+    assert child.pairs() == core.pairs() and len(calls) == nonzero + 1
+    child.step(1)
+    child.pairs()
+    assert len(calls) == nonzero + 1 + (child.deltas[-1] != 0)
 
 
 def test_monic_output_needs_field():

@@ -13,7 +13,9 @@ from lcprof.poly import (
     Poly,
     Seq,
     discrepancy,
+    _slot_bytes,
     gcd_coeffs,
+    part_coeffs,
     poly_divmod,
     poly_gcd,
     polynomial_part,
@@ -151,6 +153,45 @@ def test_polynomial_part_worked_row():
 
 def test_polynomial_part_zero_input():
     assert polynomial_part(Poly(GF2, ()), GF2.seq([1, 0])).is_zero
+
+
+def _part_by_oracle(dom, fc, terms):
+    prod = laurent_product(Poly(dom, fc), Seq(dom, terms))
+    return Poly(dom, [prod.get(e, 0) for e in range(len(fc) - 1)]).coeffs
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 65521, 2**31 - 1])
+def test_part_coeffs_matches_the_laurent_oracle(p):
+    # degrees up to 512 take every slot width: 1, 2, 4 and 8 bytes, and
+    # the per-coefficient sums past 8 (p = 2^31 - 1, d >= 4)
+    rng = random.Random(p)
+    dom = PrimeField(p)
+    for d in (0, 1, 2, 3, 4, 15, 16, 63, 64, 200, 512):
+        fc = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        for n in (d, d + 3, d // 2):  # a window past the terms reads zeros
+            terms = [rng.randrange(p) for _ in range(n)]
+            got = part_coeffs(fc, tuple(terms), p)
+            assert tuple(got) == _part_by_oracle(dom, fc, terms), (d, n)
+            assert part_coeffs(fc, terms, p) == got
+    # every coefficient p - 1: the slots reach their bound 512 * (p-1)^2
+    top = [p - 1] * 513
+    assert tuple(part_coeffs(top, top[1:], p)) == _part_by_oracle(dom, top, top[1:])
+    assert part_coeffs(top, [0] * 512, p) == []
+
+
+def test_part_coeffs_covers_every_slot_width():
+    widths = {_slot_bytes(p, d) for p in (2, 3, 251, 65521, 2**31 - 1)
+              for d in (1, 2, 3, 4, 15, 16, 63, 64, 200, 512)}
+    assert widths == {1, 2, 4, 8, None}  # None: too wide, summed per coefficient
+
+
+def test_part_coeffs_over_the_integers():
+    rng = random.Random(0)
+    for d in (0, 1, 2, 7, 40):
+        for n in (d, d + 2, d // 2):
+            fc = [rng.randrange(-50, 51) for _ in range(d)] + [rng.choice([-7, 3])]
+            terms = [rng.randrange(-50, 51) for _ in range(n)]
+            assert tuple(part_coeffs(fc, terms, 0)) == _part_by_oracle(ZZ, fc, terms)
 
 
 # ----------------------------------------------------------- discrepancy

@@ -1,5 +1,6 @@
 """Prefix-tree sweeps: per-node verdicts and counterexample order."""
 
+import random
 from itertools import product
 
 import pytest
@@ -138,3 +139,60 @@ def test_verify_rueppel_guard_is_exact(monkeypatch, past):
         verify_mod.verify_rueppel(**{**limit, **past})
     with pytest.raises(ResourceLimitError, match="column"):
         verify_mod.verify_rueppel(**{**limit, "r0_k": 17})
+
+
+# -------------------------------------------------------------- bezout
+
+@pytest.mark.parametrize("field", [3, 5])
+def test_verify_bezout_rechecks_a_nabla_changed_at_a_zero_step(monkeypatch, field):
+    # The suite skips a step that leaves mu, mu' and nabla as they were;
+    # a nabla raised at a zero-discrepancy step must still be caught there.
+    tampered = []
+
+    class TamperCore(verify_mod._GenericCore):
+        def step(self, sj):
+            delta = super().step(sj)
+            if delta == 0 and self.cur_lc() > 0 and not tampered:
+                self.nabla += 1
+                tampered.append(self.j)
+            return delta
+
+    monkeypatch.setattr(verify_mod, "_GenericCore", TamperCore)
+    result = verify_mod.verify_bezout(field=field, trials=50, max_n=32)
+    assert tampered and not result.ok
+    assert result.detail.endswith(f" step {tampered[0]}")
+
+
+def test_verify_bezout_rechecks_a_carried_part_changed_at_a_zero_step(monkeypatch):
+    # The packed F_2 core carries [mu] itself: a part flipped at a
+    # zero-discrepancy step, with mu, mu' and nabla unchanged, must fail there.
+    tampered = []
+
+    class TamperCore(verify_mod._PackedCore):
+        def step(self, sj):
+            delta = super().step(sj)
+            if delta == 0 and self.cur_lc() > 0 and not tampered:
+                self.mu_part ^= 1
+                tampered.append(self.j)
+            return delta
+
+    monkeypatch.setattr(verify_mod, "_PackedCore", TamperCore)
+    result = verify_mod.verify_bezout(field=2, trials=50, max_n=32)
+    assert tampered and not result.ok
+    assert result.detail.endswith(f" step {tampered[0]}")
+
+
+def test_verify_bezout_counts_the_steps_it_skips(monkeypatch):
+    calls = []
+    real = verify_mod._bezout_ok
+    monkeypatch.setattr(verify_mod, "_bezout_ok",
+                        lambda core: calls.append(core.j) or real(core))
+    result = verify_mod.verify_bezout(field=3, trials=40, max_n=24)
+    rng = random.Random(verify_mod.DEFAULT_SEED)
+    steps = 0
+    for _ in range(40):
+        n = rng.randrange(1, 25)
+        steps += n
+        [rng.randrange(3) for _ in range(n)]
+    assert result.ok and result.checked == steps
+    assert 0 < len(calls) < steps
