@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import gf2
 from .engine import MPConfig, _make_core, _PackedCore, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField, is_prime
@@ -119,11 +118,12 @@ class _WitnessTrail(NamedTuple):
     e: int           # e_j = j + 1 - 2 LC_j
     last_jump: int   # j - 1 for the last step j that jumped, -1 before any jump
     deltas: tuple    # delta_j, delta_{j-1}
-    rows: tuple      # mu as coefficient lists after steps j, j-1, j-2
+    rows: tuple      # mu after steps j, j-1, j-2, in the core's representation
 
 
-# step 0: every core starts from mu = 1 and e_0 = 1
-_WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), ([1],))
+# step 0: every core starts from mu = 1 and e_0 = 1; step 1 enters that row
+# into the trail as the core represents it (the list [1], or the packed 1)
+_WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), ())
 
 
 def _lin(c1, a, shift, c2, b, p) -> list[int]:
@@ -137,6 +137,11 @@ def _lin(c1, a, shift, c2, b, p) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _xor_lin(c1, a, shift, c2, b, p) -> int:
+    """_lin over F_2 on packed rows: c1, c2 are 0 or 1 and minus is XOR."""
+    return ((a << shift) if c1 else 0) ^ (b if c2 else 0)
 
 
 def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
@@ -156,6 +161,9 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
     is the first window of a, which is zero when deg a <= j - 2; when
     deg a = j - 1 and c1 != 0 the mu recursion asks for degree j > LC_j,
     so the mu comparison has failed already.  Comparing mu decides both.
+
+    The rows stay in the core's representation: coefficient lists on the
+    generic core, packed ints (shift and XOR) on the packed F_2 core.
     """
     lc = core.cur_lc()
     e = j + 1 - 2 * lc
@@ -176,9 +184,11 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
     # the pair recursion re-derives mu from the two-term recursions; the
     # base row is mu = x - delta_1*eps, over F_2 with a nonzero first term
     # the usual x + eps
-    row = gf2.to_coeffs(core.mu) if isinstance(core, _PackedCore) else core.mu
+    lin, one = (_xor_lin, 1) if isinstance(core, _PackedCore) else (_lin, [1])
+    row = core.mu
     if j == 1:
-        want = _lin(1, [1], 1, delta * eps, [1], p)
+        want = lin(1, one, 1, delta * eps, one, p)
+        trail = trail._replace(rows=(one,))
     elif not odd and delta == 0:
         want = trail.rows[0]  # nothing to absorb: the row carries over unscaled
     else:
@@ -186,7 +196,7 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
         # odd j: delta_{j-2} * x * row_{j-1} - delta_j * row_{j-3}
         c1, r2 = ((trail.deltas[1], trail.rows[2]) if odd
                   else (trail.deltas[0], trail.rows[1]))
-        want = _lin(c1, trail.rows[0], odd, delta, r2, p)
+        want = lin(c1, trail.rows[0], odd, delta, r2, p)
     if row != want:
         fails |= 32
     return _WitnessTrail(lc, e, last_jump, (delta, trail.deltas[0]),

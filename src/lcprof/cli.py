@@ -64,7 +64,7 @@ def parse_sequence(text: str, p: int) -> Seq:
         if not 0 <= v < p:
             raise SequenceParseError(f"value {v} outside [0, {p})")
         terms.append(v)
-    return Seq(dom, terms)
+    return Seq._canonical(dom, tuple(terms))  # every term checked in [0, p)
 
 
 def _input_sequences(args) -> list[Seq]:

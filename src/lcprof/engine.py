@@ -380,8 +380,13 @@ def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = F
 
 
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
-    """The core's rows mu, [mu], mu', [mu'] as Poly values."""
-    return [Poly(domain, c) for c in core.pairs()]
+    """The core's rows mu, [mu], mu', [mu'] as Poly values.
+
+    Both cores keep their rows canonical (reduced and trimmed: the seed,
+    every _lin or XOR update, the per-step scaling by a unit, part_coeffs
+    and the packed bits), so the Polys are built without renormalizing.
+    """
+    return [Poly._canonical(domain, c) for c in core.pairs()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,16 +515,17 @@ class ProfileReport:
 
     def to_json_dict(self) -> dict:
         m = self.final_matrix
+        rows = m.text_rows()  # each entry rendered once; mu and mu' reuse them
         return {
             "field": self.domain.p,
             "epsilon": self.epsilon,
             "lc": list(self.lc),
             "deltas": list(self.deltas),
             "exponents": list(self.exponents),
-            "mu": str(self.minpoly),
-            "mu_prime": str(m.c),
+            "mu": rows[0][0] if self.minpoly is m.a else str(self.minpoly),
+            "mu_prime": rows[1][0],
             "nabla": self.nabla,
-            "matrix": m.text_rows(),
+            "matrix": rows,
         }
 
     @classmethod
@@ -565,7 +571,7 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
         domain=domain,
         epsilon=domain.normalize(config.epsilon),
         lc=list(core.lc),
-        deltas=[domain.normalize(d) for d in core.deltas],
+        deltas=list(core.deltas),  # already reduced: acc % p, or 0/1 packed
         exponents=list(core.exps),
         minpoly=matrix.a.monic() if config.monic_output else matrix.a,
         final_matrix=matrix,
@@ -754,7 +760,7 @@ def brute_force_minpoly(s: Seq, guard: int = BRUTE_FORCE_GUARD) -> tuple[int, Po
                 f = low | (1 << d)
                 frev = int(bin(f)[2:][::-1], 2)
                 if gf2.mul(frev, S) & mask == 0:
-                    return d, Poly(dom, gf2.to_coeffs(f))
+                    return d, Poly._canonical(dom, gf2.to_coeffs(f))
     else:
         for d in range(1, n + 1):
             if q ** (d + 1) > guard:

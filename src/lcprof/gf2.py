@@ -10,6 +10,9 @@ path; the test suite cross-checks the two.
 
 from __future__ import annotations
 
+# bin() digits to coefficient bytes: b"0" -> 0, b"1" -> 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def mul(a: int, b: int) -> int:
     """Carry-less product."""
@@ -38,4 +41,9 @@ def gcd(a: int, b: int) -> int:
 
 
 def to_coeffs(a: int) -> list[int]:
-    return [(a >> k) & 1 for k in range(a.bit_length())]
+    """Ascending coefficient list of a packed polynomial; [] for 0.
+
+    One C-level pass: the binary digits, reversed, are translated to
+    bytes 0/1, and a list of bytes is a list of ints.
+    """
+    return list(bin(a)[:1:-1].encode().translate(_BITS)) if a else []

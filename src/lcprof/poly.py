@@ -138,6 +138,19 @@ class Poly:
         self.coeffs = tuple(_trim([domain.normalize(c) for c in coeffs]))
 
     @classmethod
+    def _canonical(cls, domain: CoeffDomain, coeffs: Iterable[int]) -> "Poly":
+        """A Poly over coefficients already canonical; no renormalizing.
+
+        The caller guarantees the invariant __init__ establishes: every
+        value is already reduced into the domain (domain.normalize(c) == c)
+        and the last one, if any, is nonzero.
+        """
+        f = cls.__new__(cls)
+        f.domain = domain
+        f.coeffs = tuple(coeffs)
+        return f
+
+    @classmethod
     def from_text(cls, domain: CoeffDomain, text: str) -> "Poly":
         return cls(domain, text_to_coeffs(text))
 
@@ -401,7 +414,9 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     rem = list(a.coeffs)
     quot = [0] * max(len(rem) - b.degree, 0)
     reduce_coeffs(rem, b.coeffs, a.domain.p, quot)
-    return Poly(a.domain, quot), Poly(a.domain, rem)
+    # both are reduced mod p and trimmed: rem by reduce_coeffs, and quot
+    # tops out at lead(a) / lead(b) != 0
+    return Poly._canonical(a.domain, quot), Poly._canonical(a.domain, rem)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -39,7 +39,7 @@ def rueppel_terms(n: int) -> Seq:
 
 
 def _poly(r: int) -> Poly:
-    return Poly(GF2, gf2.to_coeffs(r))
+    return Poly._canonical(GF2, gf2.to_coeffs(r))
 
 
 class GammaTable:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcprof.analysis import (
+    WITNESSES,
     _WITNESS_START,
     _walk_prefixes,
     _witness_step,
+    analysis_report,
     cf_partial_quotients,
     char_equivalence,
     deltas_to_sequence,
@@ -163,6 +165,37 @@ def test_recursion_witness_matches_the_reference_on_random_inputs(q):
         eps = rng.randrange(q)
         want = _recursion_failures(s, eps)
         assert plcp_witnesses(s, epsilon=eps).details.get("recursion", []) == want
+
+
+def _generic_witness_failures(s, eps):
+    """The failure lists of plcp_witnesses, folded over the generic core."""
+    core = _make_core(s.domain, MPConfig(epsilon=eps), force_generic=True)
+    trail, out = _WITNESS_START, {}
+    for j, t in enumerate(s.terms, start=1):
+        trail, bits = _witness_step(trail, j, core, core.step(t), eps, s.domain.p)
+        for i, name in enumerate(WITNESSES):
+            if bits >> i & 1:
+                out.setdefault(name, []).append(j + 1 if name == "index" else j)
+    return out
+
+
+def test_packed_witness_matches_the_references_on_random_inputs():
+    # half the inputs are perfect-profile sequences with a few terms
+    # flipped, so the recursion holds for long runs before it fails
+    rng = random.Random(512)
+    for k in range(200):
+        n, eps = rng.randrange(1, 513), rng.randrange(2)
+        if k % 2:
+            deltas = [1 if j % 2 else rng.randrange(2) for j in range(1, n + 1)]
+            terms = list(deltas_to_sequence(GF2, deltas, eps).terms)
+            for _ in range(rng.randrange(3)):
+                terms[rng.randrange(n)] ^= 1
+        else:
+            terms = [rng.randrange(2) for _ in range(n)]
+        s = Seq(GF2, terms)
+        failures = analysis_report(s, eps)["witnesses"]["failures"]
+        assert failures == _generic_witness_failures(s, eps)
+        assert failures.get("recursion", []) == _recursion_failures(s, eps)
 
 
 # ---------------------------------------------------------------- stable

@@ -401,6 +401,88 @@ def test_pairs_derives_each_row_once(monkeypatch):
     assert len(calls) == nonzero + 1 + (child.deltas[-1] != 0)
 
 
+# ------------------------------------------------ canonical Poly rows
+
+def _walk_poly_rows(dom, core, depth):
+    """Every extension of up to depth terms: _poly_rows equals renormalized rows."""
+    rows = engine._poly_rows(dom, core)
+    assert rows == [Poly(dom, c) for c in core.pairs()], core.terms()
+    if depth:
+        for t in range(dom.p):
+            child = core.copy()
+            child.step(t)
+            _walk_poly_rows(dom, child, depth - 1)
+
+
+@pytest.mark.parametrize("q, generic", [(2, False), (2, True), (3, True)])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_poly_rows_need_no_renormalizing(q, generic, normalize, eps):
+    # every F_2 and F_3 sequence of up to 7 terms, at every step
+    dom = PrimeField(q)
+    config = MPConfig(epsilon=eps, normalize_each_step=normalize)
+    core = engine._make_core(dom, config, force_generic=generic)
+    assert isinstance(core, _PackedCore) == (not generic and not normalize)
+    _walk_poly_rows(dom, core, 7)
+
+
+@pytest.mark.parametrize("eps", [0, 2, -5])
+def test_poly_rows_need_no_renormalizing_over_zz(eps):
+    core = _GenericCore(ZZ, eps)
+    for t in [3, 1, 4, 1, 5, 9, 2, 6]:
+        core.step(t)
+        assert engine._poly_rows(ZZ, core) == [Poly(ZZ, c) for c in core.pairs()]
+
+
+@pytest.mark.parametrize("q", [2, 3, 65521, 0])
+def test_run_reports_reduced_deltas(q):
+    dom = PrimeField(q) if q else ZZ
+    rng = random.Random(q)
+    for _ in range(20):
+        # over ZZ the coefficients grow with each jump: keep the inputs short
+        terms = [rng.randrange(q or 50) for _ in range(rng.randrange(1, 40 if q else 9))]
+        core = engine._make_core(dom, MPConfig())
+        want = [dom.normalize(core.step(t)) for t in terms]
+        _, rep = mp_run(Seq(dom, terms))
+        assert rep.deltas == want
+
+
+def _fresh_json_dict(rep):
+    """to_json_dict written out with a fresh str() of every Poly."""
+    m = rep.final_matrix
+    return {
+        "field": rep.domain.p,
+        "epsilon": rep.epsilon,
+        "lc": list(rep.lc),
+        "deltas": list(rep.deltas),
+        "exponents": list(rep.exponents),
+        "mu": str(rep.minpoly),
+        "mu_prime": str(m.c),
+        "nabla": rep.nabla,
+        "matrix": [[str(m.a), str(m.b)], [str(m.c), str(m.d)]],
+    }
+
+
+@pytest.mark.parametrize("monic", [False, True])
+def test_json_dict_matches_fresh_renders(monic):
+    # mu = 2x^4+x^3+x^2+x over F_3 is not monic, so monic output is a new Poly
+    s = Seq(F3, [0, 2, 1, 2, 2, 2, 0, 1])
+    _, rep = mp_run(s, MPConfig(epsilon=1, monic_output=monic))
+    assert rep.final_matrix.a.leading == 2
+    assert (rep.minpoly is rep.final_matrix.a) == (not monic)
+    data = rep.to_json_dict()
+    assert data == _fresh_json_dict(rep)
+    assert data["mu"] == ("x^4+2x^3+2x^2+2x" if monic else "2x^4+x^3+x^2+x")
+    rng = random.Random(8)
+    for q in (2, 3, 5, 65521):
+        dom = PrimeField(q)
+        for _ in range(10):
+            s = Seq(dom, [rng.randrange(q) for _ in range(rng.randrange(0, 60))])
+            config = MPConfig(epsilon=rng.randrange(q), monic_output=monic)
+            _, rep = mp_run(s, config)
+            assert rep.to_json_dict() == _fresh_json_dict(rep)
+
+
 def test_monic_output_needs_field():
     with pytest.raises(UnsupportedDomainError):
         mp_run(ZZ.seq([1, 2]), MPConfig(monic_output=True))

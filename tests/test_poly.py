@@ -382,3 +382,42 @@ def test_seq_semantics():
 
 def test_seq_normalizes_on_entry():
     assert F3.seq([4, -1]).terms == (1, 2)
+
+
+# ------------------------------------------------ canonical construction
+
+def test_canonical_poly_equals_the_normalizing_constructor():
+    f = Poly._canonical(F5, [4, 0, 3])
+    assert f == Poly(F5, [4, 0, 3]) and type(f.coeffs) is tuple
+    assert hash(f) == hash(Poly(F5, [4, 0, 3]))
+    assert Poly._canonical(F5, []) == Poly(F5, ()) and Poly._canonical(F5, []).is_zero
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521])
+def test_divmod_results_are_canonical(p):
+    rng = random.Random(p)
+    dom = PrimeField(p)
+    for _ in range(500):
+        a = Poly(dom, [rng.randrange(p) for _ in range(rng.randrange(0, 14))])
+        lead = 1 + rng.randrange(p - 1)
+        b = Poly(dom, [rng.randrange(p) for _ in range(rng.randrange(0, 9))] + [lead])
+        q, r = poly_divmod(a, b)
+        # equal to the renormalized, re-tupled coefficients: reduced and trimmed
+        assert q == Poly(dom, q.coeffs) and r == Poly(dom, r.coeffs)
+        assert q * b + r == a and (r.is_zero or r.degree < b.degree)
+
+
+def _to_coeffs_by_bits(a):
+    return [(a >> k) & 1 for k in range(a.bit_length())]
+
+
+def test_gf2_to_coeffs_matches_the_bit_loop():
+    assert gf2.to_coeffs(0) == []
+    for a in range(1 << 12):
+        assert gf2.to_coeffs(a) == _to_coeffs_by_bits(a)
+    rng = random.Random(16)
+    for _ in range(8):
+        a = rng.getrandbits(1 << 16) | 1 << ((1 << 16) - 1)
+        got = gf2.to_coeffs(a)
+        assert got == _to_coeffs_by_bits(a) and len(got) == 1 << 16
+        assert all(type(c) is int for c in got[:64])
