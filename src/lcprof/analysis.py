@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import MPConfig, _make_core, _PackedCore, mp_run
+from .engine import MPConfig, _exponents, _make_core, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField, is_prime
 from .poly import Poly, Seq, poly_divmod
@@ -24,16 +24,16 @@ def _require_binary(s: Seq, what: str) -> None:
         raise UnsupportedDomainError(f"{what} is defined for binary sequences only")
 
 
-def _log(s: Seq) -> tuple[list[int], list[int]]:
-    """LC_1..LC_n and the exponents e_0..e_n of one engine run."""
+def _log(s: Seq) -> list[int]:
+    """LC_1..LC_n of one engine run."""
     core = _make_core(s.domain, MPConfig())
     for t in s.terms:
         core.step(t)
-    return core.lc, core.exps
+    return core.lc
 
 
-# Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] (or
-# the exponents) of one run, so one run serves every analysis.
+# Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] of
+# one run, so one run serves every analysis.
 
 def _halves(n: int) -> list[int]:
     return [(j + 1) // 2 for j in range(1, n + 1)]
@@ -121,31 +121,14 @@ class _WitnessTrail(NamedTuple):
     rows: tuple      # mu after steps j, j-1, j-2, in the core's representation
 
 
-# step 0: every core starts from mu = 1 and e_0 = 1; step 1 enters that row
-# into the trail as the core represents it (the list [1], or the packed 1)
+# step 0: LC_0 = 0, e_0 = 1 and delta_0 = 1 on every core; the rows stay
+# empty until step 1 enters the core's own unit row (core.unit: the list
+# [1], or the packed 1), which is its seed mu
 _WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), ())
 
 
-def _lin(c1, a, shift, c2, b, p) -> list[int]:
-    """c1 * x^shift * a - c2 * b over F_p (the integers for p = 0), canonical."""
-    out = [0] * shift + [c1 * v for v in a]
-    out.extend([0] * (len(b) - len(out)))
-    for i, v in enumerate(b):
-        out[i] -= c2 * v
-    if p:
-        out = [v % p for v in out]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _xor_lin(c1, a, shift, c2, b, p) -> int:
-    """_lin over F_2 on packed rows: c1, c2 are 0 or 1 and minus is XOR."""
-    return ((a << shift) if c1 else 0) ^ (b if c2 else 0)
-
-
-def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
-                  p: int) -> tuple[_WitnessTrail, int]:
+def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
+                  eps: int) -> tuple[_WitnessTrail, int]:
     """Fold step j (core has just consumed term j, giving delta) into the trail.
 
     Also returns the conditions that fail at step j as a bit mask: bit i
@@ -162,11 +145,11 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
     deg a = j - 1 and c1 != 0 the mu recursion asks for degree j > LC_j,
     so the mu comparison has failed already.  Comparing mu decides both.
 
-    The rows stay in the core's representation: coefficient lists on the
-    generic core, packed ints (shift and XOR) on the packed F_2 core.
+    The rows stay in the core's representation and are combined with
+    the core's own _lin: coefficient lists on the generic core, packed
+    ints (shift and XOR) on the packed F_2 core.
     """
-    lc = core.cur_lc()
-    e = j + 1 - 2 * lc
+    lc, e = core.cur_lc(), core.e
     odd = j & 1
     fails = 0
     if lc != (j + 1) // 2:
@@ -184,10 +167,9 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
     # the pair recursion re-derives mu from the two-term recursions; the
     # base row is mu = x - delta_1*eps, over F_2 with a nonzero first term
     # the usual x + eps
-    lin, one = (_xor_lin, 1) if isinstance(core, _PackedCore) else (_lin, [1])
-    row = core.mu
+    one, row = core.unit, core.mu
     if j == 1:
-        want = lin(1, one, 1, delta * eps, one, p)
+        want = core._lin(1, one, 1, delta * eps, one, 0)
         trail = trail._replace(rows=(one,))
     elif not odd and delta == 0:
         want = trail.rows[0]  # nothing to absorb: the row carries over unscaled
@@ -196,32 +178,32 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int, eps: int,
         # odd j: delta_{j-2} * x * row_{j-1} - delta_j * row_{j-3}
         c1, r2 = ((trail.deltas[1], trail.rows[2]) if odd
                   else (trail.deltas[0], trail.rows[1]))
-        want = lin(c1, trail.rows[0], odd, delta, r2, p)
+        want = core._lin(c1, trail.rows[0], odd, delta, r2, 0)
     if row != want:
         fails |= 32
     return _WitnessTrail(lc, e, last_jump, (delta, trail.deltas[0]),
                          (row,) + trail.rows[:2]), fails
 
 
-def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int], list[int]]:
-    """The six witnesses, LC_1..LC_n and e_0..e_n, from one engine run.
+def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int]]:
+    """The six witnesses and LC_1..LC_n from one engine run.
 
     The profile does not depend on epsilon (it only seeds the displaced
-    row), so the logs serve the epsilon-free analyses too.
+    row), so the log serves the epsilon-free analyses too.
     """
     dom = s.domain
     core = _make_core(dom, MPConfig(epsilon=epsilon))
-    eps, p = dom.normalize(epsilon), dom.p
+    eps = dom.normalize(epsilon)
     trail = _WITNESS_START
     fails: dict[str, list[int]] = {name: [] for name in WITNESSES}
     for j, t in enumerate(s.terms, start=1):
-        trail, bits = _witness_step(trail, j, core, core.step(t), eps, p)
+        trail, bits = _witness_step(trail, j, core, core.step(t), eps)
         for i, name in enumerate(WITNESSES):
             if bits >> i & 1:
                 fails[name].append(j + 1 if name == "index" else j)
     witness = PlcpWitness(*(not fails[name] for name in WITNESSES),
                           details={k: v for k, v in fails.items() if v})
-    return witness, core.lc, core.exps
+    return witness, core.lc
 
 
 def plcp_witnesses(s: Seq, epsilon: int = 0) -> PlcpWitness:
@@ -280,25 +262,26 @@ def sigma_poly(s: Seq, j: int, epsilon: int = 0) -> Poly:
 
 @dataclass
 class HeightReport:
-    """Maximum of the logged exponents e_0..e_n and where it occurs."""
+    """Maximum of the exponents e_0..e_n and where it occurs."""
 
     height: int
     argmax_j: int
     exponents: list[int]
 
 
-def _height(exps: list[int]) -> HeightReport:
+def _height(lc: list[int]) -> HeightReport:
+    exps = _exponents(lc)
     h = max(exps)
-    return HeightReport(height=h, argmax_j=exps.index(h), exponents=list(exps))
+    return HeightReport(height=h, argmax_j=exps.index(h), exponents=exps)
 
 
 def height(s: Seq) -> HeightReport:
-    """Sequence height: max over the logged exponents.
+    """Sequence height: max over the exponents e_0..e_n of one run.
 
     The seed exponent e_0 = 1 participates, so the height is always at
     least 1 and equals 1 exactly on perfect-profile sequences.
     """
-    return _height(_log(s)[1])
+    return _height(_log(s))
 
 
 def cf_partial_quotients(s: Seq) -> list[Poly]:
@@ -331,7 +314,7 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
 
 def lc_sum(s: Seq) -> tuple[int, int]:
     """(sum of LC_1..LC_n, the bound floor((n+1)^2 / 4))."""
-    return _lc_sum(_log(s)[0])
+    return _lc_sum(_log(s))
 
 
 def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
@@ -341,7 +324,7 @@ def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
     the LC sum attains its bound; (iii) profile never below
     floor((i+1)/2).
     """
-    return _char(_log(s)[0])
+    return _char(_log(s))
 
 
 def plcp_count(q: int, n: int) -> int:
@@ -433,13 +416,13 @@ def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
 
 def analysis_report(s: Seq, epsilon: int = 0) -> dict:
     """One-stop JSON-ready summary of the profile analyses (one engine run)."""
-    wit, lc, exps = _witness_run(s, epsilon)
+    wit, lc = _witness_run(s, epsilon)
     sigma, bound = _lc_sum(lc)
     return {
         "plcp": _perfect(lc),
         "witnesses": wit.as_dict(),
         "stable": is_stable(s) if s.domain.p == 2 else None,
-        "height": _height(exps).height,
+        "height": _height(lc).height,
         "lc_sum": sigma,
         "lc_sum_bound": bound,
         "char_equivalence": list(_char(lc)),

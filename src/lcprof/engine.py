@@ -11,8 +11,9 @@ delta' recorded at the last jump, and the running product nabla of jump
 discrepancies.  One step computes the new discrepancy delta and, when it
 is nonzero, replaces the top row by a cross-combination of the two rows;
 the recursion is division-free, so it runs unchanged over the integers.
-The shift p_shift (steps since the last jump) is not kept in the loop;
-MPState derives it from the step log.
+A core logs LC_j and delta_j at each step; the exponents e_0..e_n are
+derived from the LC log (_exponents), and MPState reads the shift
+p_shift (steps since the last jump) off it: LC rises exactly at a jump.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
@@ -171,9 +172,11 @@ class _GenericCore:
         "nabla",
         "lc",
         "deltas",
-        "exps",
         "parts",
     )
+
+    unit = [1]  # the row 1, shared: a row is never edited once made
+    row_text = staticmethod(coeffs_to_text)
 
     def __init__(self, domain: CoeffDomain, epsilon: int = 0, *,
                  normalize_each_step: bool = False, keep_log: bool = True):
@@ -193,7 +196,6 @@ class _GenericCore:
         self.nabla = 1
         self.lc: list[int] = []
         self.deltas: list[int] = []
-        self.exps: list[int] = [1]
         self.parts = ()  # (row, [row]) pairs derived so far, at most two
 
     def _lin(self, c1, a, ashift, c2, b, bshift):
@@ -244,7 +246,6 @@ class _GenericCore:
         if self.keep_log:
             self.deltas.append(delta)
             self.lc.append(len(self.mu) - 1)
-            self.exps.append(j + 1 - 2 * (len(self.mu) - 1))
         return delta
 
     def cur_lc(self) -> int:
@@ -283,8 +284,7 @@ class _GenericCore:
         # a step replaces the rows but never edits them, so the copy shares
         # them and their derived parts; the consumed prefix and the logs
         # grow in place
-        new.s, new.lc = self.s[:], self.lc[:]
-        new.deltas, new.exps = self.deltas[:], self.exps[:]
+        new.s, new.lc, new.deltas = self.s[:], self.lc[:], self.deltas[:]
         return new
 
 
@@ -302,11 +302,11 @@ class _PackedCore:
         "e",
         "lc",
         "deltas",
-        "exps",
     )
 
     dprime = 1
     nabla = 1
+    unit = 1
 
     def __init__(self, epsilon: int = 0, *, keep_log: bool = True):
         self.keep_log = keep_log
@@ -319,7 +319,6 @@ class _PackedCore:
         self.e = 1
         self.lc: list[int] = []
         self.deltas: list[int] = []
-        self.exps: list[int] = [1]
 
     def step(self, sj: int) -> int:
         self.j = j = self.j + 1
@@ -344,8 +343,15 @@ class _PackedCore:
         if self.keep_log:
             self.deltas.append(delta)
             self.lc.append(self.mu.bit_length() - 1)
-            self.exps.append(j + 1 - 2 * (self.mu.bit_length() - 1))
         return delta
+
+    def _lin(self, c1, a, ashift, c2, b, bshift):
+        # _GenericCore._lin on packed rows: c1, c2 are 0 or 1, minus is XOR
+        return ((a << ashift) if c1 else 0) ^ ((b << bshift) if c2 else 0)
+
+    @staticmethod
+    def row_text(row: int) -> str:
+        return coeffs_to_text(gf2.to_coeffs(row))
 
     def cur_lc(self) -> int:
         return self.mu.bit_length() - 1
@@ -358,18 +364,20 @@ class _PackedCore:
         return [gf2.to_coeffs(r) for r in self.packed_rows()]
 
     def terms(self) -> tuple[int, ...]:
-        return tuple((self.S >> i) & 1 for i in range(self.j))
+        S = self.S
+        return tuple(gf2.to_coeffs(S) + [0] * (self.j - S.bit_length()))
 
     def copy(self) -> "_PackedCore":
         new = object.__new__(type(self))
         for name in _PackedCore.__slots__:
             setattr(new, name, getattr(self, name))
-        new.lc, new.deltas, new.exps = self.lc[:], self.deltas[:], self.exps[:]
+        new.lc, new.deltas = self.lc[:], self.deltas[:]
         return new
 
 
 def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = False):
-    if domain.p == 2 and not force_generic and not config.normalize_each_step:
+    # over F_2 the only unit is 1, so normalize_each_step changes nothing
+    if domain.p == 2 and not force_generic:
         return _PackedCore(domain.normalize(config.epsilon), keep_log=config.keep_log)
     return _GenericCore(
         domain,
@@ -389,13 +397,18 @@ def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
     return [Poly._canonical(domain, c) for c in core.pairs()]
 
 
+def _exponents(lc: list[int]) -> list[int]:
+    """e_0..e_n from the log LC_1..LC_n: e_j = j + 1 - 2*LC_j, and e_0 = 1."""
+    return [j + 1 - 2 * c for j, c in enumerate([0, *lc])]
+
+
 @dataclass(frozen=True, eq=False)
 class MPState:
     """Read-only engine state after j consumed terms.
 
     A view over a private core: the rows are converted on access, and
     p_shift (the steps since the last jump, counting the jump step
-    itself; j before any jump) is derived from the log.  mp_step steps
+    itself; j before any jump) is read off the LC log.  mp_step steps
     a copy of the core, so a state never changes once made.
     """
 
@@ -444,7 +457,7 @@ class MPState:
     @property
     def log(self) -> tuple[StepRecord, ...]:
         core = self._core
-        exps = core.exps
+        exps = _exponents(core.lc)
         return tuple(
             StepRecord(j, delta, exps[j - 1], lc, bool(delta) and exps[j - 1] > 0)
             for j, (delta, lc) in enumerate(zip(core.deltas, core.lc), start=1)
@@ -452,9 +465,12 @@ class MPState:
 
     @property
     def p_shift(self) -> int:
-        for record in reversed(self.log):
-            if record.jumped:
-                return self.j - record.j + 1
+        # a jump raises deg mu by e > 0 and no other step changes it, so
+        # the last rise of LC is the last jump (step i + 1 for LC at index i)
+        lc = self._core.lc
+        for i in range(len(lc) - 1, -1, -1):
+            if lc[i] > (lc[i - 1] if i else 0):
+                return self.j - i
         return self.j
 
     @property
@@ -489,7 +505,8 @@ class ProfileReport:
     """Per-step linear-complexity profile plus the terminal artifacts.
 
     lc, deltas cover steps 1..n; exponents covers 0..n (the seed
-    exponent 1 first).  With keep_log off the three lists are empty.
+    exponent 1 first).  With keep_log off lc and deltas are empty and
+    exponents is [1].
     """
 
     domain: CoeffDomain
@@ -572,7 +589,7 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
         epsilon=domain.normalize(config.epsilon),
         lc=list(core.lc),
         deltas=list(core.deltas),  # already reduced: acc % p, or 0/1 packed
-        exponents=list(core.exps),
+        exponents=_exponents(core.lc),
         minpoly=matrix.a.monic() if config.monic_output else matrix.a,
         final_matrix=matrix,
         nabla=domain.normalize(core.nabla),
@@ -595,8 +612,8 @@ def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
     core = _make_core(domain, config)
     rows = []
     for delta in _each_step(core, s):
-        j, lc = core.j, core.cur_lc()
-        rows.append(ProfileRow(j, delta, j + 1 - 2 * lc, lc, *_poly_rows(domain, core)))
+        rows.append(ProfileRow(core.j, delta, core.e, core.cur_lc(),
+                               *_poly_rows(domain, core)))
     return rows
 
 
@@ -610,11 +627,7 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     unchanged polynomial share one str.
     """
     core = _make_core(s.domain, config)
-    if isinstance(core, _PackedCore):
-        def text(row):
-            return coeffs_to_text(gf2.to_coeffs(row))
-    else:
-        text = coeffs_to_text
+    text = core.row_text
     out = []
     mu = mup = None
     mu_text = mup_text = ""
@@ -625,8 +638,7 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
             mup, mup_text = new_mup, mu_text if new_mup == mu else text(new_mup)
         if new_mu != mu:
             mu, mu_text = new_mu, text(new_mu)
-        j = core.j
-        out.append((j, delta, j + 1 - 2 * core.cur_lc(), mu_text, mup_text))
+        out.append((core.j, delta, core.e, mu_text, mup_text))
     return out
 
 

@@ -40,6 +40,7 @@ from .engine import (
     _GenericCore,
     _PackedCore,
     _bezout_ok,
+    _exponents,
     annihilates,
     brute_force_minpoly,
     mp_run,
@@ -161,7 +162,7 @@ def _profile_step(st: _Profile, core, delta: int, j: int) -> _Profile:
     half = (j + 1) // 2
     return _Profile(st.perfect and lc == half, st.below and lc <= half,
                     st.above and lc >= half, st.lc_sum + lc,
-                    max(st.height, j + 1 - 2 * lc))
+                    max(st.height, core.e))
 
 
 def _char_verdicts(st: _Profile, n: int) -> tuple[bool, bool, bool]:
@@ -293,7 +294,7 @@ _EQUIV_START = _Equiv(_PROFILE_START, _WITNESS_START, 0)
 
 
 def _equiv_step(st: _Equiv, core, delta: int, j: int) -> _Equiv:
-    trail, fails = _witness_step(st.trail, j, core, delta, 0, 2)
+    trail, fails = _witness_step(st.trail, j, core, delta, 0)
     return _Equiv(_profile_step(st.profile, core, delta, j), trail,
                   st.failed | fails)
 
@@ -366,12 +367,13 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
             repeat[j - 1] = cur[:2] == prev[:2]
         prev = cur
     checked = 0
+    exps = _exponents(core.lc)
     for j in range(1, profile_n + 1):
         checked += 1
         if core.lc[j - 1] != (j + 1) // 2:
             return _fail("rueppel", checked, f"LC_{j} = {core.lc[j - 1]}")
-        if core.exps[j] not in (0, 1):
-            return _fail("rueppel", checked, f"e_{j} = {core.exps[j]}")
+        if exps[j] not in (0, 1):
+            return _fail("rueppel", checked, f"e_{j} = {exps[j]}")
     for n in range(2, matrix_n + 1):
         checked += 1
         if not pattern[n]:

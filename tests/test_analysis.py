@@ -147,7 +147,7 @@ def test_recursion_witness_matches_the_two_column_reference(q, n, eps, generic):
     core = _make_core(dom, MPConfig(epsilon=eps), force_generic=generic)
     def fold(state, core, delta, j):
         trail, ref = state
-        trail, bits = _witness_step(trail, j, core, delta, eps, q)
+        trail, bits = _witness_step(trail, j, core, delta, eps)
         ref, failed = _ref_recursion_step(ref, j, core, delta, eps, q)
         assert bool(bits & 32) == any(failed), (core.terms(), j)
         return trail, ref
@@ -172,7 +172,7 @@ def _generic_witness_failures(s, eps):
     core = _make_core(s.domain, MPConfig(epsilon=eps), force_generic=True)
     trail, out = _WITNESS_START, {}
     for j, t in enumerate(s.terms, start=1):
-        trail, bits = _witness_step(trail, j, core, core.step(t), eps, s.domain.p)
+        trail, bits = _witness_step(trail, j, core, core.step(t), eps)
         for i, name in enumerate(WITNESSES):
             if bits >> i & 1:
                 out.setdefault(name, []).append(j + 1 if name == "index" else j)

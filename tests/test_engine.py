@@ -137,6 +137,13 @@ def test_keep_log_off():
     assert str(rep.minpoly) == "x^3+x^2+1"
 
 
+@pytest.mark.parametrize("s", [R6, Seq(F3, [1, 2, 0, 2, 1]), ZZ.seq([3, 1, 4])])
+def test_keep_log_off_keeps_only_the_seed_exponent(s):
+    _, rep = mp_run(s, MPConfig(keep_log=False))
+    assert (rep.lc, rep.deltas, rep.exponents) == ([], [], [1])
+    assert rep.jumps == [] and rep.jump_exponents == []
+
+
 # ------------------------------------------------------ updating matrix
 
 def test_updating_matrix_examples():
@@ -422,7 +429,7 @@ def test_poly_rows_need_no_renormalizing(q, generic, normalize, eps):
     dom = PrimeField(q)
     config = MPConfig(epsilon=eps, normalize_each_step=normalize)
     core = engine._make_core(dom, config, force_generic=generic)
-    assert isinstance(core, _PackedCore) == (not generic and not normalize)
+    assert isinstance(core, _PackedCore) == (not generic)
     _walk_poly_rows(dom, core, 7)
 
 
@@ -532,6 +539,18 @@ def test_normalized_mode_agrees_up_to_scalar():
             assert annihilates(b, s)
 
 
+def test_normalizing_each_step_changes_nothing_over_f2():
+    # the only unit of F_2 is 1, so both modes run on the packed core
+    rng = random.Random(21)
+    for _ in range(60):
+        s = GF2.seq([rng.randrange(2) for _ in range(rng.randrange(0, 64))])
+        for eps in (0, 1):
+            plain = mp_run(s, MPConfig(epsilon=eps))
+            config = MPConfig(epsilon=eps, normalize_each_step=True)
+            assert mp_run(s, config) == plain
+            assert mp_run(s, config, force_generic=True) == plain
+
+
 def test_run_equals_folded_steps():
     rng = random.Random(8)
     for q in (2, 3):
@@ -545,6 +564,78 @@ def test_run_equals_folded_steps():
             assert [r.delta for r in final.log] == rep.deltas
             assert [r.lc for r in final.log] == rep.lc
             assert final.nabla == rep.nabla
+
+
+@pytest.mark.parametrize("dom, generic", [
+    (GF2, False), (GF2, True), (F3, True), (F5, True), (PrimeField(65521), True),
+    (ZZ, True),
+])
+def test_live_exponent_follows_the_profile(dom, generic):
+    # 3,000 runs in all: after every step core.e = j + 1 - 2*LC_j, and
+    # the exponents derived from the LC log are the live ones in order
+    rng = random.Random(dom.p + generic)
+    # over ZZ the coefficients grow with each jump: keep the inputs short
+    top, longest = (dom.p, 40) if dom.p else (10, 12)
+    for _ in range(500):
+        core = engine._make_core(dom, MPConfig(epsilon=rng.randrange(3)),
+                                 force_generic=generic)
+        live = [core.e]
+        for j in range(1, rng.randrange(2, longest)):
+            core.step(rng.randrange(top) if rng.random() < 0.7 else 0)
+            assert core.e == j + 1 - 2 * core.cur_lc()
+            live.append(core.e)
+        assert engine._exponents(core.lc) == live
+
+
+def _p_shift_from_log(state):
+    """p_shift by its definition: the steps since the last jump record."""
+    for record in reversed(state.log):
+        if record.jumped:
+            return state.j - record.j + 1
+    return state.j
+
+
+def _walk_states(state, depth):
+    yield state
+    if depth:
+        for t in range(state.domain.p):
+            yield from _walk_states(mp_step(state, t), depth - 1)
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_p_shift_matches_the_log_at_every_f2_node(eps):
+    nodes = 0
+    for state in _walk_states(mp_init(GF2, MPConfig(epsilon=eps)), 10):
+        assert state.p_shift == _p_shift_from_log(state), state.consumed
+        nodes += 1
+    assert nodes == 2**11 - 1
+
+
+@pytest.mark.parametrize("dom", [F3, PrimeField(65521), ZZ])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_p_shift_matches_the_log_on_random_chains(dom, eps):
+    rng = random.Random(eps)
+    top, longest = (dom.p, 40) if dom.p else (10, 12)
+    for _ in range(20):
+        state = mp_init(dom, MPConfig(epsilon=eps))
+        for _ in range(rng.randrange(1, longest)):
+            # many zero terms give long stretches without a jump
+            state = mp_step(state, rng.randrange(top) if rng.random() < 0.5 else 0)
+            assert state.p_shift == _p_shift_from_log(state), state.consumed
+
+
+def test_packed_terms_match_the_bits_at_every_prefix():
+    rng = random.Random(13)
+    for n in (0, 1, 7, 64, 200):
+        # trailing zeros leave the packed prefix shorter than j bits
+        terms = [rng.randrange(2) for _ in range(n)] + [0] * rng.randrange(1, 6)
+        for lead in ([], [0, 0, 0]):
+            core = _PackedCore()
+            assert core.terms() == ()
+            for j, t in enumerate(lead + terms, start=1):
+                core.step(t)
+                want = tuple((core.S >> i) & 1 for i in range(j))
+                assert core.terms() == want == tuple(lead + terms)[:j]
 
 
 def test_profile_steps_snapshots():
