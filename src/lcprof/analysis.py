@@ -9,6 +9,7 @@ counting, and the bijection between sequences and discrepancy lists.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -327,13 +328,31 @@ def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
     return _char(_log(s))
 
 
+# The most decimal digits a count may have: CPython's default limit on
+# converting an int to text, so every count plcp_count returns prints.
+COUNT_DIGITS_GUARD = 4300
+
+
 def plcp_count(q: int, n: int) -> int:
-    """Closed-form number of perfect-profile sequences in F_q^n."""
+    """Closed-form number of perfect-profile sequences in F_q^n.
+
+    Raises ResourceLimitError when the count would have more than
+    COUNT_DIGITS_GUARD digits.  Its logarithm refuses a count far past
+    the guard before any power is built; near the edge the count itself
+    decides.
+    """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return (q - 1) ** ((n + 1) // 2) * q ** (n // 2)
+    odd, even = (n + 1) // 2, n // 2
+    if odd * math.log10(q - 1) + even * math.log10(q) < COUNT_DIGITS_GUARD + 1:
+        count = (q - 1) ** odd * q ** even
+        if count < 10**COUNT_DIGITS_GUARD:
+            return count
+    raise ResourceLimitError(
+        f"the count over F_{q} at n={n} has more than {COUNT_DIGITS_GUARD} "
+        "digits, past the count guard")
 
 
 ENUM_GUARD = 10**7

@@ -8,8 +8,8 @@ rejected rather than reduced.  --json swaps the table output for one
 JSON object per input sequence (per suite for verify).  Each subcommand
 takes only the flags it reads: all but rueppel and gamma take --field,
 and only profile, minpoly and plcp-check take --epsilon.  verify takes
-its defaults from verify.SUITES, and a single suite refuses a --field or
---trials it does not read.
+its defaults from verify.SUITES, and a single suite refuses a --max-n,
+--field or --trials it does not read.
 
 Exit codes: 0 success, 2 input/usage error, 3 verification or engine
 failure, 4 resource guard tripped.
@@ -229,7 +229,8 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     if name != "all":
         suite = suites[name]
-        unread = ("--field" if args.field != 2 and not suite.field else
+        unread = ("--max-n" if args.max_n is not None and suite.max_n is None else
+                  "--field" if args.field != 2 and not suite.field else
                   "--trials" if args.trials is not None and suite.trials is None else "")
         if unread:
             print(f"verify {name} does not read {unread}", file=sys.stderr)

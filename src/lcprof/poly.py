@@ -11,14 +11,17 @@ cases over an integral domain.
 A sequence s = (s_1, ..., s_n) is 1-indexed in all formulas; ``Seq``
 stores the terms in a plain tuple and ``s.term(j)`` does the 1-indexed
 lookup.  The generating Laurent series s_1 x^{-1} + ... + s_n x^{-n} is
-never materialized: its products with polynomials reduce to the indexed
-convolutions implemented by ``polynomial_part`` and ``discrepancy``.
+never materialized: its products with polynomials reduce to indexed
+convolutions.  ``part_coeffs``, the kernel behind ``polynomial_part``,
+computes the polynomial part, over F_p mostly as one Kronecker-substituted
+integer product; ``discrepancy`` computes a single coefficient.
 
 Text format (bit-exact, used by the CLI and JSON reports): terms in
 descending degree, "x^k" for k >= 2, "x" for degree 1, constants as
 integers, terms joined by "+" (a negative integer coefficient absorbs
-the separator, e.g. "x^2-3x"); the zero polynomial is "0".  JSON uses
-the ascending coefficient list instead.
+the separator, e.g. "x^2-3x"); the zero polynomial is "0".  JSON reports
+carry this text form too; ``Poly.json_coeffs`` gives the ascending
+coefficient list.
 """
 
 from __future__ import annotations

@@ -365,8 +365,8 @@ SUITE_CALLS = [
     (("height", "--max-n", "16", "--trials", "3"),
      lambda: verify_mod.verify_height(exhaustive_n=14, bound_trials=3,
                                       cf_trials=1)),
-    (("lcsum", "--max-n", "6", "--trials", "40"),
-     lambda: verify_mod.verify_lcsum(max_n=6, trials=40)),
+    (("lcsum", "--trials", "40"),
+     lambda: verify_mod.verify_lcsum(trials=40)),
 ]
 
 
@@ -377,11 +377,13 @@ def test_verify_flags_map_onto_the_suite(capsys, argv, direct):
     assert code == 0 and out == direct().line() + "\n"
 
 
+NO_MAX_N = ("lcsum",)
 NO_FIELD = ("wang-massey", "plcp-equiv", "rueppel", "height", "lcsum")
 NO_TRIALS = ("wang-massey", "plcp-count", "plcp-equiv", "rueppel")
 
 
-@pytest.mark.parametrize("suite, flag", [(s, ("--field", "3")) for s in NO_FIELD]
+@pytest.mark.parametrize("suite, flag", [(s, ("--max-n", "6")) for s in NO_MAX_N]
+                         + [(s, ("--field", "3")) for s in NO_FIELD]
                          + [(s, ("--trials", "5")) for s in NO_TRIALS],
                          ids=lambda x: x if isinstance(x, str) else x[0])
 def test_verify_suite_refuses_a_flag_it_does_not_read(capsys, monkeypatch,
@@ -406,7 +408,9 @@ def test_verify_all_applies_each_flag_where_it_is_read(capsys):
     assert len(lines) == 8
     for line in lines:
         suite = line.split(":")[0]
-        read = ["--max-n", "6"]
+        read = []
+        if suite not in NO_MAX_N:
+            read += ["--max-n", "6"]
         if suite not in NO_FIELD:
             read += ["--field", "3"]
         if suite not in NO_TRIALS:
@@ -437,6 +441,25 @@ def test_readme_command_lines_parse():
     parser = cli._build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
+
+
+def test_readme_verify_table_matches_the_registry():
+    # README's table of verify suites and verify.SUITES are both kept by
+    # hand; each row gives the default --max-n and --trials ("no" where the
+    # suite takes none) and whether the suite reads --field
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| suite | `--max-n` | `--trials` | `--field` |\n|---|---|---|---|\n"
+    assert readme.count(header) == 1
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    table = [[cell.strip().strip("`") for cell in row.strip("|").split("|")]
+             for row in rows]
+
+    def cell(value):
+        return "no" if value is None else str(value)
+
+    assert table == [[name, cell(suite.max_n), cell(suite.trials),
+                      "yes" if suite.field else "no"]
+                     for name, suite in verify_mod.SUITES.items()]
 
 
 def test_verify_unknown_suite(capsys):
@@ -480,7 +503,7 @@ def test_verify_all_counts(capsys, monkeypatch):
 
 
 def test_verify_json(capsys, monkeypatch):
-    argv = ("verify", "lcsum", "--max-n", "6", "--trials", "40")
+    argv = ("verify", "lcsum", "--trials", "40")
     _, text, _ = run(capsys, *argv)
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
@@ -548,7 +571,7 @@ def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep started past the guard")
 
-    monkeypatch.setattr(verify_mod, "_check_subtree", no_work)
+    monkeypatch.setattr(verify_mod, "_walk_prefixes", no_work)
     monkeypatch.setattr(verify_mod, "mp_run", no_work)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", suite, "--max-n", "40")
@@ -583,6 +606,35 @@ def test_verify_sizes_below_one_exit_2(capsys, monkeypatch, argv, flag):
 def test_verify_sizes_of_one_run(capsys):
     code, out, _ = run(capsys, "verify", "bezout", "--max-n", "1", "--trials", "1")
     assert code == 0 and out == "bezout: pass, 1 checks\n"
+
+
+# 2^14284 and 2^5526 * 3^5525 have 4300 digits; one more term passes the guard
+PLCP_COUNT_EDGE = [(2, 28569, 2**14284), (3, 11051, 2**5526 * 3**5525)]
+
+
+@pytest.mark.parametrize("field, n, count", PLCP_COUNT_EDGE,
+                         ids=["f2", "f3"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+def test_plcp_count_at_the_digit_guard(capsys, field, n, count, json_flag):
+    text = str(count)
+    assert len(text) == 4300
+    code, out, _ = run(capsys, "plcp-count", "--field", str(field), "--n", str(n),
+                       *json_flag)
+    assert code == 0
+    assert out == (f'{{"count": {text}}}\n' if json_flag else text + "\n")
+    code, out, err = run(capsys, "plcp-count", "--field", str(field),
+                         "--n", str(n + 1), *json_flag)
+    assert code == 4 and out == "" and "guard" in err
+
+
+@pytest.mark.parametrize("field", [2, 3, 65521])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+def test_plcp_count_far_past_the_guard_exits_at_once(capsys, field, json_flag):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "plcp-count", "--field", str(field),
+                         "--n", str(10**18), *json_flag)
+    assert code == 4 and out == "" and "guard" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_plcp_enum_negative_n_exit_2(capsys):

@@ -75,13 +75,121 @@ def test_tree_counterexample_matches_scan(monkeypatch):
     assert result.detail == "n=5 [1, 0, 0, 0, 0] plcp=False stable=True"
 
 
-def test_shard_merge():
-    least = verify_mod._least_failure
-    assert least([]) is None
-    assert least([None, None]) is None
-    found = [None, (5, 9, "b"), (3, 6, "a"), None, (3, 2, "c"), (7, 0, "d")]
-    assert least(found) == (3, 2, "c")
-    assert least(reversed(found)) == (3, 2, "c")
+def _raise_exponent_after(monkeypatch, prefix):
+    """Swap in a packed core that raises e by 2 after the given prefix."""
+    v = sum(t << i for i, t in enumerate(prefix))
+
+    class RaiseCore(verify_mod._PackedCore):
+        def step(self, sj):
+            delta = super().step(sj)
+            if (self.j, self.S) == (len(prefix), v):
+                self.e += 2
+            return delta
+
+    monkeypatch.setattr(verify_mod, "_PackedCore", RaiseCore)
+
+
+@pytest.mark.parametrize("prefix, checked, detail", [
+    ((1, 0, 1, 0), 15, "n=4 [1, 0, 1, 0]"),
+    ((1, 1, 0, 1, 0), 31, "n=5 [1, 1, 0, 1, 0]"),
+    ((0, 1), 541, ""),
+])
+def test_height_sweep_reports_a_raised_exponent(monkeypatch, prefix, checked,
+                                                detail):
+    # checked counts the power-of-two check, the tree nodes shorter than
+    # the failing one, and on a pass every node and trial
+    _raise_exponent_after(monkeypatch, prefix)
+    result = verify_mod.verify_height(rueppel_n=64, exhaustive_n=8,
+                                      bound_trials=20, cf_trials=5)
+    assert (result.ok, result.checked, result.detail) == (not detail, checked,
+                                                          detail)
+
+
+@pytest.mark.parametrize("prefix, checked, detail", [
+    ((0, 1), 7, "n=3 [0, 1, 1] sum 5 > 4"),
+    ((1, 0, 1, 1, 1), 31,
+     "n=5 [1, 0, 1, 1, 1] (True, True, False, True, True, True)"),
+    ((0, 0, 0, 1, 1), 127, "n=7 [0, 0, 0, 1, 1, 1, 0] sum 17 > 16"),
+    ((0, 0, 0, 0, 1), 511, ""),
+])
+def test_plcp_equiv_sweep_reports_a_raised_exponent(monkeypatch, prefix,
+                                                    checked, detail):
+    _raise_exponent_after(monkeypatch, prefix)
+    result = verify_mod.verify_plcp_equivalence(max_n=8)
+    assert (result.ok, result.checked, result.detail) == (not detail, checked,
+                                                          detail)
+
+
+# -------------------------------------------------------------- oracle
+
+def _one_degree_too_many(monkeypatch, q, pick):
+    """brute_force_minpoly reports one degree too many for one sequence over
+    F_q: the one whose terms are pick, or the pick-th it is called with."""
+    real = verify_mod.brute_force_minpoly
+    seen = []
+
+    def faulty(s):
+        d, f = real(s)
+        if s.domain.p == q:
+            seen.append(s.terms)
+            d += pick in (s.terms, len(seen))
+        return d, f
+
+    monkeypatch.setattr(verify_mod, "brute_force_minpoly", faulty)
+
+
+@pytest.mark.parametrize("q, pick, kwargs, checked, detail", [
+    (2, (0, 1, 1), dict(fields=(2,), exhaustive_n=6), 13, "F_2 [0, 1, 1]"),
+    (2, (1, 0, 1, 1, 0), dict(fields=(2, 3), exhaustive_n=6, trials=20, max_n=6),
+     44, "F_2 [1, 0, 1, 1, 0]"),
+    (3, 7, dict(fields=(3,), exhaustive_n=0, trials=40, max_n=6),
+     7, "F_3 [2, 1, 1, 0, 2]"),
+    (3, 7, dict(fields=(2, 3), exhaustive_n=4, trials=20, max_n=6),
+     37, "F_3 [2, 1, 1, 0, 2]"),
+    (5, 7, dict(fields=(2, 3, 5), exhaustive_n=4, trials=20, max_n=6),
+     57, "F_5 [2, 2, 0]"),
+], ids=["f2", "f2-before-f3", "f3", "f3-after-f2", "f5-after-f2-f3"])
+def test_oracle_reports_a_wrong_degree(monkeypatch, q, pick, kwargs, checked,
+                                       detail):
+    # the exhaustive F_2 sweep comes first, then the random sequences of
+    # each other field, all drawn from one seeded generator
+    _one_degree_too_many(monkeypatch, q, pick)
+    result = verify_mod.verify_oracle(**kwargs)
+    assert (result.ok, result.checked, result.detail) == (False, checked, detail)
+
+
+# -------------------------------------------------------------- height
+
+HEIGHT_SMALL = dict(rueppel_n=64, exhaustive_n=6, bound_trials=20, cf_trials=5)
+
+
+@pytest.mark.parametrize("k, checked, head", [
+    (1, 148, "cf degrees [2, 3, 1, 1, 4, 1, 4, 3, 2, 1, 4, 3, 2, 1] != jumps "
+             "[1, 2, 3, 1, 1, 4, 1, 4, 3, 2, 1, 4, 3, 2] F_2 [1, 1, 1, 0, 1,"),
+    (4, 151, "cf degrees [3, 1, 1, 1, 1, 1, 1, 1, 2, 3, 2, 1, 1, 1, 1, 1, 2, 1, "
+             "3, 1, 2, 1] != jumps [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 3, 2, 1, 1, 1, "
+             "1, 1, 2, 1, 3, 1, 2] F_3 [2, 1, 2, 1, 0,"),
+    (7, 154, "cf degrees [1, 1, 1, 1, 1, 1, 5, 2, 2, 1, 1, 4, 1, 1, 1, 5, 1, 1, "
+             "2] != jumps [1, 1, 1, 1, 1, 1, 1, 5, 2, 2, 1, 1, 4, 1, 1, 1, 5, 1, "
+             "1] F_2 [1, 1, 0, 1, 0,"),
+])
+def test_height_reports_a_dropped_quotient(monkeypatch, k, checked, head):
+    # the k-th continued fraction loses its first partial quotient; the
+    # failing sequence is one of the suite's 64-term random inputs
+    real = verify_mod.cf_partial_quotients
+    calls = []
+
+    def faulty(s):
+        calls.append(s)
+        quots = real(s)
+        return quots[1:] if len(calls) == k else quots
+
+    monkeypatch.setattr(verify_mod, "cf_partial_quotients", faulty)
+    result = verify_mod.verify_height(**HEIGHT_SMALL)
+    assert (result.ok, result.checked) == (False, checked)
+    assert result.detail.startswith(head)
+    terms = result.detail[result.detail.rindex("["):]
+    assert len(terms.split(",")) == 64
 
 
 # ------------------------------------------------------------- rueppel
