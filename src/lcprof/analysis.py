@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .engine import MPConfig, _exponents, _make_core, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
-from .fields import CoeffDomain, PrimeField, is_prime
+from .fields import CoeffDomain, PrimeField
 from .poly import Poly, Seq, poly_divmod
 
 
@@ -339,10 +339,10 @@ def plcp_count(q: int, n: int) -> int:
     Raises ResourceLimitError when the count would have more than
     COUNT_DIGITS_GUARD digits.  Its logarithm refuses a count far past
     the guard before any power is built; near the edge the count itself
-    decides.
+    decides.  Raises ValueError unless q is a prime below 2^31:
+    PrimeField checks that range before its trial division.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    PrimeField(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
     odd, even = (n + 1) // 2, n // 2
@@ -399,13 +399,11 @@ def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
     profile is prefix-closed, so the walk cuts a subtree as soon as its
     prefix leaves it.  The guard still bounds the q^n candidates.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    dom = PrimeField(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if q**n > guard:
         raise ResourceLimitError(f"{q}^{n} exceeds the enumeration guard")
-    dom = PrimeField(q)
     core = _make_core(dom, MPConfig(keep_log=False))
     for terms, _ in _walk_prefixes(core, q, n, _perfect_step, True):
         if len(terms) == n:

@@ -49,9 +49,9 @@ EXIT_RESOURCE = 4
 
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
 
-def parse_sequence(text: str, p: int) -> Seq:
-    """Strict parse: integer tokens in [0, p); no wrapping."""
-    dom = PrimeField(p)
+def parse_sequence(text: str, dom: PrimeField) -> Seq:
+    """Strict parse: integer tokens in [0, p) of the field dom; no wrapping."""
+    p = dom.p
     text = text.strip()
     if not text:
         return Seq(dom, ())
@@ -71,11 +71,14 @@ def _input_sequences(args) -> list[Seq]:
     if args.seq is not None and args.infile is not None:
         raise SequenceParseError("give either --seq or --in, not both")
     if args.seq is not None:
-        return [parse_sequence(args.seq, args.field)]
-    if args.infile is not None:
+        lines = [args.seq]
+    elif args.infile is not None:
         with open(args.infile, encoding="utf-8") as fh:
-            return [parse_sequence(line, args.field) for line in fh.read().splitlines()]
-    raise SequenceParseError("no sequence given (use --seq or --in)")
+            lines = fh.read().splitlines()
+    else:
+        raise SequenceParseError("no sequence given (use --seq or --in)")
+    dom = PrimeField(args.field)  # validated once: trial division up to sqrt(p)
+    return [parse_sequence(line, dom) for line in lines]
 
 
 def _emit(obj) -> None:

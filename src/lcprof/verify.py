@@ -1,10 +1,13 @@
 """Verification sweeps: executable checks of the structural identities.
 
-Each suite scans a slice of input space (exhaustive or seeded-random),
-stops at the first counterexample, and reports what it checked.  SUITES
-declares each suite once for the CLI's ``verify`` command: its default
-sizes, the flags it reads and how they map onto its parameters.  The
-acceptance tests call the suites with pinned parameters.
+Each suite scans a slice of input space (exhaustive or seeded-random)
+and yields (n, detail) pairs; the one driver, _suite, counts the n and
+stops at the first non-empty detail, the counterexample, reporting the
+checks up to it.  A detail is built only when its check fails; n = 0
+adds a condition to the check just counted.  SUITES declares each suite
+once for the CLI's ``verify`` command: its default sizes, the flags it
+reads and how they map onto its parameters.  The acceptance tests call
+the suites with pinned parameters.
 
 The exhaustive binary sweeps (wang-massey, plcp-equiv, height) share one
 function, _tree_sweep, which walks the prefix tree once: the engine is
@@ -18,6 +21,7 @@ with the sequences of the shorter checked lengths counted as checked.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -74,8 +78,19 @@ class VerifyResult:
         return f"{self.suite}: {status}, {self.checked} checks{tail}"
 
 
-def _fail(suite, checked, detail):
-    return VerifyResult(suite, False, checked, detail)
+def _suite(name: str):
+    """Run a generator of (n, detail) pairs as the suite called name."""
+    def driver(checks):
+        @functools.wraps(checks)
+        def run(*args, **kwargs) -> VerifyResult:
+            checked = 0
+            for n, detail in checks(*args, **kwargs):
+                checked += n
+                if detail:
+                    return VerifyResult(name, False, checked, detail)
+            return VerifyResult(name, True, checked)
+        return run
+    return driver
 
 
 def _bits_to_terms(value: int, n: int) -> tuple[int, ...]:
@@ -166,25 +181,24 @@ def _oracle_sequences(fields, exhaustive_n, trials, max_n, seed):
             yield Seq(dom, [rng.randrange(q) for _ in range(n)])
 
 
+@_suite("oracle")
 def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
                   trials: int = 500, max_n: int = 8,
                   seed: int = DEFAULT_SEED) -> VerifyResult:
     """Engine degree == brute-force least degree, and the output annihilates."""
     if 2 in fields:
         _guard_binary_sweep(exhaustive_n)
-    checked = 0
     for s in _oracle_sequences(fields, exhaustive_n, trials, max_n, seed):
         _, rep = mp_run(s)
         d, _ = brute_force_minpoly(s)
-        checked += 1
         deg = rep.minpoly.degree
-        if (int(deg) if deg >= 0 else 0) != d or not annihilates(rep.minpoly, s):
-            return _fail("oracle", checked, f"F_{s.domain.p} {list(s.terms)}")
-    return VerifyResult("oracle", True, checked)
+        ok = (int(deg) if deg >= 0 else 0) == d and annihilates(rep.minpoly, s)
+        yield 1, "" if ok else f"F_{s.domain.p} {list(s.terms)}"
 
 
 # ---------------------------------------------------------------- bezout
 
+@_suite("bezout")
 def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
                   seed: int = DEFAULT_SEED, epsilon: int = 0) -> VerifyResult:
     """det M = -nabla and both gcd certificates, at every step.
@@ -198,7 +212,6 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
     """
     dom = PrimeField(field)
     rng = random.Random(seed)
-    checked = 0
     for _ in range(trials):
         n = rng.randrange(1, max_n + 1)
         terms = [rng.randrange(field) for _ in range(n)]
@@ -208,15 +221,11 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
         last = None
         for j, t in enumerate(terms, start=1):
             core.step(t)
-            checked += 1
             mu, mup, nabla = core.mu, core.mup, core.nabla
-            if last and mu is last[0] and mup is last[1] and nabla == last[2]:
-                continue
-            if not _bezout_ok(core):
-                return _fail("bezout", checked, f"F_{field} {terms} step {j}")
+            same = last and mu is last[0] and mup is last[1] and nabla == last[2]
+            yield 1, "" if same or _bezout_ok(core) else f"F_{field} {terms} step {j}"
             if not packed:
                 last = mu, mup, nabla
-    return VerifyResult("bezout", True, checked)
 
 
 # ----------------------------------------------------------- wang-massey
@@ -234,30 +243,23 @@ def _wm_check(st: _Profile, terms) -> str:
     return ""
 
 
+@_suite("wang-massey")
 def verify_wang_massey(max_n: int = 15) -> VerifyResult:
     """PLCP <=> stability <=> even transform coefficients vanish (odd n)."""
-    checked, detail = _tree_sweep(_PROFILE_START, _profile_step, _wm_check,
-                                  range(1, max_n + 1, 2))
-    if detail:
-        return _fail("wang-massey", checked, detail)
-    return VerifyResult("wang-massey", True, checked)
+    yield _tree_sweep(_PROFILE_START, _profile_step, _wm_check,
+                      range(1, max_n + 1, 2))
 
 
 # ------------------------------------------------------------- plcp
 
+@_suite("plcp-count")
 def verify_plcp_count(cases=((2, 14), (3, 8))) -> VerifyResult:
     """Exhaustive census equals the closed-form count."""
-    checked = 0
     for q, top in cases:
         for n in range(1, top + 1):
             census = sum(1 for _ in enumerate_plcp(q, n))
-            checked += q**n
-            if census != plcp_count(q, n):
-                return _fail(
-                    "plcp-count", checked,
-                    f"q={q} n={n}: {census} != {plcp_count(q, n)}"
-                )
-    return VerifyResult("plcp-count", True, checked)
+            count = plcp_count(q, n)
+            yield q**n, "" if census == count else f"q={q} n={n}: {census} != {count}"
 
 
 class _Equiv(NamedTuple):
@@ -294,17 +296,16 @@ def _equiv_check(st: _Equiv, terms) -> str:
     return ""
 
 
+@_suite("plcp-equiv")
 def verify_plcp_equivalence(max_n: int = 12) -> VerifyResult:
     """Six witnesses agree; the three sum characterizations agree; sums bounded."""
-    checked, detail = _tree_sweep(_EQUIV_START, _equiv_step, _equiv_check,
-                                  range(0, max_n + 1))
-    if detail:
-        return _fail("plcp-equiv", checked, detail)
-    return VerifyResult("plcp-equiv", True, checked)
+    yield _tree_sweep(_EQUIV_START, _equiv_step, _equiv_check,
+                      range(0, max_n + 1))
 
 
 # ------------------------------------------------------------- rueppel
 
+@_suite("rueppel")
 def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
                    closed_n: int = 1025, gamma_n: int = 1024,
                    r0_k: int = 10) -> VerifyResult:
@@ -340,34 +341,20 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
         elif j % 2 == 0 and 3 <= j - 1 <= closed_n:
             repeat[j - 1] = cur[:2] == prev[:2]
         prev = cur
-    checked = 0
     exps = _exponents(core.lc)
     for j in range(1, profile_n + 1):
-        checked += 1
-        if core.lc[j - 1] != (j + 1) // 2:
-            return _fail("rueppel", checked, f"LC_{j} = {core.lc[j - 1]}")
-        if exps[j] not in (0, 1):
-            return _fail("rueppel", checked, f"e_{j} = {exps[j]}")
+        lc = core.lc[j - 1]
+        yield 1, "" if lc == (j + 1) // 2 else f"LC_{j} = {lc}"
+        yield 0, "" if exps[j] in (0, 1) else f"e_{j} = {exps[j]}"
     for n in range(2, matrix_n + 1):
-        checked += 1
-        if not pattern[n]:
-            return _fail("rueppel", checked, f"matrix pattern at n={n}")
+        yield 1, "" if pattern[n] else f"matrix pattern at n={n}"
     for n in range(3, closed_n + 1, 2):
-        checked += 1
-        if not closed[n]:
-            return _fail("rueppel", checked, f"closed form at n={n}")
-        checked += 1
-        if not repeat[n]:
-            return _fail("rueppel", checked, f"even repeat at n={n + 1}")
+        yield 1, "" if closed[n] else f"closed form at n={n}"
+        yield 1, "" if repeat[n] else f"even repeat at n={n + 1}"
     for k in range(1, gamma_n + 1):
-        checked += 1
-        if not gamma_identities(k, k // 2):
-            return _fail("rueppel", checked, f"gamma identities at {k}")
+        yield 1, "" if gamma_identities(k, k // 2) else f"gamma identities at {k}"
     for k in range(1, r0_k + 1):
-        checked += 1
-        if not power_column_identity(k):
-            return _fail("rueppel", checked, f"column closed form at k={k}")
-    return VerifyResult("rueppel", True, checked)
+        yield 1, "" if power_column_identity(k) else f"column closed form at k={k}"
 
 
 # ------------------------------------------------------------- height
@@ -376,20 +363,15 @@ def _height_check(st: _Profile, terms) -> str:
     return "" if (st.height == 1) == st.perfect else f"n={len(terms)} {list(terms)}"
 
 
+@_suite("height")
 def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
                   bound_trials: int = 1000, cf_trials: int = 200,
                   seed: int = DEFAULT_SEED) -> VerifyResult:
     """Height bounds, the height-1 characterization, and the CF oracle."""
-    checked = 0
     hr = height(rueppel_terms(rueppel_n))
-    checked += 1
-    if hr.height != 1:
-        return _fail("height", checked, f"power-of-two height {hr.height}")
-    cnt, detail = _tree_sweep(_PROFILE_START, _profile_step, _height_check,
-                              range(1, exhaustive_n + 1))
-    checked += cnt
-    if detail:
-        return _fail("height", checked, detail)
+    yield 1, "" if hr.height == 1 else f"power-of-two height {hr.height}"
+    yield _tree_sweep(_PROFILE_START, _profile_step, _height_check,
+                      range(1, exhaustive_n + 1))
     rng = random.Random(seed)
     for _ in range(bound_trials):
         q = rng.choice((2, 3))
@@ -397,9 +379,8 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
         n = rng.randrange(1, 129)
         s = Seq(dom, [rng.randrange(q) for _ in range(n)])
         h = height(s)
-        checked += 1
-        if not all(h.height >= e >= 1 - h.height for e in h.exponents[1:]):
-            return _fail("height", checked, f"bounds F_{q} {list(s.terms)}")
+        ok = all(h.height >= e >= 1 - h.height for e in h.exponents[1:])
+        yield 1, "" if ok else f"bounds F_{q} {list(s.terms)}"
     for _ in range(cf_trials):
         for q in (2, 3):
             dom = PrimeField(q)
@@ -408,32 +389,29 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
             s = Seq(dom, terms)
             _, rep = mp_run(s)
             jexp = rep.jump_exponents
-            quots = cf_partial_quotients(s)
-            checked += 1
-            if len(quots) < len(jexp):
-                return _fail("height", checked, f"cf too short F_{q} {terms}")
-            degs = [int(q_.degree) for q_ in quots[: len(jexp)]]
-            if degs != jexp:
-                return _fail("height", checked,
-                             f"cf degrees {degs} != jumps {jexp} F_{q} {terms}")
-    return VerifyResult("height", True, checked)
+            degs = [int(q_.degree) for q_ in cf_partial_quotients(s)]
+            yield 1, "" if len(degs) >= len(jexp) else f"cf too short F_{q} {terms}"
+            yield 0, ("" if degs[: len(jexp)] == jexp else
+                      f"cf degrees {degs[: len(jexp)]} != jumps {jexp} F_{q} {terms}")
+            # Euclid on (x^n, numerator) ends at gcd x^(trailing zero terms)
+            end = max(i for i, t in enumerate(terms, start=1) if t)
+            yield 0, ("" if sum(degs) == end else
+                      f"cf degree sum {sum(degs)} != {end} F_{q} {terms}")
 
 
 # ------------------------------------------------------------- lc sum
 
+@_suite("lcsum")
 def verify_lcsum(max_n: int = 12, sum_k: int = 20, sum_l: int = 20,
                  trials: int = 500, seed: int = DEFAULT_SEED) -> VerifyResult:
     """Sum bound, closed partial sum, and the worked three-term examples.
 
     No check reads max_n; it stays for callers that pass it.
     """
-    checked = 0
     for k in range(-1, sum_k + 1):
         for l in range(1, sum_l + 1):
             direct = sum((i + 1) // 2 for i in range(k + 1, k + 2 * l + 1))
-            checked += 1
-            if direct != l * l + (k + 1) * l:
-                return _fail("lcsum", checked, f"partial sum k={k} l={l}")
+            yield 1, "" if direct == l * l + (k + 1) * l else f"partial sum k={k} l={l}"
     rng = random.Random(seed)
     for _ in range(trials):
         q = rng.choice((2, 3, 5))
@@ -441,18 +419,13 @@ def verify_lcsum(max_n: int = 12, sum_k: int = 20, sum_l: int = 20,
         n = rng.randrange(1, 65)
         s = Seq(dom, [rng.randrange(q) for _ in range(n)])
         sigma, bound = lc_sum(s)
-        checked += 1
-        if sigma > bound:
-            return _fail("lcsum", checked, f"F_{q} {list(s.terms)}")
-    geo = Seq(GF2, (1, 1, 1))
+        yield 1, "" if sigma <= bound else f"F_{q} {list(s.terms)}"
+    # the two worked examples count as two checks before either runs
+    yield 2, "" if lc_sum(Seq(GF2, (1, 1, 1))) == (3, 4) else "three ones"
     ext = Seq(GF2, (1, 1, 1, 0))
-    checked += 2
-    if lc_sum(geo) != (3, 4):
-        return _fail("lcsum", checked, "three ones")
     _, rep = mp_run(ext)
-    if lc_sum(ext) != (6, 6) or rep.lc[-1] != 3 or str(rep.minpoly) != "x^3+x^2+1":
-        return _fail("lcsum", checked, "three ones then zero")
-    return VerifyResult("lcsum", True, checked)
+    ok = lc_sum(ext) == (6, 6) and rep.lc[-1] == 3 and str(rep.minpoly) == "x^3+x^2+1"
+    yield 0, "" if ok else "three ones then zero"
 
 
 # ------------------------------------------------------------- registry

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lcprof import cli
+from lcprof import cli, fields
 from lcprof import verify as verify_mod
 from lcprof.cli import (
     TABLE_GUARD,
@@ -24,7 +24,7 @@ from lcprof.cli import (
 )
 from lcprof.engine import MPConfig, ProfileReport, profile_steps
 from lcprof.errors import SequenceParseError
-from lcprof.fields import PrimeField
+from lcprof.fields import GF2, PrimeField
 
 R6_TABLE = """\
 j  Delta_j  e_{j-1}  mu^(j)     mu'^(j)
@@ -46,18 +46,18 @@ def run(capsys, *argv):
 # -------------------------------------------------------------- parsing
 
 def test_parse_sequence_ok():
-    assert list(parse_sequence("1,1,0,1,0,0", 2)) == [1, 1, 0, 1, 0, 0]
-    assert list(parse_sequence("1 2 0", 3)) == [1, 2, 0]
-    assert len(parse_sequence("", 2)) == 0
+    assert list(parse_sequence("1,1,0,1,0,0", GF2)) == [1, 1, 0, 1, 0, 0]
+    assert list(parse_sequence("1 2 0", PrimeField(3))) == [1, 2, 0]
+    assert len(parse_sequence("", GF2)) == 0
 
 
 def test_parse_sequence_rejects():
     with pytest.raises(SequenceParseError):
-        parse_sequence("2,1", 2)  # strict: no wrapping
+        parse_sequence("2,1", GF2)  # strict: no wrapping
     with pytest.raises(SequenceParseError):
-        parse_sequence("1,x", 2)
+        parse_sequence("1,x", GF2)
     with pytest.raises(SequenceParseError):
-        parse_sequence("-1", 3)
+        parse_sequence("-1", PrimeField(3))
 
 
 def test_parse_errors_exit_2(capsys):
@@ -231,6 +231,18 @@ def test_table_guard_leaves_json_to_large_fields(tmp_path, capsys):
     code, out, _ = run(capsys, "profile", "--field", "65521", "--in", str(path),
                        "--json")
     assert code == 0 and json.loads(out)["lc"][-1] == 1
+
+
+@pytest.mark.parametrize("command", ["profile", "minpoly", "plcp-check",
+                                     "height", "lcsum"])
+def test_field_is_validated_once_per_command(tmp_path, capsys, monkeypatch,
+                                             command):
+    path = tmp_path / "seqs.txt"
+    path.write_text("1,2,0\n2,2\n0,1,1,2\n1\n")
+    real, calls = fields.is_prime, []
+    monkeypatch.setattr(fields, "is_prime", lambda n: calls.append(n) or real(n))
+    code, _, _ = run(capsys, command, "--field", "3", "--in", str(path))
+    assert code == 0 and calls == [3]
 
 
 def test_profile_rejects_both_sources(tmp_path, capsys):
@@ -640,6 +652,17 @@ def test_plcp_count_far_past_the_guard_exits_at_once(capsys, field, json_flag):
 def test_plcp_enum_negative_n_exit_2(capsys):
     code, out, err = run(capsys, "plcp-enum", "--n", "-1")
     assert code == 2 and out == "" and "n must be nonnegative" in err
+
+
+@pytest.mark.parametrize("command", ["plcp-count", "plcp-enum"])
+@pytest.mark.parametrize("field", [2**61 - 1, 2**31 + 11], ids=["2^61-1", "2^31+11"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_plcp_commands_refuse_a_field_past_2_31_at_once(capsys, command, field, n):
+    # both fields are prime; the range is checked before any trial division
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "--field", str(field), "--n", str(n))
+    assert code == 2 and out == "" and "below 2^31" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_rueppel_guard_exit_4(capsys, monkeypatch):

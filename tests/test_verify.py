@@ -1,5 +1,6 @@
 """Prefix-tree sweeps: per-node verdicts and counterexample order."""
 
+import dataclasses
 import random
 from itertools import product
 
@@ -192,6 +193,48 @@ def test_height_reports_a_dropped_quotient(monkeypatch, k, checked, head):
     assert len(terms.split(",")) == 64
 
 
+def test_height_reports_a_dropped_last_quotient(monkeypatch):
+    # the quotients past the jumps still have to sum to the degree of
+    # x^n over the gcd, which is x^(trailing zero terms)
+    real = verify_mod.cf_partial_quotients
+    monkeypatch.setattr(verify_mod, "cf_partial_quotients",
+                        lambda s: real(s)[:-1])
+    result = verify_mod.verify_height(**HEIGHT_SMALL)
+    assert (result.ok, result.checked) == (False, 1 + 126 + 20 + 1)
+    assert result.detail.startswith("cf degree sum 59 != 61 F_2 [1, 1, 1, 0, 1,")
+
+
+def _nth_call_changed(monkeypatch, name, k, change):
+    """The k-th call of the module-level name returns change(real result)."""
+    real = getattr(verify_mod, name)
+    calls = []
+
+    def faulty(*args):
+        calls.append(args)
+        result = real(*args)
+        return change(result) if len(calls) == k else result
+
+    monkeypatch.setattr(verify_mod, name, faulty)
+
+
+def test_height_reports_a_power_of_two_height(monkeypatch):
+    _nth_call_changed(monkeypatch, "height", 1,
+                      lambda h: dataclasses.replace(h, height=2))
+    result = verify_mod.verify_height(**HEIGHT_SMALL)
+    assert (result.ok, result.checked, result.detail) == (
+        False, 1, "power-of-two height 2")
+
+
+def test_height_reports_an_exponent_past_the_bounds(monkeypatch):
+    # the 4th height call is the 3rd random trial, after the 126 nodes
+    _nth_call_changed(monkeypatch, "height", 4, lambda h: dataclasses.replace(
+        h, exponents=[1, h.height + 1, *h.exponents[2:]]))
+    result = verify_mod.verify_height(**HEIGHT_SMALL)
+    assert (result.ok, result.checked) == (False, 1 + 126 + 3)
+    assert result.detail.startswith("bounds F_2 [0, 1, 1, 1, 1, 0, 0, 1,")
+    assert len(result.detail.split(",")) == 79
+
+
 # ------------------------------------------------------------- rueppel
 
 RUEPPEL_SMALL = dict(profile_n=256, matrix_n=64, closed_n=129, gamma_n=128)
@@ -221,6 +264,33 @@ def test_verify_rueppel_reports_a_flipped_row(monkeypatch, step, checked, detail
             return (mu, mu_part ^ (self.j == step), *prev)
 
     monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
+    result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
+    assert (result.ok, result.checked, result.detail) == (False, checked, detail)
+
+
+def test_verify_rueppel_reports_a_broken_even_repeat(monkeypatch):
+    # past matrix_n only the repeat check reads the rows after an even step
+    class FlipCore(verify_mod._PackedCore):
+        def packed_rows(self):
+            mu, mu_part, *prev = super().packed_rows()
+            return (mu, mu_part ^ (self.j == 100), *prev)
+
+    monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
+    result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
+    assert (result.ok, result.checked, result.detail) == (
+        False, 256 + 63 + 2 * 49, "even repeat at n=100")
+
+
+@pytest.mark.parametrize("name, bad, checked, detail", [
+    ("gamma_identities", 5, 256 + 63 + 2 * 64 + 5, "gamma identities at 5"),
+    ("power_column_identity", 3, 256 + 63 + 2 * 64 + 128 + 3,
+     "column closed form at k=3"),
+])
+def test_verify_rueppel_reports_a_false_identity(monkeypatch, name, bad,
+                                                 checked, detail):
+    real = getattr(verify_mod, name)
+    monkeypatch.setattr(verify_mod, name,
+                        lambda k, *rest: k != bad and real(k, *rest))
     result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
     assert (result.ok, result.checked, result.detail) == (False, checked, detail)
 
@@ -304,3 +374,45 @@ def test_verify_bezout_counts_the_steps_it_skips(monkeypatch):
         [rng.randrange(3) for _ in range(n)]
     assert result.ok and result.checked == steps
     assert 0 < len(calls) < steps
+
+
+# ------------------------------------------------------------- plcp-count
+
+def test_verify_plcp_count_reports_a_wrong_count(monkeypatch):
+    real = verify_mod.plcp_count
+    monkeypatch.setattr(verify_mod, "plcp_count",
+                        lambda q, n: real(q, n) + ((q, n) == (3, 3)))
+    result = verify_mod.verify_plcp_count(cases=((2, 3), (3, 4)))
+    # every sequence of the counted lengths, up to and including F_3^3
+    assert (result.ok, result.checked, result.detail) == (
+        False, 2 + 4 + 8 + 3 + 9 + 27, "q=3 n=3: 12 != 13")
+
+
+# ------------------------------------------------------------------ lcsum
+
+LCSUM_SMALL = dict(sum_k=2, sum_l=2, trials=10)   # 4 * 2 partial sums
+
+
+def test_lcsum_reports_a_sum_past_the_bound(monkeypatch):
+    _nth_call_changed(monkeypatch, "lc_sum", 3, lambda r: (r[1] + 1, r[1]))
+    result = verify_mod.verify_lcsum(**LCSUM_SMALL)
+    assert (result.ok, result.checked, result.detail) == (
+        False, 8 + 3, "F_5 [1, 2, 1, 0, 1, 1, 2, 2, 2, 4, 1, 0, 1]")
+
+
+def test_lcsum_reports_the_three_ones(monkeypatch):
+    # both worked examples count before either one runs
+    real = verify_mod.lc_sum
+    monkeypatch.setattr(verify_mod, "lc_sum",
+                        lambda s: (0, 0) if s.terms == (1, 1, 1) else real(s))
+    result = verify_mod.verify_lcsum(**LCSUM_SMALL)
+    assert (result.ok, result.checked, result.detail) == (
+        False, 8 + 10 + 2, "three ones")
+
+
+def test_lcsum_reports_the_three_ones_then_zero(monkeypatch):
+    _nth_call_changed(monkeypatch, "mp_run", 1, lambda r: (
+        r[0], dataclasses.replace(r[1], lc=[*r[1].lc[:-1], 2])))
+    result = verify_mod.verify_lcsum(**LCSUM_SMALL)
+    assert (result.ok, result.checked, result.detail) == (
+        False, 8 + 10 + 2, "three ones then zero")
