@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import MPConfig, _exponents, _make_core, mp_run
+from .engine import MPConfig, _consume, _exponents, _make_core, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField
 from .poly import Poly, Seq, poly_divmod
@@ -26,10 +26,9 @@ def _require_binary(s: Seq, what: str) -> None:
 
 
 def _log(s: Seq) -> list[int]:
-    """LC_1..LC_n of one engine run."""
+    """LC_1..LC_n of one engine run, blocked where it can be (see _consume)."""
     core = _make_core(s.domain, MPConfig())
-    for t in s.terms:
-        core.step(t)
+    _consume(core, s.terms)
     return core.lc
 
 

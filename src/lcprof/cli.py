@@ -4,12 +4,13 @@ Subcommands: profile, minpoly, plcp-check, plcp-count, plcp-enum,
 stable, height, lcsum, rueppel, gamma, verify.  Sequences come from
 --seq (comma or whitespace separated digits) or --in (one sequence per
 line); digits must already lie in [0, p), out-of-range values are
-rejected rather than reduced.  --json swaps the table output for one
-JSON object per input sequence (per suite for verify).  Each subcommand
-takes only the flags it reads: all but rueppel and gamma take --field,
-and only profile, minpoly and plcp-check take --epsilon.  verify takes
-its defaults from verify.SUITES, and a single suite refuses a --max-n,
---field or --trials it does not read.
+rejected rather than reduced, and so is an --epsilon outside [0, p).
+--json swaps the table output for one JSON object per input sequence
+(per suite for verify).  Each subcommand takes only the flags it reads:
+all but rueppel and gamma take --field, and only profile, minpoly and
+plcp-check take --epsilon.  verify takes its defaults from
+verify.SUITES, and a single suite refuses a --max-n, --field or
+--trials it does not read.
 
 Exit codes: 0 success, 2 input/usage error, 3 verification or engine
 failure, 4 resource guard tripped.
@@ -78,6 +79,11 @@ def _input_sequences(args) -> list[Seq]:
     else:
         raise SequenceParseError("no sequence given (use --seq or --in)")
     dom = PrimeField(args.field)  # validated once: trial division up to sqrt(p)
+    # profile, minpoly and plcp-check seed with --epsilon: a field element,
+    # held to [0, p) like the terms rather than reduced
+    eps = getattr(args, "epsilon", 0)
+    if not 0 <= eps < dom.p:
+        raise SequenceParseError(f"--epsilon value {eps} outside [0, {dom.p})")
     return [parse_sequence(line, dom) for line in lines]
 
 

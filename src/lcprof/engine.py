@@ -35,6 +35,20 @@ mp_step resumes a copy of it (the packed one for p = 2), and every
 conversion of a core into Poly rows goes through _poly_rows.  The
 profile table needs only text, so profile_text_rows renders it from the
 core's coefficients without building Poly rows.
+
+Runs that read no per-step rows (mp_run, and the LC log behind height,
+lc_sum and char_equivalence) go through _consume.  On a generic core over
+F_p without per-step normalization it advances _BLOCK steps at a time
+once deg mu >= _BLOCK_MIN_DEG: a block is the product of its jump
+matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0', carried
+by the same update rule, with each discrepancy read off two correlation
+windows and mu, mu' rebuilt by Kronecker products at the block's end
+(Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at a fixed
+block size as in the half-gcd of Brent-Gustavson-Yun 1980).  The core
+it leaves equals the per-step core slot for slot.  Every other core and
+every reader of per-step rows (the table, profile_steps, the PLCP
+witness, the verify sweeps, mp_step) steps term by term, as does any
+block whose slots would pass 8 bytes.
 """
 
 from __future__ import annotations
@@ -50,14 +64,25 @@ from .fields import CoeffDomain, IntegerRing, PrimeField
 from .poly import (
     Poly,
     Seq,
+    _slot_bytes,
+    _trim,
     coeffs_to_text,
     gcd_coeffs,
     mul_coeffs,
     part_coeffs,
+    product_slice,
     reciprocal,
 )
 
 BRUTE_FORCE_GUARD = 10**7
+# bits of nabla at which a run over the integers stops: the division-free
+# recursion grows its coefficients exponentially there (nabla has about
+# 10^5 bits after 24 random digits), and a run reaches this well within 1 s
+ZZ_NABLA_BITS = 2**18
+# steps per block of _consume, and the degree of mu at which blocks start
+# (below it, blocks cost more than they save)
+_BLOCK = 64
+_BLOCK_MIN_DEG = 64
 
 
 @dataclass(frozen=True)
@@ -242,11 +267,81 @@ class _GenericCore:
             self.mu = nmu
         if self.p:
             self.nabla %= self.p
+        elif self.nabla.bit_length() > ZZ_NABLA_BITS:
+            raise ResourceLimitError(
+                f"nabla passed {ZZ_NABLA_BITS} bits at step {j} of a run over "
+                f"the integers, whose coefficients grow exponentially")
         self.e = e + 1
         if self.keep_log:
             self.deltas.append(delta)
             self.lc.append(len(self.mu) - 1)
         return delta
+
+    def _block(self, terms, w: int) -> None:
+        """Advance len(terms) steps at once, as step would one at a time.
+
+        From the rows mu0, mu0' at the start, the block carries the
+        transition rows mu = A mu0 + B mu0' and mu' = C mu0 + D mu0'
+        through step's update rule.  Step j's discrepancy is
+        sum_i A_i W0[j-d+i] + sum_i B_i W1[j-d+i] (d = deg mu = (j - e)/2)
+        over the correlation windows W0[t] = sum_m mu0_m s_{t+m} and W1
+        of mu0', one product_slice each; terms past the block count as
+        zero, since the coefficients that reach them cancel above deg mu.
+        Four products at the end give mu and mu'.  Every value is reduced
+        mod p, so all slots are equal to step's; w is a slot size that
+        holds sums of 2 len(mu0) products.
+        """
+        p, s, j0, lin = self.p, self.s, self.j, self._lin
+        e, c1, nabla = self.e, self.dprime, self.nabla
+        deltas, lc = (self.deltas, self.lc) if self.keep_log else ([], [])
+        mu0, mup0 = self.mu, self.mup
+        d0 = len(mu0) - 1
+        s.extend(terms)
+        # the windows take mu0' padded to deg mu0, so both start at slot d0
+        rev0 = mu0[::-1], [*mup0, *[0] * (d0 + 1 - len(mup0))][::-1]
+        # j - deg mu rises by one a step, and after a jump it is the old
+        # degree plus one, so no step of the block reads below lo
+        lo = min(j0 + 1 - d0, d0 + 1)
+
+        def windows(hi):  # W0, W1 at lo..hi
+            u = s[lo - 1:hi + d0]
+            u += [0] * (hi + d0 - lo + 1 - len(u))
+            return [product_slice(((f, u),), p, d0, len(u), w) for f in rev0]
+
+        def times_rows(x, y):  # x mu0 + y mu0', canonical
+            top = len(mu0) + max(len(x), len(y))
+            return _trim(product_slice(((x, mu0), (y, mup0)), p, 0, top, w))
+
+        end = j0 + len(terms)
+        W0, W1 = windows(end - d0)
+        one, zero = [1], []
+        A, B, C, D = one, zero, zero, one
+        for j in range(j0 + 1, end + 1):
+            k = j - (j - e) // 2 - lo
+            if k + max(len(A), len(B)) > len(W0):
+                # A or B grew past deg mu - deg mu0, through cancelling top
+                # terms (common over small fields) or a run of zero terms
+                W0, W1 = windows(end + max(len(A), len(B)))
+            delta = (sum(map(operator.mul, A, W0[k:]))
+                     + sum(map(operator.mul, B, W1[k:]))) % p
+            if delta:  # step's update rule, on both transition columns
+                if e <= 0:
+                    A, B = lin(c1, A, 0, delta, C, -e), lin(c1, B, 0, delta, D, -e)
+                    nabla = nabla * c1 % p
+                else:
+                    A, B, C, D = (lin(c1, A, e, delta, C, 0),
+                                  lin(c1, B, e, delta, D, 0), A, B)
+                    c1 = delta
+                    nabla = nabla * delta % p
+                    e = -e
+            e += 1
+            deltas.append(delta)
+            lc.append((j + 1 - e) // 2)
+        self.j, self.e, self.dprime, self.nabla = end, e, c1, nabla
+        if A is not one:  # a nonzero step
+            self.mu = times_rows(A, B)
+        if C is not zero:  # a jump
+            self.mup = times_rows(C, D)
 
     def cur_lc(self) -> int:
         return len(self.mu) - 1
@@ -385,6 +480,35 @@ def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = F
         normalize_each_step=config.normalize_each_step,
         keep_log=config.keep_log,
     )
+
+
+def _consume(core, terms, block: int | None = None,
+             min_deg: int = _BLOCK_MIN_DEG) -> None:
+    """Step core through terms, in blocks where that leaves the same core.
+
+    A generic core over F_p without per-step normalization steps term by
+    term until deg mu >= min_deg, then advances block (default _BLOCK)
+    steps at a time (_GenericCore._block) while a full block of terms
+    remains and its slots fit in 8 bytes; the rest steps term by term.
+    Every slot of the core ends as step alone would leave it, but no
+    per-step row exists in between, so only callers that read the core
+    after the run use this.
+    """
+    b = block or _BLOCK
+    step = core.step
+    i, n = 0, len(terms)
+    if isinstance(core, _GenericCore) and core.p and not core.normalize:
+        while n - i >= b and len(core.mu) <= min_deg:
+            step(terms[i])
+            i += 1
+        while n - i >= b:
+            w = _slot_bytes(core.p, 2 * len(core.mu))
+            if w is None:  # mu only grows: no later block fits either
+                break
+            core._block(terms[i:i + b], w)
+            i += b
+    for t in terms[i:]:
+        step(t)
 
 
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
@@ -574,15 +698,16 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
 
     Returns the final matrix and the profile report; an empty sequence
     yields the seed state (minpoly 1, LC 0).  The packed fast path is
-    selected automatically for p = 2.
+    selected automatically for p = 2.  Over other F_p without
+    normalize_each_step the run goes blocked once deg mu >= 64 (see
+    _consume); its core, and so the matrix and report, equal the per-step
+    run's slot for slot.
     """
     domain = s.domain
     if config.monic_output and not domain.is_field:
         raise UnsupportedDomainError("monic output needs a field")
     core = _make_core(domain, config, force_generic=force_generic)
-    step = core.step
-    for t in s.terms:
-        step(t)
+    _consume(core, s.terms)
     matrix = Mat2(*_poly_rows(domain, core))
     report = ProfileReport(
         domain=domain,

@@ -15,6 +15,8 @@ never materialized: its products with polynomials reduce to indexed
 convolutions.  ``part_coeffs``, the kernel behind ``polynomial_part``,
 computes the polynomial part, over F_p mostly as one Kronecker-substituted
 integer product; ``discrepancy`` computes a single coefficient.
+``product_slice`` is the one Kronecker kernel: ``part_coeffs`` and the
+engine's blocked step loop both call it.
 
 Text format (bit-exact, used by the CLI and JSON reports): terms in
 descending degree, "x^k" for k >= 2, "x" for degree 1, constants as
@@ -338,6 +340,21 @@ def _unpack(raw: bytes, w: int) -> array:
     return items
 
 
+def product_slice(pairs, p: int, lo: int, hi: int, w: int) -> list[int]:
+    """Coefficients lo..hi-1 of the sum of the products a*b over pairs, mod p.
+
+    Every value is in [0, p), and w is a slot size (_slot_bytes) that
+    holds every coefficient of the unreduced sum.  Each list is packed
+    into w-byte slots of one int (Kronecker substitution), the products
+    are summed as ints, and the slots are read back: none carries into
+    the next.  Coefficients past the end of every product are omitted.
+    """
+    prod = sum(_pack(a, w) * _pack(b, w) for a, b in pairs)
+    size = max(len(a) + len(b) - 1 for a, b in pairs)
+    raw = prod.to_bytes(max(size, 0) * w, "little")[lo * w:hi * w]
+    return [v % p for v in _unpack(raw, w)]
+
+
 def part_coeffs(f, terms, p: int) -> list[int]:
     """Polynomial part of f times the generating series of terms, as a list.
 
@@ -348,9 +365,8 @@ def part_coeffs(f, terms, p: int) -> list[int]:
 
     Coefficient j is coefficient d + j of f times the reversed window
     s_d..s_1.  Over F_p, when a slot of at most 8 bytes holds every sum,
-    that product is one integer multiply (Kronecker substitution): both
-    lists are packed into slots wide enough that none carries, and slots
-    d..2d-1 are read back.  Otherwise each coefficient is its own sum.
+    that product is one product_slice; otherwise each coefficient is its
+    own sum.
     """
     d = len(f) - 1
     if d <= 0:
@@ -364,9 +380,7 @@ def part_coeffs(f, terms, p: int) -> list[int]:
         window = terms[d - 1::-1]
         if len(window) < d:
             window = [0] * (d - len(window)) + list(window)
-        prod = _pack(f, w) * _pack(window, w)
-        raw = prod.to_bytes((len(f) + d - 1) * w, "little")[d * w:2 * d * w]
-        out = [v % p for v in _unpack(raw, w)]
+        out = product_slice(((f, window),), p, d, 2 * d, w)
     return _trim(out)
 
 

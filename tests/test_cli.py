@@ -686,3 +686,20 @@ def test_gamma_guard_allocates_nothing():
         table.packed(GAMMA_GUARD + 1)
     assert len(table._g) == 2  # the table did not grow
     assert table.packed(4) == 0b1000
+
+
+@pytest.mark.parametrize("command", ["profile", "minpoly", "plcp-check"])
+@pytest.mark.parametrize("eps", [5, 7, -1])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+def test_epsilon_outside_the_field_exit_2(capsys, monkeypatch, command, eps, json_flag):
+    # --epsilon is a field element like the terms: refused, not reduced,
+    # and before any engine run
+    def no_work(*args, **kwargs):
+        raise AssertionError("the engine ran on an out-of-range epsilon")
+
+    monkeypatch.setattr(cli, "mp_run", no_work)
+    monkeypatch.setattr(cli, "analysis_report", no_work)
+    code, out, err = run(capsys, command, "--field", "5", "--epsilon", str(eps),
+                         "--seq", "1,2,3", *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: --epsilon value {eps} outside [0, 5)\n"

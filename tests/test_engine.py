@@ -2,11 +2,13 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcprof import engine
+from lcprof import cli, engine
+from lcprof.analysis import height as analysis_height
 from lcprof.engine import (
     Mat2,
     MPConfig,
@@ -892,3 +894,152 @@ def test_report_json_round_trip_integers():
     data = json.loads(json.dumps(rep.to_json_dict()))
     assert data["field"] == 0
     assert ProfileReport.from_json_dict(data) == rep
+
+
+# -------------------------------------------------------- blocked runner
+
+CORE_SLOTS = ("s", "mu", "mup", "e", "dprime", "nabla", "lc", "deltas", "j")
+# the largest prime below 2^28: a block packs into 8-byte slots while
+# len(mu) < 128, so its runs switch from blocks to steps near n = 250
+P28 = 268435399
+
+
+def _record_blocks(monkeypatch):
+    """len(mu) at the start of every block _consume runs from now on."""
+    starts = []
+    real = _GenericCore._block
+    monkeypatch.setattr(_GenericCore, "_block",
+                        lambda core, terms, w: starts.append(len(core.mu))
+                        or real(core, terms, w))
+    return starts
+
+
+def _stepped(dom, terms, eps=0, keep_log=True):
+    core = _GenericCore(dom, eps, keep_log=keep_log)
+    for t in terms:
+        core.step(t)
+    return core
+
+
+def _assert_same_core(core, ref, context):
+    for name in CORE_SLOTS:
+        assert getattr(core, name) == getattr(ref, name), (name, context)
+
+
+def _runner_inputs(p, rng):
+    """Random inputs of up to 220 terms, zero-prefixed, sparse and all zero."""
+    for n in (0, 1, 70, 150, 220):
+        yield [rng.randrange(p) for _ in range(n)]
+    yield [0] * 100 + [rng.randrange(p) for _ in range(120)]
+    yield [rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(220)]
+    yield [0] * 200
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521, P28, 2**31 - 1])
+@pytest.mark.parametrize("block", [1, 2, 3, 64, 1000])
+def test_blocked_run_equals_the_per_step_core(monkeypatch, p, block):
+    starts = _record_blocks(monkeypatch)
+    dom = PrimeField(p)
+    rng = random.Random(p * block)
+    for terms in _runner_inputs(p, rng):
+        for eps in (0, 1, p - 1):
+            # min_deg 0 blocks from the seed on, 64 is the default entry
+            for keep_log, min_deg in ((True, 0), (True, 64), (False, 0)):
+                core = _GenericCore(dom, eps, keep_log=keep_log)
+                engine._consume(core, terms, block, min_deg)
+                ref = _stepped(dom, terms, eps, keep_log)
+                _assert_same_core(core, ref, (terms, eps, keep_log, min_deg))
+    if block > 220:
+        assert not starts  # no full block ever remains
+    elif p == 2**31 - 1:
+        # sums of two products of (p-1)^2 fill 8 bytes: only the seed packs
+        assert starts and set(starts) == {1}
+    else:
+        assert max(starts) > 64
+
+
+def test_blocked_run_falls_back_where_the_slots_outgrow_8_bytes(monkeypatch):
+    starts = _record_blocks(monkeypatch)
+    dom = PrimeField(P28)
+    rng = random.Random(28)
+    terms = [rng.randrange(P28) for _ in range(400)]
+    core = _GenericCore(dom)
+    engine._consume(core, terms, 3, 0)
+    _assert_same_core(core, _stepped(dom, terms), "fallback")
+    assert 100 < max(starts) < 128 < len(core.mu)
+
+
+def test_blocked_run_refills_its_windows(monkeypatch):
+    # a run of zero terms leaves the transition rows long, so a block can
+    # read past the windows it started with and must recompute them
+    windows = []
+    real = engine.product_slice
+    monkeypatch.setattr(engine, "product_slice",
+                        lambda pairs, *args: windows.append(len(pairs) == 1)
+                        or real(pairs, *args))
+    starts = _record_blocks(monkeypatch)
+    rng = random.Random(3)
+    terms = [1 if rng.random() < 0.02 else 0 for _ in range(600)]
+    core = _GenericCore(F3)
+    engine._consume(core, terms)
+    _assert_same_core(core, _stepped(F3, terms), "refill")
+    assert sum(windows) > 2 * len(starts) > 0
+
+
+def test_blocked_run_is_used_by_mp_run_and_the_profile_log(monkeypatch):
+    starts = _record_blocks(monkeypatch)
+    rng = random.Random(65521)
+    s = PrimeField(65521).seq([rng.randrange(65521) for _ in range(400)])
+    _, rep = mp_run(s)
+    assert len(starts) == 4
+    ref = _stepped(s.domain, s.terms)
+    assert (rep.lc, rep.deltas, rep.nabla) == (ref.lc, ref.deltas, ref.nabla)
+    assert analysis_height(s).exponents == engine._exponents(ref.lc)
+    assert len(starts) == 8
+    # per-step readers never block
+    profile_steps(s)
+    mp_run(s, MPConfig(normalize_each_step=True))
+    assert len(starts) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", "--json", "--field", "65521"),
+    ("profile", "--json", "--field", "65521", "--epsilon", "65520"),
+    ("minpoly", "--field", "3"),
+    ("minpoly", "--field", "3", "--epsilon", "2"),
+    ("height", "--json", "--field", "3"),
+    ("lcsum", "--json", "--field", "3"),
+])
+def test_blocked_commands_print_the_per_step_bytes(monkeypatch, capsys, argv):
+    p = int(argv[argv.index("--field") + 1])
+    rng = random.Random(2000)
+    seqs = [",".join(str(rng.randrange(p)) for _ in range(2000)),
+            ",".join(["0"] * 700 + [str(rng.randrange(p)) for _ in range(1300)])]
+    starts = _record_blocks(monkeypatch)
+    outs = []
+    for block in (None, 10**9):  # the default, then never a full block
+        if block:
+            monkeypatch.setattr(engine, "_BLOCK", block)
+        for seq in seqs:
+            assert cli.main([*argv, "--seq", seq]) == 0
+        outs.append(capsys.readouterr().out)
+    assert starts and outs[0] == outs[1]
+
+
+def test_integer_runs_stop_at_the_nabla_guard():
+    rng = random.Random(40)
+    s = ZZ.seq([rng.randrange(10) for _ in range(40)])
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="bits"):
+        mp_run(s)
+    assert time.perf_counter() - t0 < 1.0
+    core = _GenericCore(ZZ)
+    with pytest.raises(ResourceLimitError):
+        for t in s.terms:
+            core.step(t)
+    assert engine.ZZ_NABLA_BITS < core.nabla.bit_length()
+    # the guard is the first bound passed: one step earlier, still in range
+    short = _GenericCore(ZZ)
+    for t in s.terms[:core.j - 1]:
+        short.step(t)
+    assert short.nabla.bit_length() <= engine.ZZ_NABLA_BITS

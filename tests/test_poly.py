@@ -19,6 +19,7 @@ from lcprof.poly import (
     poly_divmod,
     poly_gcd,
     polynomial_part,
+    product_slice,
     reciprocal,
 )
 from lcprof.rueppel import gamma_packed
@@ -183,6 +184,28 @@ def test_part_coeffs_covers_every_slot_width():
     widths = {_slot_bytes(p, d) for p in (2, 3, 251, 65521, 2**31 - 1)
               for d in (1, 2, 3, 4, 15, 16, 63, 64, 200, 512)}
     assert widths == {1, 2, 4, 8, None}  # None: too wide, summed per coefficient
+
+
+@pytest.mark.parametrize("p", [3, 65521, 268435399])
+def test_product_slice_matches_the_schoolbook_sum(p):
+    # sums of one and two products, slices inside, across and past the
+    # end, and every value p - 1, where the slots reach their bound
+    rng = random.Random(p)
+    for _ in range(40):
+        lens = [rng.randrange(0, 40) for _ in range(4)]
+        if rng.random() < 0.2:
+            a, b, c, d = ([p - 1] * n for n in lens)
+        else:
+            a, b, c, d = ([rng.randrange(p) for _ in range(n)] for n in lens)
+        for pairs in [((a, b),), ((a, b), (c, d))]:
+            size = max(len(x) + len(y) - 1 for x, y in pairs)
+            full = [sum(x[i] * y[k - i] for x, y in pairs
+                        for i in range(len(x)) if 0 <= k - i < len(y)) % p
+                    for k in range(size)]
+            w = _slot_bytes(p, sum(min(len(x), len(y)) for x, y in pairs))
+            for lo, hi in [(0, size), (0, size + 3), (size // 3, size // 2),
+                           (size // 2, size + 1)]:
+                assert product_slice(pairs, p, lo, hi, w) == full[lo:hi]
 
 
 def test_part_coeffs_over_the_integers():
