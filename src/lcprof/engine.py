@@ -36,6 +36,15 @@ conversion of a core into Poly rows goes through _poly_rows.  The
 profile table needs only text, so profile_text_rows renders it from the
 core's coefficients without building Poly rows.
 
+Over the small fields, p = 2, 3, 5, 7 and 11 (_BYTE_RESIDUES), the
+generic core's row update _lin packs each row at one byte a coefficient
+and forms (c1 mod p) a + (-c2 mod p) b as one int.  A slot then holds at
+most 2 (p-1)^2 < 256, so none carries, and the reduction mod p and the
+trim are one bytes.translate and one rstrip.  Larger p and the integers
+keep the coefficient-list loop: wider slots lose to it at small degree.
+Over the same fields the table renders every row from one per-call table
+of term texts (_term_table_text), the text of each c x^k built once.
+
 Runs that read no per-step rows (mp_run, and the LC log behind height,
 lc_sum and char_equivalence) go through _consume.  On a generic core over
 F_p without per-step normalization it advances _BLOCK steps at a time
@@ -60,7 +69,7 @@ from typing import NamedTuple
 
 from . import gf2
 from .errors import ResourceLimitError, UnsupportedDomainError
-from .fields import CoeffDomain, IntegerRing, PrimeField
+from .fields import CoeffDomain, IntegerRing, PrimeField, is_prime
 from .poly import (
     Poly,
     Seq,
@@ -83,6 +92,13 @@ ZZ_NABLA_BITS = 2**18
 # (below it, blocks cost more than they save)
 _BLOCK = 64
 _BLOCK_MIN_DEG = 64
+# The small fields, each with the table that maps a byte to its residue
+# mod p.  There a row update c1 a + c2 b with every value in [0, p) has
+# slots of at most 2 (p-1)^2 < 256, so _lin runs in one-byte Kronecker
+# slots with no carry, and profile_text_rows renders from a table of
+# (p-1) (n+1) term texts: p = 2, 3, 5, 7 and 11.
+_BYTE_RESIDUES = {p: bytes(v % p for v in range(256))
+                  for p in range(2, 256) if 2 * (p - 1) ** 2 < 256 and is_prime(p)}
 
 
 @dataclass(frozen=True)
@@ -198,10 +214,10 @@ class _GenericCore:
         "lc",
         "deltas",
         "parts",
+        "residues",
     )
 
     unit = [1]  # the row 1, shared: a row is never edited once made
-    row_text = staticmethod(coeffs_to_text)
 
     def __init__(self, domain: CoeffDomain, epsilon: int = 0, *,
                  normalize_each_step: bool = False, keep_log: bool = True):
@@ -222,9 +238,19 @@ class _GenericCore:
         self.lc: list[int] = []
         self.deltas: list[int] = []
         self.parts = ()  # (row, [row]) pairs derived so far, at most two
+        self.residues = _BYTE_RESIDUES.get(self.p)
 
     def _lin(self, c1, a, ashift, c2, b, bshift):
         # c1 * x^ashift * a  -  c2 * x^bshift * b, canonical
+        residues = self.residues
+        if residues:
+            # one byte a coefficient: (c1 mod p) a + (-c2 mod p) b as one
+            # int, then the reduction and the trim as C-level byte passes
+            p = self.p
+            v = ((c1 % p * int.from_bytes(bytes(a), "little") << 8 * ashift)
+                 + (-c2 % p * int.from_bytes(bytes(b), "little") << 8 * bshift))
+            size = max(ashift + len(a), bshift + len(b))
+            return list(v.to_bytes(size, "little").translate(residues).rstrip(b"\0"))
         out = [0] * ashift + [c1 * x for x in a]
         need = bshift + len(b)
         if len(out) < need:
@@ -443,10 +469,6 @@ class _PackedCore:
     def _lin(self, c1, a, ashift, c2, b, bshift):
         # _GenericCore._lin on packed rows: c1, c2 are 0 or 1, minus is XOR
         return ((a << ashift) if c1 else 0) ^ ((b << bshift) if c2 else 0)
-
-    @staticmethod
-    def row_text(row: int) -> str:
-        return coeffs_to_text(gf2.to_coeffs(row))
 
     def cur_lc(self) -> int:
         return self.mu.bit_length() - 1
@@ -742,6 +764,25 @@ def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
     return rows
 
 
+def _term_table_text(p: int, n: int, packed: bool):
+    """A renderer of rows of degree <= n over a small F_p (_BYTE_RESIDUES).
+
+    It reads every term from one table, terms[c][k] = the text of c x^k
+    for c in 1..p-1 and k <= n, built once here and freed with the
+    renderer.  Its output equals coeffs_to_text's; packed F_2 rows are
+    unpacked first.
+    """
+    xs = ["x", *(f"x^{k}" for k in range(2, n + 1))]
+    terms = [None] + [[str(c)] + [x if c == 1 else f"{c}{x}" for x in xs]
+                      for c in range(1, p)]
+
+    def text(row) -> str:
+        if packed:
+            row = gf2.to_coeffs(row)
+        return "+".join([terms[c][k] for k, c in enumerate(row) if c][::-1]) or "0"
+    return text
+
+
 def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     """Per-step (j, delta_j, e, mu text, mu' text) for j = 0..n, from one run.
 
@@ -749,10 +790,15 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     the core's own canonical coefficients; the polynomial parts are never
     read.  A polynomial is rendered only at a step that changes it, and a
     mu' that is the previous mu reuses that text, so the rows of an
-    unchanged polynomial share one str.
+    unchanged polynomial share one str.  Over the small fields every row
+    is rendered from one per-call table of term texts (_term_table_text);
+    elsewhere, where that table would hold p (n+1) strings, by
+    coeffs_to_text.
     """
     core = _make_core(s.domain, config)
-    text = core.row_text
+    p = s.domain.p
+    text = (_term_table_text(p, len(s), isinstance(core, _PackedCore))
+            if p in _BYTE_RESIDUES else coeffs_to_text)
     out = []
     mu = mup = None
     mu_text = mup_text = ""

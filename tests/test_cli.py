@@ -136,9 +136,12 @@ def _table_cases():
             for terms in product(range(p), repeat=n):
                 yield PrimeField(p).seq(terms)
     rng = random.Random(0x7AB1E)
-    for p in (5, 65521):
+    # F_11 is the largest field with one-byte row slots and a term-text
+    # table, F_13 the first past that bound
+    for p in (5, 65521, 7, 11, 13):
         for n in (0, 1, 2, 7, 30, 99, 200):
             yield PrimeField(p).seq([rng.randrange(p) for _ in range(n)])
+    yield PrimeField(3).seq([rng.randrange(3) for _ in range(600)])
 
 
 def test_profile_table_matches_reference():

@@ -391,6 +391,54 @@ def test_generic_step_updates_one_row(monkeypatch):
     assert len(calls) == nonzero > 50
 
 
+def _lin_reference(p, c1, a, ashift, c2, b, bshift):
+    """c1 x^ashift a - c2 x^bshift b, coefficient by coefficient, canonical."""
+    out = [0] * max(ashift + len(a), bshift + len(b))
+    for i, x in enumerate(a):
+        out[ashift + i] += c1 * x
+    for i, x in enumerate(b):
+        out[bshift + i] -= c2 * x
+    if p:
+        out = [v % p for v in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521, 0])
+def test_byte_slot_lin_matches_a_list_reference(p):
+    dom = PrimeField(p) if p else ZZ
+    core = engine._make_core(dom, MPConfig(), force_generic=True)
+    # one-byte slots exactly where 2 (p-1)^2 < 256; 13, 65521 and ZZ
+    # keep the list loop
+    assert set(engine._BYTE_RESIDUES) == {2, 3, 5, 7, 11}
+    assert (core.residues is not None) == (p in (2, 3, 5, 7, 11))
+    q = p or 50
+    rng = random.Random(p)
+
+    def row():
+        d = rng.randrange(-1, 301)
+        return [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)] * (d >= 0)
+
+    top = (q - 1) ** 2  # the witness passes delta * eps unreduced
+    cases = [
+        (1, [1], 1, 2, [], 0),  # the seed mu' with epsilon = 0
+        (1, [], 0, 1, [], 3),
+    ]
+    for _ in range(300):
+        a, b = row(), row()
+        c2 = rng.choice([rng.randrange(top + 1), q * rng.randrange(q)])
+        shifts = rng.choice([(rng.randrange(20), 0), (0, rng.randrange(20))])
+        cases.append((rng.randrange(top + 1), a, shifts[0], c2, b, shifts[1]))
+        cases.append((c2, a, shifts[0], c2, a, shifts[0]))  # cancels mod p
+    for c1, a, ashift, c2, b, bshift in cases:
+        got = core._lin(c1, a, ashift, c2, b, bshift)
+        assert got == _lin_reference(p, c1, a, ashift, c2, b, bshift)
+        assert type(got) is list and all(type(v) is int for v in got)
+        assert not p or all(0 <= v < p for v in got)
+    assert core._lin(2, [1, 1], 2, 2, [1, 1], 2) == []  # full cancellation
+
+
 def test_pairs_derives_each_row_once(monkeypatch):
     calls = []
     real = engine.part_coeffs
