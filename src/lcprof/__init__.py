@@ -1,10 +1,10 @@
 """Minimal polynomials and linear-complexity profiles over prime fields.
 
-A division-free shift-register synthesis engine with per-step profile
-logs, plus the structural analyses built on it: perfect-profile
-characterizations, binary stability, sequence height with a
-continued-fraction oracle, complexity-sum bounds, and the closed forms
-of the power-of-two indicator sequence.
+A division-free shift-register synthesis engine whose per-step profile
+is derived from its discrepancies, plus the structural analyses built
+on it: perfect-profile characterizations, binary stability, sequence
+height with a continued-fraction oracle, complexity-sum bounds, and the
+closed forms of the power-of-two indicator sequence.
 """
 
 from .analysis import (

@@ -1,10 +1,11 @@
 """Profile-level sequence analyses.
 
 Everything here is a pure function of a finite sequence, computed from
-the engine's per-step log: the perfect-profile predicate and its six
-equivalent characterizations, binary stability, the sequence height,
-the continued-fraction oracle, linear-complexity sums, profile
-counting, and the bijection between sequences and discrepancy lists.
+one engine run and the profile derived from its discrepancies: the
+perfect-profile predicate and its six equivalent characterizations,
+binary stability, the sequence height, the continued-fraction oracle,
+linear-complexity sums, profile counting, and the bijection between
+sequences and discrepancy lists.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import MPConfig, _consume, _exponents, _make_core, mp_run
+from .engine import MPConfig, _consume, _make_core, _profile, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField
 from .poly import Poly, Seq, poly_divmod
@@ -25,11 +26,12 @@ def _require_binary(s: Seq, what: str) -> None:
         raise UnsupportedDomainError(f"{what} is defined for binary sequences only")
 
 
-def _log(s: Seq) -> list[int]:
-    """LC_1..LC_n of one engine run, blocked where it can be (see _consume)."""
-    core = _make_core(s.domain, MPConfig())
-    _consume(core, s.terms)
-    return core.lc
+def _run_profile(s: Seq) -> tuple[list[int], list[int]]:
+    """LC_1..LC_n and e_0..e_n of one engine run, blocked where it can be.
+
+    See _consume for the blocks and _profile for the derivation.
+    """
+    return _profile(s.domain, _consume(_make_core(s.domain, MPConfig()), s.terms))
 
 
 # Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] of
@@ -59,8 +61,8 @@ def _char(lc: list[int]) -> tuple[bool, bool, bool]:
 
 def is_plcp(s: Seq) -> bool:
     """LC_j = floor((j+1)/2) at every step (vacuously true when empty)."""
-    # stops at the first step off the profile, unlike a full run's log
-    core = _make_core(s.domain, MPConfig(keep_log=False))
+    # stops at the first step off the profile, unlike a full run
+    core = _make_core(s.domain, MPConfig())
     for j, t in enumerate(s.terms, start=1):
         core.step(t)
         if core.cur_lc() != (j + 1) // 2:
@@ -186,24 +188,27 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
 
 
 def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int]]:
-    """The six witnesses and LC_1..LC_n from one engine run.
+    """The six witnesses and the discrepancies delta_1..delta_n of one run.
 
-    The profile does not depend on epsilon (it only seeds the displaced
-    row), so the log serves the epsilon-free analyses too.
+    The profile derived from them does not depend on epsilon (it only
+    seeds the displaced row), so it serves the epsilon-free analyses too.
     """
     dom = s.domain
     core = _make_core(dom, MPConfig(epsilon=epsilon))
     eps = dom.normalize(epsilon)
     trail = _WITNESS_START
     fails: dict[str, list[int]] = {name: [] for name in WITNESSES}
+    deltas = []
     for j, t in enumerate(s.terms, start=1):
-        trail, bits = _witness_step(trail, j, core, core.step(t), eps)
+        delta = core.step(t)
+        deltas.append(delta)
+        trail, bits = _witness_step(trail, j, core, delta, eps)
         for i, name in enumerate(WITNESSES):
             if bits >> i & 1:
                 fails[name].append(j + 1 if name == "index" else j)
     witness = PlcpWitness(*(not fails[name] for name in WITNESSES),
                           details={k: v for k, v in fails.items() if v})
-    return witness, core.lc
+    return witness, deltas
 
 
 def plcp_witnesses(s: Seq, epsilon: int = 0) -> PlcpWitness:
@@ -269,8 +274,7 @@ class HeightReport:
     exponents: list[int]
 
 
-def _height(lc: list[int]) -> HeightReport:
-    exps = _exponents(lc)
+def _height(exps: list[int]) -> HeightReport:
     h = max(exps)
     return HeightReport(height=h, argmax_j=exps.index(h), exponents=exps)
 
@@ -281,7 +285,7 @@ def height(s: Seq) -> HeightReport:
     The seed exponent e_0 = 1 participates, so the height is always at
     least 1 and equals 1 exactly on perfect-profile sequences.
     """
-    return _height(_log(s))
+    return _height(_run_profile(s)[1])
 
 
 def cf_partial_quotients(s: Seq) -> list[Poly]:
@@ -314,7 +318,7 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
 
 def lc_sum(s: Seq) -> tuple[int, int]:
     """(sum of LC_1..LC_n, the bound floor((n+1)^2 / 4))."""
-    return _lc_sum(_log(s))
+    return _lc_sum(_run_profile(s)[0])
 
 
 def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
@@ -324,7 +328,7 @@ def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
     the LC sum attains its bound; (iii) profile never below
     floor((i+1)/2).
     """
-    return _char(_log(s))
+    return _char(_run_profile(s)[0])
 
 
 # The most decimal digits a count may have: CPython's default limit on
@@ -403,7 +407,7 @@ def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
         raise ValueError("n must be nonnegative")
     if q**n > guard:
         raise ResourceLimitError(f"{q}^{n} exceeds the enumeration guard")
-    core = _make_core(dom, MPConfig(keep_log=False))
+    core = _make_core(dom, MPConfig())
     for terms, _ in _walk_prefixes(core, q, n, _perfect_step, True):
         if len(terms) == n:
             yield Seq(dom, terms)
@@ -419,7 +423,7 @@ def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
     """
     if not domain.is_field:
         raise UnsupportedDomainError("solving for terms needs a field")
-    core = _make_core(domain, MPConfig(epsilon=epsilon, keep_log=False))
+    core = _make_core(domain, MPConfig(epsilon=epsilon))
     out = []
     for target in deltas:
         at_zero = core.copy().step(0)
@@ -432,13 +436,14 @@ def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
 
 def analysis_report(s: Seq, epsilon: int = 0) -> dict:
     """One-stop JSON-ready summary of the profile analyses (one engine run)."""
-    wit, lc = _witness_run(s, epsilon)
+    wit, deltas = _witness_run(s, epsilon)
+    lc, exps = _profile(s.domain, deltas)
     sigma, bound = _lc_sum(lc)
     return {
         "plcp": _perfect(lc),
         "witnesses": wit.as_dict(),
         "stable": is_stable(s) if s.domain.p == 2 else None,
-        "height": _height(lc).height,
+        "height": _height(exps).height,
         "lc_sum": sigma,
         "lc_sum_bound": bound,
         "char_equivalence": list(_char(lc)),

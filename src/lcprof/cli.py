@@ -2,8 +2,8 @@
 
 Subcommands: profile, minpoly, plcp-check, plcp-count, plcp-enum,
 stable, height, lcsum, rueppel, gamma, verify.  Sequences come from
---seq (comma or whitespace separated digits) or --in (one sequence per
-line); digits must already lie in [0, p), out-of-range values are
+--seq (comma or whitespace separated ASCII digits) or --in (one sequence
+per line); digits must already lie in [0, p), out-of-range values are
 rejected rather than reduced, and so is an --epsilon outside [0, p).
 --json swaps the table output for one JSON object per input sequence
 (per suite for verify).  Each subcommand takes only the flags it reads:
@@ -49,20 +49,32 @@ EXIT_FAIL = 3
 EXIT_RESOURCE = 4
 
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
+_PLAIN_TEXT = re.compile(r"[0-9\s,]*")
+_NEGATIVE = re.compile(r"-[0-9]+")
 
 def parse_sequence(text: str, dom: PrimeField) -> Seq:
-    """Strict parse: integer tokens in [0, p) of the field dom; no wrapping."""
+    """Strict parse: ASCII-digit tokens in [0, p) of the field dom; no wrapping.
+
+    int() alone also takes signs, underscores and non-ASCII digits ('+1',
+    '1_0', Arabic-Indic digits).  One match over the whole text clears
+    the usual input; only a text that fails it is checked token by token.
+    """
     p = dom.p
     text = text.strip()
     if not text:
         return Seq(dom, ())
+    plain = _PLAIN_TEXT.fullmatch(text) is not None
     terms = []
     for tok in _TOKEN_SPLIT.split(text):
+        if not plain and not (tok.isascii() and tok.isdigit()):
+            if _NEGATIVE.fullmatch(tok):
+                raise SequenceParseError(f"value {tok} outside [0, {p})")
+            raise SequenceParseError(f"not an integer: {tok!r}")
         try:
             v = int(tok)
-        except ValueError:
+        except ValueError:  # an empty token, from a stray comma
             raise SequenceParseError(f"not an integer: {tok!r}") from None
-        if not 0 <= v < p:
+        if v >= p:
             raise SequenceParseError(f"value {v} outside [0, {p})")
         terms.append(v)
     return Seq._canonical(dom, tuple(terms))  # every term checked in [0, p)

@@ -11,9 +11,13 @@ delta' recorded at the last jump, and the running product nabla of jump
 discrepancies.  One step computes the new discrepancy delta and, when it
 is nonzero, replaces the top row by a cross-combination of the two rows;
 the recursion is division-free, so it runs unchanged over the integers.
-A core logs LC_j and delta_j at each step; the exponents e_0..e_n are
-derived from the LC log (_exponents), and MPState reads the shift
-p_shift (steps since the last jump) off it: LC rises exactly at a jump.
+A core keeps no log: step returns delta_j, the driver of a run collects
+the discrepancies (_consume returns them), and the profile is derived
+from them alone after the run (_profile): e_0 = 1, e_j = e_{j-1} + 1,
+negated first when delta_j != 0 and e_{j-1} > 0, and
+LC_j = (j + 1 - e_j)/2.  MPState carries its chain's discrepancies and
+LC values, and reads the shift p_shift (steps since the last jump) off
+the latter: LC rises exactly at a jump.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
@@ -45,7 +49,7 @@ keep the coefficient-list loop: wider slots lose to it at small degree.
 Over the same fields the table renders every row from one per-call table
 of term texts (_term_table_text), the text of each c x^k built once.
 
-Runs that read no per-step rows (mp_run, and the LC log behind height,
+Runs that read no per-step rows (mp_run, and the profile behind height,
 lc_sum and char_equivalence) go through _consume.  On a generic core over
 F_p without per-step normalization it advances _BLOCK steps at a time
 once deg mu >= _BLOCK_MIN_DEG: a block is the product of its jump
@@ -54,17 +58,18 @@ by the same update rule, with each discrepancy read off two correlation
 windows and mu, mu' rebuilt by Kronecker products at the block's end
 (Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at a fixed
 block size as in the half-gcd of Brent-Gustavson-Yun 1980).  The core
-it leaves equals the per-step core slot for slot.  Every other core and
-every reader of per-step rows (the table, profile_steps, the PLCP
-witness, the verify sweeps, mp_step) steps term by term, as does any
-block whose slots would pass 8 bytes.
+it leaves equals the per-step core slot for slot, and the discrepancies
+it returns are the per-step ones.  Every other core and every reader of
+per-step rows (the table, profile_steps, the PLCP witness, the verify
+sweeps, mp_step) steps term by term, as does any block whose slots
+would pass 8 bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gf2
@@ -110,14 +115,12 @@ class MPConfig:
     normalizes the reported minimal polynomial once at the end, never
     inside the loop.  normalize_each_step divides the fresh row by the
     update determinant at every jump (field domains only); the result
-    agrees with the plain run up to a scalar.  keep_log retains the
-    per-step profile; switching it off keeps only the live state.
+    agrees with the plain run up to a scalar.
     """
 
     epsilon: int = 0
     monic_output: bool = False
     normalize_each_step: bool = False
-    keep_log: bool = True
 
 
 class StepRecord(NamedTuple):
@@ -203,7 +206,6 @@ class _GenericCore:
         "dom",
         "p",
         "normalize",
-        "keep_log",
         "j",
         "s",
         "mu",
@@ -211,8 +213,6 @@ class _GenericCore:
         "e",
         "dprime",
         "nabla",
-        "lc",
-        "deltas",
         "parts",
         "residues",
     )
@@ -220,13 +220,12 @@ class _GenericCore:
     unit = [1]  # the row 1, shared: a row is never edited once made
 
     def __init__(self, domain: CoeffDomain, epsilon: int = 0, *,
-                 normalize_each_step: bool = False, keep_log: bool = True):
+                 normalize_each_step: bool = False):
         if normalize_each_step and not domain.is_field:
             raise UnsupportedDomainError("per-step normalization needs a field")
         self.dom = domain
         self.p = domain.p
         self.normalize = normalize_each_step
-        self.keep_log = keep_log
         self.j = 0
         self.s: list[int] = []
         eps = domain.normalize(epsilon)
@@ -235,8 +234,6 @@ class _GenericCore:
         self.e = 1
         self.dprime = 1
         self.nabla = 1
-        self.lc: list[int] = []
-        self.deltas: list[int] = []
         self.parts = ()  # (row, [row]) pairs derived so far, at most two
         self.residues = _BYTE_RESIDUES.get(self.p)
 
@@ -298,12 +295,9 @@ class _GenericCore:
                 f"nabla passed {ZZ_NABLA_BITS} bits at step {j} of a run over "
                 f"the integers, whose coefficients grow exponentially")
         self.e = e + 1
-        if self.keep_log:
-            self.deltas.append(delta)
-            self.lc.append(len(self.mu) - 1)
         return delta
 
-    def _block(self, terms, w: int) -> None:
+    def _block(self, terms, w: int, deltas: list[int]) -> None:
         """Advance len(terms) steps at once, as step would one at a time.
 
         From the rows mu0, mu0' at the start, the block carries the
@@ -315,11 +309,11 @@ class _GenericCore:
         zero, since the coefficients that reach them cancel above deg mu.
         Four products at the end give mu and mu'.  Every value is reduced
         mod p, so all slots are equal to step's; w is a slot size that
-        holds sums of 2 len(mu0) products.
+        holds sums of 2 len(mu0) products.  The block's discrepancies are
+        appended to deltas.
         """
         p, s, j0, lin = self.p, self.s, self.j, self._lin
         e, c1, nabla = self.e, self.dprime, self.nabla
-        deltas, lc = (self.deltas, self.lc) if self.keep_log else ([], [])
         mu0, mup0 = self.mu, self.mup
         d0 = len(mu0) - 1
         s.extend(terms)
@@ -362,7 +356,6 @@ class _GenericCore:
                     e = -e
             e += 1
             deltas.append(delta)
-            lc.append((j + 1 - e) // 2)
         self.j, self.e, self.dprime, self.nabla = end, e, c1, nabla
         if A is not one:  # a nonzero step
             self.mu = times_rows(A, B)
@@ -403,34 +396,21 @@ class _GenericCore:
         for name in _GenericCore.__slots__:
             setattr(new, name, getattr(self, name))
         # a step replaces the rows but never edits them, so the copy shares
-        # them and their derived parts; the consumed prefix and the logs
-        # grow in place
-        new.s, new.lc, new.deltas = self.s[:], self.lc[:], self.deltas[:]
+        # them and their derived parts; the consumed prefix grows in place
+        new.s = self.s[:]
         return new
 
 
 class _PackedCore:
     """Bit-packed engine for F_2; semantics identical to _GenericCore."""
 
-    __slots__ = (
-        "keep_log",
-        "j",
-        "S",
-        "mu",
-        "mu_part",
-        "mup",
-        "mup_part",
-        "e",
-        "lc",
-        "deltas",
-    )
+    __slots__ = ("j", "S", "mu", "mu_part", "mup", "mup_part", "e")
 
     dprime = 1
     nabla = 1
     unit = 1
 
-    def __init__(self, epsilon: int = 0, *, keep_log: bool = True):
-        self.keep_log = keep_log
+    def __init__(self, epsilon: int = 0):
         self.j = 0
         self.S = 0
         self.mu = 1
@@ -438,8 +418,6 @@ class _PackedCore:
         self.mup = epsilon & 1
         self.mup_part = 1
         self.e = 1
-        self.lc: list[int] = []
-        self.deltas: list[int] = []
 
     def step(self, sj: int) -> int:
         self.j = j = self.j + 1
@@ -461,9 +439,6 @@ class _PackedCore:
                 self.mu, self.mu_part = nmu, npart
                 self.e = e = -e
         self.e = e + 1
-        if self.keep_log:
-            self.deltas.append(delta)
-            self.lc.append(self.mu.bit_length() - 1)
         return delta
 
     def _lin(self, c1, a, ashift, c2, b, bshift):
@@ -488,49 +463,43 @@ class _PackedCore:
         new = object.__new__(type(self))
         for name in _PackedCore.__slots__:
             setattr(new, name, getattr(self, name))
-        new.lc, new.deltas = self.lc[:], self.deltas[:]
         return new
 
 
 def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = False):
     # over F_2 the only unit is 1, so normalize_each_step changes nothing
     if domain.p == 2 and not force_generic:
-        return _PackedCore(domain.normalize(config.epsilon), keep_log=config.keep_log)
-    return _GenericCore(
-        domain,
-        config.epsilon,
-        normalize_each_step=config.normalize_each_step,
-        keep_log=config.keep_log,
-    )
+        return _PackedCore(domain.normalize(config.epsilon))
+    return _GenericCore(domain, config.epsilon,
+                        normalize_each_step=config.normalize_each_step)
 
 
-def _consume(core, terms, block: int | None = None,
-             min_deg: int = _BLOCK_MIN_DEG) -> None:
+def _consume(core, terms) -> list[int]:
     """Step core through terms, in blocks where that leaves the same core.
 
-    A generic core over F_p without per-step normalization steps term by
-    term until deg mu >= min_deg, then advances block (default _BLOCK)
-    steps at a time (_GenericCore._block) while a full block of terms
-    remains and its slots fit in 8 bytes; the rest steps term by term.
-    Every slot of the core ends as step alone would leave it, but no
-    per-step row exists in between, so only callers that read the core
-    after the run use this.
+    Returns the discrepancies delta_1..delta_n.  A generic core over F_p
+    without per-step normalization steps term by term until deg mu >=
+    _BLOCK_MIN_DEG, then advances _BLOCK steps at a time
+    (_GenericCore._block) while a full block of terms remains and its
+    slots fit in 8 bytes; the rest steps term by term.  Every slot of the
+    core ends as step alone would leave it, but no per-step row exists in
+    between, so only callers that read the core after the run use this.
     """
-    b = block or _BLOCK
     step = core.step
-    i, n = 0, len(terms)
+    deltas: list[int] = []
+    i, n, b = 0, len(terms), _BLOCK
     if isinstance(core, _GenericCore) and core.p and not core.normalize:
-        while n - i >= b and len(core.mu) <= min_deg:
-            step(terms[i])
+        while n - i >= b and len(core.mu) <= _BLOCK_MIN_DEG:
+            deltas.append(step(terms[i]))
             i += 1
         while n - i >= b:
             w = _slot_bytes(core.p, 2 * len(core.mu))
             if w is None:  # mu only grows: no later block fits either
                 break
-            core._block(terms[i:i + b], w)
+            core._block(terms[i:i + b], w, deltas)
             i += b
-    for t in terms[i:]:
-        step(t)
+    deltas += map(step, terms[i:])
+    return deltas
 
 
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
@@ -543,24 +512,49 @@ def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
     return [Poly._canonical(domain, c) for c in core.pairs()]
 
 
-def _exponents(lc: list[int]) -> list[int]:
-    """e_0..e_n from the log LC_1..LC_n: e_j = j + 1 - 2*LC_j, and e_0 = 1."""
-    return [j + 1 - 2 * c for j, c in enumerate([0, *lc])]
+def _profile(domain: CoeffDomain, deltas) -> tuple[list[int], list[int]]:
+    """LC_1..LC_n and e_0..e_n from the discrepancies delta_1..delta_n.
+
+    e_0 = 1 and e_j = e_{j-1} + 1, negated first when delta_j != 0 and
+    e_{j-1} > 0 (a jump); LC_j = (j + 1 - e_j)/2, so a jump raises LC by
+    e_{j-1} and no other step changes it.  This is the engine's own
+    exponent rule, so the profile is the one its run went through.
+    """
+    if not domain.p:
+        # over F_p a delta is a residue, so truthiness is the zero test;
+        # over the integers the domain's is_zero decides, as in step
+        deltas = [not domain.is_zero(d) for d in deltas]
+    e, L = 1, 0
+    lc, exps = [], [1]
+    lc_append, e_append = lc.append, exps.append
+    for d in deltas:
+        if d and e > 0:
+            L += e
+            e = -e
+        e += 1
+        lc_append(L)
+        e_append(e)
+    return lc, exps
 
 
 @dataclass(frozen=True, eq=False)
 class MPState:
     """Read-only engine state after j consumed terms.
 
-    A view over a private core: the rows are converted on access, and
-    p_shift (the steps since the last jump, counting the jump step
-    itself; j before any jump) is read off the LC log.  mp_step steps
-    a copy of the core, so a state never changes once made.
+    A view over a private core: the rows are converted on access.  The
+    state also carries its chain's discrepancies delta_1..delta_j and
+    LC_1..LC_j, each extended by one in mp_step; log derives the
+    exponents from the discrepancies (_profile), and p_shift (the steps
+    since the last jump, counting the jump step itself; j before any
+    jump) is read off the LC tuple.  mp_step steps a copy of the core,
+    so a state never changes once made.
     """
 
     domain: CoeffDomain
     config: MPConfig
     _core: _GenericCore | _PackedCore
+    _deltas: tuple[int, ...] = ()
+    _lc: tuple[int, ...] = ()
 
     def __eq__(self, other):
         # the engine is deterministic: equal inputs give equal states
@@ -602,18 +596,17 @@ class MPState:
 
     @property
     def log(self) -> tuple[StepRecord, ...]:
-        core = self._core
-        exps = _exponents(core.lc)
+        lc, exps = _profile(self.domain, self._deltas)
         return tuple(
-            StepRecord(j, delta, exps[j - 1], lc, bool(delta) and exps[j - 1] > 0)
-            for j, (delta, lc) in enumerate(zip(core.deltas, core.lc), start=1)
+            StepRecord(j, delta, exps[j - 1], c, bool(delta) and exps[j - 1] > 0)
+            for j, (delta, c) in enumerate(zip(self._deltas, lc), start=1)
         )
 
     @property
     def p_shift(self) -> int:
         # a jump raises deg mu by e > 0 and no other step changes it, so
         # the last rise of LC is the last jump (step i + 1 for LC at index i)
-        lc = self._core.lc
+        lc = self._lc
         for i in range(len(lc) - 1, -1, -1):
             if lc[i] > (lc[i - 1] if i else 0):
                 return self.j - i
@@ -631,19 +624,16 @@ class MPState:
 
 
 def mp_init(domain: CoeffDomain, config: MPConfig = MPConfig()) -> MPState:
-    """State at step 0: mu_bar = (1, 0), mu_bar' = (eps, -1), e = 1.
-
-    The state always keeps its step log (the log is what p_shift and
-    log are read from), whatever config.keep_log says.
-    """
-    return MPState(domain, config, _make_core(domain, replace(config, keep_log=True)))
+    """State at step 0: mu_bar = (1, 0), mu_bar' = (eps, -1), e = 1."""
+    return MPState(domain, config, _make_core(domain, config))
 
 
 def mp_step(state: MPState, term: int) -> MPState:
     """Consume one term and return the successor state; state is unchanged."""
     core = state._core.copy()
-    core.step(state.domain.normalize(term))
-    return MPState(state.domain, state.config, core)
+    delta = core.step(state.domain.normalize(term))
+    return MPState(state.domain, state.config, core,
+                   (*state._deltas, delta), (*state._lc, core.cur_lc()))
 
 
 @dataclass
@@ -651,8 +641,8 @@ class ProfileReport:
     """Per-step linear-complexity profile plus the terminal artifacts.
 
     lc, deltas cover steps 1..n; exponents covers 0..n (the seed
-    exponent 1 first).  With keep_log off lc and deltas are empty and
-    exponents is [1].
+    exponent 1 first).  lc and exponents are derived from deltas
+    (_profile).
     """
 
     domain: CoeffDomain
@@ -729,14 +719,15 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     if config.monic_output and not domain.is_field:
         raise UnsupportedDomainError("monic output needs a field")
     core = _make_core(domain, config, force_generic=force_generic)
-    _consume(core, s.terms)
+    deltas = _consume(core, s.terms)  # already reduced: acc % p, or 0/1 packed
+    lc, exponents = _profile(domain, deltas)
     matrix = Mat2(*_poly_rows(domain, core))
     report = ProfileReport(
         domain=domain,
         epsilon=domain.normalize(config.epsilon),
-        lc=list(core.lc),
-        deltas=list(core.deltas),  # already reduced: acc % p, or 0/1 packed
-        exponents=_exponents(core.lc),
+        lc=lc,
+        deltas=deltas,
+        exponents=exponents,
         minpoly=matrix.a.monic() if config.monic_output else matrix.a,
         final_matrix=matrix,
         nabla=domain.normalize(core.nabla),

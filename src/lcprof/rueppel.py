@@ -199,7 +199,7 @@ def rueppel_matrix_check(n: int) -> bool:
     """Engine matrix pattern: M at 2, repeat at even n, U-power at odd n."""
     if n < 2:
         raise ValueError("pattern starts at n = 2")
-    core = _PackedCore(keep_log=False)
+    core = _PackedCore()
     prev = None
     for t in rueppel_terms(n).terms:
         prev = core.packed_rows()

@@ -41,10 +41,11 @@ from .analysis import (
     t_transform,
 )
 from .engine import (
-    _GenericCore,
+    MPConfig,
     _PackedCore,
     _bezout_ok,
-    _exponents,
+    _make_core,
+    _profile,
     annihilates,
     brute_force_minpoly,
     mp_run,
@@ -122,7 +123,7 @@ def _tree_sweep(start, fold, check, lengths: range) -> tuple[int, str]:
     _guard_binary_sweep(lengths[-1])
     counts = [0] * (lengths[-1] + 1)
     least = None  # (n, v, detail)
-    core = _PackedCore(keep_log=False)
+    core = _PackedCore()
     for terms, st in _walk_prefixes(core, 2, lengths[-1], fold, start):
         n = len(terms)
         if n in lengths:
@@ -215,9 +216,8 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
     for _ in range(trials):
         n = rng.randrange(1, max_n + 1)
         terms = [rng.randrange(field) for _ in range(n)]
-        packed = field == 2
-        core = (_PackedCore(epsilon, keep_log=False) if packed
-                else _GenericCore(dom, epsilon, keep_log=False))
+        core = _make_core(dom, MPConfig(epsilon=epsilon))
+        packed = isinstance(core, _PackedCore)
         last = None
         for j, t in enumerate(terms, start=1):
             core.step(t)
@@ -329,8 +329,9 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     core = _PackedCore()
     pattern, closed, repeat = {}, {}, {}
     prev = None
+    deltas = []
     for j, t in enumerate(rueppel_terms(max(profile_n, snap_n)).terms, start=1):
-        core.step(t)
+        deltas.append(core.step(t))
         if j > snap_n:
             continue
         cur = core.packed_rows()
@@ -341,9 +342,9 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
         elif j % 2 == 0 and 3 <= j - 1 <= closed_n:
             repeat[j - 1] = cur[:2] == prev[:2]
         prev = cur
-    exps = _exponents(core.lc)
+    lcs, exps = _profile(GF2, deltas)
     for j in range(1, profile_n + 1):
-        lc = core.lc[j - 1]
+        lc = lcs[j - 1]
         yield 1, "" if lc == (j + 1) // 2 else f"LC_{j} = {lc}"
         yield 0, "" if exps[j] in (0, 1) else f"e_{j} = {exps[j]}"
     for n in range(2, matrix_n + 1):

@@ -56,8 +56,16 @@ def test_parse_sequence_rejects():
         parse_sequence("2,1", GF2)  # strict: no wrapping
     with pytest.raises(SequenceParseError):
         parse_sequence("1,x", GF2)
-    with pytest.raises(SequenceParseError):
+    with pytest.raises(SequenceParseError, match=r"^value -1 outside \[0, 3\)$"):
         parse_sequence("-1", PrimeField(3))
+    with pytest.raises(SequenceParseError, match=r"^not an integer: ''$"):
+        parse_sequence(",1", GF2)  # a stray comma
+    # int() would take each of these: an underscore, a non-ASCII digit, a sign
+    for text, bad in (("1_0", "1_0"), ("\u0661,1", "\u0661"), ("+1,0", "+1"),
+                      ("1 0,+1", "+1")):
+        with pytest.raises(SequenceParseError) as info:
+            parse_sequence(text, PrimeField(13))
+        assert str(info.value) == f"not an integer: {bad!r}"
 
 
 def test_parse_errors_exit_2(capsys):
@@ -67,6 +75,10 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "minpoly")  # no sequence at all
     assert code == 2
+    for seq in ("1_0", "\u0661,1", "+1,0"):  # terms int() would take
+        code, out, err = run(capsys, "minpoly", "--field", "13", "--seq", seq)
+        bad = seq.split(",")[0]
+        assert (code, out, err) == (2, "", f"error: not an integer: {bad!r}\n")
 
 
 def test_usage_error_exit_2(capsys):

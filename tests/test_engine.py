@@ -133,19 +133,6 @@ def test_run_empty():
     assert m == mp_init(GF2).matrix()
 
 
-def test_keep_log_off():
-    _, rep = mp_run(R6, MPConfig(keep_log=False))
-    assert rep.lc == [] and rep.deltas == []
-    assert str(rep.minpoly) == "x^3+x^2+1"
-
-
-@pytest.mark.parametrize("s", [R6, Seq(F3, [1, 2, 0, 2, 1]), ZZ.seq([3, 1, 4])])
-def test_keep_log_off_keeps_only_the_seed_exponent(s):
-    _, rep = mp_run(s, MPConfig(keep_log=False))
-    assert (rep.lc, rep.deltas, rep.exponents) == ([], [], [1])
-    assert rep.jumps == [] and rep.jump_exponents == []
-
-
 # ------------------------------------------------------ updating matrix
 
 def test_updating_matrix_examples():
@@ -453,9 +440,9 @@ def test_pairs_derives_each_row_once(monkeypatch):
     assert len(calls) == nonzero + 1
     child = core.copy()
     assert child.pairs() == core.pairs() and len(calls) == nonzero + 1
-    child.step(1)
+    delta = child.step(1)
     child.pairs()
-    assert len(calls) == nonzero + 1 + (child.deltas[-1] != 0)
+    assert len(calls) == nonzero + 1 + (delta != 0)
 
 
 # ------------------------------------------------ canonical Poly rows
@@ -620,21 +607,37 @@ def test_run_equals_folded_steps():
     (GF2, False), (GF2, True), (F3, True), (F5, True), (PrimeField(65521), True),
     (ZZ, True),
 ])
-def test_live_exponent_follows_the_profile(dom, generic):
-    # 3,000 runs in all: after every step core.e = j + 1 - 2*LC_j, and
-    # the exponents derived from the LC log are the live ones in order
+def test_live_exponent_follows_the_profile(monkeypatch, dom, generic):
+    # after every step core.e = j + 1 - 2*LC_j, and the LC and exponents
+    # derived from the returned discrepancies are the live ones in order;
+    # _consume, blocked on the generic cores over F_p, returns the same
+    starts = _record_blocks(monkeypatch)
     rng = random.Random(dom.p + generic)
-    # over ZZ the coefficients grow with each jump: keep the inputs short
+    # over ZZ the coefficients grow with each jump: the short inputs are
+    # random, the long ones periodic, so their LC stays below the period
     top, longest = (dom.p, 40) if dom.p else (10, 12)
-    for _ in range(500):
-        core = engine._make_core(dom, MPConfig(epsilon=rng.randrange(3)),
-                                 force_generic=generic)
-        live = [core.e]
-        for j in range(1, rng.randrange(2, longest)):
-            core.step(rng.randrange(top) if rng.random() < 0.7 else 0)
+    for i in range(320):
+        if i < 300:
+            terms = [rng.randrange(top) if rng.random() < 0.7 else 0
+                     for _ in range(rng.randrange(1, longest))]
+        elif dom.p:
+            terms = [rng.randrange(top) if rng.random() < 0.7 else 0
+                     for _ in range(rng.randrange(200, 300))]
+        else:
+            period = [rng.randrange(top) for _ in range(rng.randrange(1, 9))]
+            terms = (period * 300)[:rng.randrange(200, 300)]
+        config = MPConfig(epsilon=rng.randrange(3))
+        core = engine._make_core(dom, config, force_generic=generic)
+        deltas, lc, live = [], [], [core.e]
+        for j, t in enumerate(terms, start=1):
+            deltas.append(core.step(t))
             assert core.e == j + 1 - 2 * core.cur_lc()
+            lc.append(core.cur_lc())
             live.append(core.e)
-        assert engine._exponents(core.lc) == live
+        assert engine._profile(dom, deltas) == (lc, live)
+        blocked = engine._make_core(dom, config, force_generic=generic)
+        assert engine._consume(blocked, terms) == deltas
+    assert bool(starts) == (generic and dom.p > 0)
 
 
 def _p_shift_from_log(state):
@@ -946,7 +949,7 @@ def test_report_json_round_trip_integers():
 
 # -------------------------------------------------------- blocked runner
 
-CORE_SLOTS = ("s", "mu", "mup", "e", "dprime", "nabla", "lc", "deltas", "j")
+CORE_SLOTS = ("s", "mu", "mup", "e", "dprime", "nabla", "j")
 # the largest prime below 2^28: a block packs into 8-byte slots while
 # len(mu) < 128, so its runs switch from blocks to steps near n = 250
 P28 = 268435399
@@ -957,16 +960,20 @@ def _record_blocks(monkeypatch):
     starts = []
     real = _GenericCore._block
     monkeypatch.setattr(_GenericCore, "_block",
-                        lambda core, terms, w: starts.append(len(core.mu))
-                        or real(core, terms, w))
+                        lambda core, terms, w, deltas: starts.append(len(core.mu))
+                        or real(core, terms, w, deltas))
     return starts
 
 
-def _stepped(dom, terms, eps=0, keep_log=True):
-    core = _GenericCore(dom, eps, keep_log=keep_log)
+def _stepped(dom, terms, eps=0):
+    """A core stepped term by term, with its live delta_j, LC_j and e_j."""
+    core = _GenericCore(dom, eps)
+    deltas, lc, exps = [], [], [core.e]
     for t in terms:
-        core.step(t)
-    return core
+        deltas.append(core.step(t))
+        lc.append(core.cur_lc())
+        exps.append(core.e)
+    return core, deltas, lc, exps
 
 
 def _assert_same_core(core, ref, context):
@@ -987,16 +994,18 @@ def _runner_inputs(p, rng):
 @pytest.mark.parametrize("block", [1, 2, 3, 64, 1000])
 def test_blocked_run_equals_the_per_step_core(monkeypatch, p, block):
     starts = _record_blocks(monkeypatch)
+    monkeypatch.setattr(engine, "_BLOCK", block)
     dom = PrimeField(p)
     rng = random.Random(p * block)
     for terms in _runner_inputs(p, rng):
         for eps in (0, 1, p - 1):
+            ref, deltas, _, _ = _stepped(dom, terms, eps)
             # min_deg 0 blocks from the seed on, 64 is the default entry
-            for keep_log, min_deg in ((True, 0), (True, 64), (False, 0)):
-                core = _GenericCore(dom, eps, keep_log=keep_log)
-                engine._consume(core, terms, block, min_deg)
-                ref = _stepped(dom, terms, eps, keep_log)
-                _assert_same_core(core, ref, (terms, eps, keep_log, min_deg))
+            for min_deg in (0, 64):
+                monkeypatch.setattr(engine, "_BLOCK_MIN_DEG", min_deg)
+                core = _GenericCore(dom, eps)
+                assert engine._consume(core, terms) == deltas, (terms, eps, min_deg)
+                _assert_same_core(core, ref, (terms, eps, min_deg))
     if block > 220:
         assert not starts  # no full block ever remains
     elif p == 2**31 - 1:
@@ -1011,9 +1020,12 @@ def test_blocked_run_falls_back_where_the_slots_outgrow_8_bytes(monkeypatch):
     dom = PrimeField(P28)
     rng = random.Random(28)
     terms = [rng.randrange(P28) for _ in range(400)]
+    monkeypatch.setattr(engine, "_BLOCK", 3)
+    monkeypatch.setattr(engine, "_BLOCK_MIN_DEG", 0)
     core = _GenericCore(dom)
-    engine._consume(core, terms, 3, 0)
-    _assert_same_core(core, _stepped(dom, terms), "fallback")
+    ref, deltas, _, _ = _stepped(dom, terms)
+    assert engine._consume(core, terms) == deltas
+    _assert_same_core(core, ref, "fallback")
     assert 100 < max(starts) < 128 < len(core.mu)
 
 
@@ -1029,8 +1041,9 @@ def test_blocked_run_refills_its_windows(monkeypatch):
     rng = random.Random(3)
     terms = [1 if rng.random() < 0.02 else 0 for _ in range(600)]
     core = _GenericCore(F3)
-    engine._consume(core, terms)
-    _assert_same_core(core, _stepped(F3, terms), "refill")
+    ref, deltas, _, _ = _stepped(F3, terms)
+    assert engine._consume(core, terms) == deltas
+    _assert_same_core(core, ref, "refill")
     assert sum(windows) > 2 * len(starts) > 0
 
 
@@ -1040,9 +1053,9 @@ def test_blocked_run_is_used_by_mp_run_and_the_profile_log(monkeypatch):
     s = PrimeField(65521).seq([rng.randrange(65521) for _ in range(400)])
     _, rep = mp_run(s)
     assert len(starts) == 4
-    ref = _stepped(s.domain, s.terms)
-    assert (rep.lc, rep.deltas, rep.nabla) == (ref.lc, ref.deltas, ref.nabla)
-    assert analysis_height(s).exponents == engine._exponents(ref.lc)
+    ref, deltas, lc, exps = _stepped(s.domain, s.terms)
+    assert (rep.lc, rep.deltas, rep.exponents, rep.nabla) == (lc, deltas, exps, ref.nabla)
+    assert analysis_height(s).exponents == exps
     assert len(starts) == 8
     # per-step readers never block
     profile_steps(s)

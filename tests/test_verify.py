@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from lcprof import analysis, rueppel
+from lcprof import analysis, engine, rueppel
 from lcprof import verify as verify_mod
 from lcprof.analysis import (
     char_equivalence,
@@ -21,7 +21,7 @@ from lcprof.fields import GF2
 
 
 def test_walk_verdicts_match_public_functions():
-    core = verify_mod._PackedCore(keep_log=False)
+    core = verify_mod._PackedCore()
     walk = analysis._walk_prefixes(core, 2, 10, verify_mod._equiv_step,
                                    verify_mod._EQUIV_START)
     seen = []
@@ -327,7 +327,7 @@ def test_verify_bezout_rechecks_a_nabla_changed_at_a_zero_step(monkeypatch, fiel
     # a nabla raised at a zero-discrepancy step must still be caught there.
     tampered = []
 
-    class TamperCore(verify_mod._GenericCore):
+    class TamperCore(engine._GenericCore):
         def step(self, sj):
             delta = super().step(sj)
             if delta == 0 and self.cur_lc() > 0 and not tampered:
@@ -335,7 +335,7 @@ def test_verify_bezout_rechecks_a_nabla_changed_at_a_zero_step(monkeypatch, fiel
                 tampered.append(self.j)
             return delta
 
-    monkeypatch.setattr(verify_mod, "_GenericCore", TamperCore)
+    monkeypatch.setattr(engine, "_GenericCore", TamperCore)  # what _make_core builds
     result = verify_mod.verify_bezout(field=field, trials=50, max_n=32)
     assert tampered and not result.ok
     assert result.detail.endswith(f" step {tampered[0]}")
@@ -346,7 +346,7 @@ def test_verify_bezout_rechecks_a_carried_part_changed_at_a_zero_step(monkeypatc
     # zero-discrepancy step, with mu, mu' and nabla unchanged, must fail there.
     tampered = []
 
-    class TamperCore(verify_mod._PackedCore):
+    class TamperCore(engine._PackedCore):
         def step(self, sj):
             delta = super().step(sj)
             if delta == 0 and self.cur_lc() > 0 and not tampered:
@@ -354,7 +354,7 @@ def test_verify_bezout_rechecks_a_carried_part_changed_at_a_zero_step(monkeypatc
                 tampered.append(self.j)
             return delta
 
-    monkeypatch.setattr(verify_mod, "_PackedCore", TamperCore)
+    monkeypatch.setattr(engine, "_PackedCore", TamperCore)  # what _make_core builds
     result = verify_mod.verify_bezout(field=2, trials=50, max_n=32)
     assert tampered and not result.ok
     assert result.detail.endswith(f" step {tampered[0]}")
