@@ -15,10 +15,11 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import gf2
 from .engine import MPConfig, _consume, _make_core, _profile, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField
-from .poly import Poly, Seq, poly_divmod
+from .poly import Poly, Seq, _trim, reduce_coeffs
 
 
 def _require_binary(s: Seq, what: str) -> None:
@@ -291,28 +292,41 @@ def height(s: Seq) -> HeightReport:
 def cf_partial_quotients(s: Seq) -> list[Poly]:
     """Partial quotients of the rational (sum s_i x^{n-i}) / x^n.
 
-    Computed by the Euclidean algorithm on the pair (x^n, numerator).
-    The quotient degrees extend the engine's jump exponents: quotient i
-    has degree equal to the i-th jump exponent for every jump the
-    profile realized; quotients past that point encode the truncation.
+    Computed by the Euclidean algorithm on the pair (x^n, numerator):
+    over F_2 on packed polynomials, by shift and XOR (the loop of
+    gf2.gcd, recording each quotient), and over other fields on
+    coefficient lists (reduce_coeffs).  The quotient degrees extend the
+    engine's jump exponents: quotient i has degree equal to the i-th
+    jump exponent for every jump the profile realized; quotients past
+    that point encode the truncation.
     """
     dom = s.domain
     if not dom.is_field:
         raise UnsupportedDomainError("continued fractions need a field")
-    n = len(s)
-    num = [0] * n
-    for i, si in enumerate(s.terms, start=1):
-        num[n - i] = si
-    numerator = Poly(dom, num)
-    if numerator.is_zero:
+    if not any(s.terms):
         raise ValueError("the zero sequence has no continued fraction")
-    a = Poly(dom, (0,) * n + (1,))
-    b = numerator
+    n, p = len(s), dom.p
+    if p == 2:
+        # bit n - i of the numerator is s_i: the terms are its binary digits
+        a, b = 1 << n, int("".join(map(str, s.terms)), 2)
+        quotients = []
+        while b:
+            db, q = b.bit_length(), 0
+            k = a.bit_length() - db
+            while k >= 0:
+                a ^= b << k
+                q |= 1 << k
+                k = a.bit_length() - db
+            quotients.append(q)
+            a, b = b, a
+        return [Poly._canonical(dom, gf2.to_coeffs(q)) for q in quotients]
+    a, b = [0] * n + [1], _trim(list(s.terms[::-1]))
     quotients = []
-    while not b.is_zero:
-        q, r = poly_divmod(a, b)
-        quotients.append(q)
-        a, b = b, r
+    while b:
+        q = [0] * (len(a) - len(b) + 1)
+        reduce_coeffs(a, b, p, q)  # a becomes the remainder
+        quotients.append(Poly._canonical(dom, q))
+        a, b = b, a
     return quotients
 
 

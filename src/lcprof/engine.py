@@ -113,9 +113,11 @@ class MPConfig:
     epsilon seeds the displaced row (it changes the mu' lineage but not
     the degree of the returned minimal polynomial).  monic_output
     normalizes the reported minimal polynomial once at the end, never
-    inside the loop.  normalize_each_step divides the fresh row by the
-    update determinant at every jump (field domains only); the result
-    agrees with the plain run up to a scalar.
+    inside the loop.  normalize_each_step (field domains only) divides
+    the fresh row mu at every step with a nonzero discrepancy by the
+    factor that step multiplies nabla by: delta' when the step does not
+    jump, delta when it does.  The result agrees with the plain run up
+    to a scalar.
     """
 
     epsilon: int = 0
@@ -392,12 +394,16 @@ class _GenericCore:
         return tuple(self.s)
 
     def copy(self) -> "_GenericCore":
+        # every slot by name (a loop over __slots__ costs three times as
+        # much); a step replaces the rows but never edits them, so the copy
+        # shares them and their derived parts; the consumed prefix grows
+        # in place
         new = object.__new__(type(self))
-        for name in _GenericCore.__slots__:
-            setattr(new, name, getattr(self, name))
-        # a step replaces the rows but never edits them, so the copy shares
-        # them and their derived parts; the consumed prefix grows in place
-        new.s = self.s[:]
+        new.dom, new.p, new.normalize = self.dom, self.p, self.normalize
+        new.j, new.s = self.j, self.s[:]
+        new.mu, new.mup, new.e = self.mu, self.mup, self.e
+        new.dprime, new.nabla = self.dprime, self.nabla
+        new.parts, new.residues = self.parts, self.residues
         return new
 
 
@@ -460,9 +466,11 @@ class _PackedCore:
         return tuple(gf2.to_coeffs(S) + [0] * (self.j - S.bit_length()))
 
     def copy(self) -> "_PackedCore":
+        # every slot by name: the prefix-tree walks copy once per node
         new = object.__new__(type(self))
-        for name in _PackedCore.__slots__:
-            setattr(new, name, getattr(self, name))
+        new.j, new.S, new.e = self.j, self.S, self.e
+        new.mu, new.mu_part = self.mu, self.mu_part
+        new.mup, new.mup_part = self.mup, self.mup_part
         return new
 
 
@@ -925,16 +933,27 @@ def brute_force_minpoly(s: Seq, guard: int = BRUTE_FORCE_GUARD) -> tuple[int, Po
     q = dom.p
     n = len(s)
     if q == 2:
+        # f = x^d + low annihilates when the window bits d..n-1 of
+        # rev(f) * S vanish, and that product is the XOR of S (the x^d
+        # term) and S << (d - i) for each bit i of low.  So the candidates
+        # are visited in Gray-code order, each one XOR from the last, and
+        # the least annihilating low is kept.
         S = sum(1 << i for i, t in enumerate(s.terms) if t)
         for d in range(1, n + 1):
             if q ** (d + 1) > guard:
                 raise ResourceLimitError(f"brute force bound exceeded at degree {d}")
             mask = ((1 << (n - d)) - 1) << d
-            for low in range(1 << d):
-                f = low | (1 << d)
-                frev = int(bin(f)[2:][::-1], 2)
-                if gf2.mul(frev, S) & mask == 0:
-                    return d, Poly._canonical(dom, gf2.to_coeffs(f))
+            v = S & mask
+            least = None if v else 0
+            if v:
+                rows = [(S << (d - i)) & mask for i in range(d)]
+                for k in range(1, 1 << d):
+                    # Gray code k ^ (k >> 1) flips bit i, the lowest set in k
+                    v ^= rows[(k & -k).bit_length() - 1]
+                    if not v and (least is None or k ^ k >> 1 < least):
+                        least = k ^ k >> 1
+            if least is not None:
+                return d, Poly._canonical(dom, gf2.to_coeffs(least | 1 << d))
     else:
         for d in range(1, n + 1):
             if q ** (d + 1) > guard:

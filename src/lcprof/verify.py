@@ -38,7 +38,6 @@ from .analysis import (
     is_stable,
     lc_sum,
     plcp_count,
-    t_transform,
 )
 from .engine import (
     MPConfig,
@@ -230,15 +229,33 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
 
 # ----------------------------------------------------------- wang-massey
 
-def _wm_check(st: _Profile, terms) -> str:
-    # stability and the transform are engine-free oracles, run per sequence
+# The sweep's fold state after j steps is (perfect, t): the first
+# _Profile verdict, and the series t = s^2 + (x+1)s + 1 of the prefix,
+# packed in y = 1/x (bit i is the coefficient of x^-i).  Over F_2,
+# squaring is Frobenius, s^2 = sum s_j y^(2j), and (x+1)s =
+# sum s_j (y^(j-1) + y^j), so term j adds y^(2j) + y^(j-1) + y^j when
+# s_j = 1: one XOR.  That is t_transform's product definition folded
+# down the tree, not the stability recurrence.  Bits past n come from
+# the squares of the later terms; the check masks them off.
+_WM_START = (True, 1)
+
+
+def _wm_step(st, core, delta: int, j: int):
+    # s_j is bit j - 1 of the packed core's consumed prefix S
+    t = st[1] ^ (3 << j - 1 | 1 << 2 * j) if core.S >> j - 1 & 1 else st[1]
+    return st[0] and core.cur_lc() == (j + 1) // 2, t
+
+
+def _wm_check(st, terms) -> str:
+    # stability is an engine-free oracle, run per sequence; the transform
+    # is the other, folded from the terms alone
     n = len(terms)
-    s = Seq._canonical(GF2, terms)
-    plcp, stable = st.perfect, is_stable(s)
+    plcp, t = st
+    stable = is_stable(Seq._canonical(GF2, terms))
     if plcp != stable:
         return f"n={n} {list(terms)} plcp={plcp} stable={stable}"
-    t = t_transform(s)
-    if stable != all(t[j] == 0 for j in range(0, n + 1, 2)):
+    # the even coefficients t_0, t_2, ..., up to t_n
+    if stable != (t & (4 ** (n // 2 + 1) - 1) // 3 == 0):
         return f"n={n} {list(terms)} transform criterion"
     return ""
 
@@ -246,8 +263,7 @@ def _wm_check(st: _Profile, terms) -> str:
 @_suite("wang-massey")
 def verify_wang_massey(max_n: int = 15) -> VerifyResult:
     """PLCP <=> stability <=> even transform coefficients vanish (odd n)."""
-    yield _tree_sweep(_PROFILE_START, _profile_step, _wm_check,
-                      range(1, max_n + 1, 2))
+    yield _tree_sweep(_WM_START, _wm_step, _wm_check, range(1, max_n + 1, 2))
 
 
 # ------------------------------------------------------------- plcp

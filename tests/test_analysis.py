@@ -29,7 +29,7 @@ from lcprof.analysis import (
 from lcprof.engine import MPConfig, _make_core, mp_run
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, PrimeField
-from lcprof.poly import Poly, Seq
+from lcprof.poly import Poly, Seq, poly_divmod
 from lcprof.rueppel import rueppel_terms
 
 F3 = PrimeField(3)
@@ -458,6 +458,33 @@ def test_cf_quotients_extend_jump_exponents():
         # quotient degrees sum to the index of the last nonzero term
         last = max(j for j, t in enumerate(terms, start=1) if t)
         assert sum(degs) == last
+
+
+def _euclid_quotients(s):
+    """The partial quotients by poly_divmod on Poly values."""
+    n = len(s)
+    a = Poly(s.domain, (0,) * n + (1,))
+    b = Poly(s.domain, s.terms[::-1])
+    out = []
+    while not b.is_zero:
+        q, r = poly_divmod(a, b)
+        out.append(q)
+        a, b = b, r
+    return out
+
+
+def test_cf_quotients_equal_a_poly_divmod_euclid():
+    rng = random.Random(17)
+    for _ in range(600):
+        q = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 81)
+        terms = [rng.randrange(q) for _ in range(n)]
+        terms[rng.randrange(n)] = rng.randrange(1, q)
+        s = PrimeField(q).seq(terms)
+        got = cf_partial_quotients(s)
+        assert got == _euclid_quotients(s), (q, terms)
+        # canonical: the same coefficient tuples a renormalizing Poly holds
+        assert [f.coeffs for f in got] == [Poly(s.domain, f.coeffs).coeffs for f in got]
 
 
 # ------------------------------------------------------------------ sums

@@ -445,6 +445,27 @@ def test_pairs_derives_each_row_once(monkeypatch):
     assert len(calls) == nonzero + 1 + (delta != 0)
 
 
+@pytest.mark.parametrize("make, q", [
+    (_PackedCore, 2),
+    (lambda: _GenericCore(F3, 1), 3),
+    (lambda: _GenericCore(PrimeField(65521), 2, normalize_each_step=True), 65521),
+], ids=["packed", "F_3", "F_65521"])
+def test_copy_carries_every_slot(make, q):
+    # copy() names each slot: one added to __slots__ and left out of it
+    # would raise on read, or differ from the original here
+    core = make()
+    for t in (1, 0, 2, 1, 1, 0, 3):
+        core.step(t % q)
+    child = core.copy()
+    assert type(child) is type(core)
+    for name in type(core).__slots__:
+        assert getattr(child, name) == getattr(core, name), name
+    if isinstance(core, _GenericCore):
+        assert child.s is not core.s  # the prefix grows in place
+    child.step(1)
+    assert core.terms() == child.terms()[:-1] and core.j == child.j - 1
+
+
 # ------------------------------------------------ canonical Poly rows
 
 def _walk_poly_rows(dom, core, depth):
@@ -771,6 +792,28 @@ def test_brute_force_guard():
 def test_brute_force_needs_field():
     with pytest.raises(UnsupportedDomainError):
         brute_force_minpoly(ZZ.seq([1, 2]))
+
+
+def _natural_order_minpoly(s):
+    """x^d + low for the least d, then the least low, tried in natural order."""
+    S, n = s.terms, len(s)
+    if not any(S):
+        return 0, "1"
+    for d in range(1, n + 1):
+        for low in range(1 << d):
+            f = [(low >> i) & 1 for i in range(d)] + [1]
+            if all(sum(f[i] * S[j - d + i] for i in range(d + 1)) % 2 == 0
+                   for j in range(d, n)):
+                return d, str(Poly(GF2, f))
+    raise AssertionError("degree n always annihilates")
+
+
+def test_brute_force_gray_order_equals_natural_order():
+    for n in range(1, 11):
+        for v in range(1 << n):
+            s = GF2.seq([(v >> i) & 1 for i in range(n)])
+            d, w = brute_force_minpoly(s)
+            assert (d, str(w)) == _natural_order_minpoly(s), s.terms
 
 
 def test_exhaustive_oracle_f2_n8():

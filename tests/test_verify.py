@@ -41,7 +41,7 @@ def test_walk_verdicts_match_public_functions():
         assert [t for t in seen if len(t) == n] == list(product((0, 1), repeat=n))
 
 
-def _scan_wang_massey(max_n):
+def _scan_wang_massey(max_n, transform=t_transform):
     """The length-by-length scan the tree sweep must agree with."""
     checked = 0
     for n in range(1, max_n + 1, 2):
@@ -50,7 +50,7 @@ def _scan_wang_massey(max_n):
             plcp, stable = is_plcp(s), verify_mod.is_stable(s)
             if plcp != stable:
                 return checked, f"n={n} {list(s.terms)} plcp={plcp} stable={stable}"
-            t = t_transform(s)
+            t = transform(s)
             if stable != all(t[j] == 0 for j in range(0, n + 1, 2)):
                 return checked, f"n={n} {list(s.terms)} transform criterion"
         checked += 1 << n
@@ -74,6 +74,50 @@ def test_tree_counterexample_matches_scan(monkeypatch):
     assert (result.checked, result.detail) == _scan_wang_massey(7)
     assert result.checked == 2 + 8
     assert result.detail == "n=5 [1, 0, 0, 0, 0] plcp=False stable=True"
+
+
+def test_folded_transform_equals_t_transform_at_every_node():
+    walk = analysis._walk_prefixes(verify_mod._PackedCore(), 2, 12,
+                                   verify_mod._wm_step, verify_mod._WM_START)
+    nodes = 0
+    for terms, (perfect, t) in walk:
+        s = GF2.seq(terms)
+        assert [t >> i & 1 for i in range(len(terms) + 1)] == t_transform(s), terms
+        assert perfect == is_plcp(s), terms
+        nodes += 1
+    assert nodes == 2**13 - 1
+
+
+@pytest.mark.parametrize("prefix, bit, checked, detail", [
+    ((1, 0, 1, 0), 0, 2 + 8, "n=5 [1, 0, 1, 0, 0] transform criterion"),
+    ((1, 1, 0), 2, 2, "n=3 [1, 1, 0] transform criterion"),
+    ((1, 0, 1, 1, 1, 1), 6, 2 + 8 + 32,
+     "n=7 [1, 0, 1, 1, 1, 1, 0] transform criterion"),
+])
+def test_wang_massey_reports_a_flipped_even_coefficient(monkeypatch, prefix, bit,
+                                                        checked, detail):
+    # the fold flips t_bit at the prefix's node, and every extension
+    # inherits the flip; the scan flips the same coefficient of t_transform.
+    # Each prefix extends to a stable sequence, whose even coefficients
+    # all vanish, so the flip shows there
+    v = sum(t << i for i, t in enumerate(prefix))
+    real = verify_mod._wm_step
+
+    def flipped(st, core, delta, j):
+        perfect, t = real(st, core, delta, j)
+        return perfect, t ^ ((core.j, core.S) == (len(prefix), v)) << bit
+
+    def transform(s):
+        t = t_transform(s)
+        if s.terms[:len(prefix)] == prefix:
+            t[bit] ^= 1
+        return t
+
+    monkeypatch.setattr(verify_mod, "_wm_step", flipped)
+    result = verify_mod.verify_wang_massey(max_n=7)
+    assert not result.ok
+    assert (result.checked, result.detail) == _scan_wang_massey(7, transform)
+    assert (result.checked, result.detail) == (checked, detail)
 
 
 def _raise_exponent_after(monkeypatch, prefix):
