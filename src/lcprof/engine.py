@@ -54,15 +54,17 @@ lc_sum and char_equivalence) go through _consume.  On a generic core over
 F_p without per-step normalization it advances _BLOCK steps at a time
 once deg mu >= _BLOCK_MIN_DEG: a block is the product of its jump
 matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0', carried
-by the same update rule, with each discrepancy read off two correlation
-windows and mu, mu' rebuilt by Kronecker products at the block's end
-(Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at a fixed
-block size as in the half-gcd of Brent-Gustavson-Yun 1980).  The core
-it leaves equals the per-step core slot for slot, and the discrepancies
-it returns are the per-step ones.  Every other core and every reader of
-per-step rows (the table, profile_steps, the PLCP witness, the verify
-sweeps, mp_step) steps term by term, as does any block whose slots
-would pass 8 bytes.
+by the same update rule on the interleaved rows (A, B) and (C, D), one
+vector-coefficient polynomial each (Thome 2002), with each discrepancy
+one dot product with the interleaved correlation windows, and mu, mu'
+rebuilt by Kronecker products at the block's end (Berlekamp-Massey read
+as Euclid, as in Dornstetter 1987, at a fixed block size as in the
+half-gcd of Brent-Gustavson-Yun 1980).  Its Kronecker slots take as many
+bytes as the sums need, at any p.  The core it leaves equals the
+per-step core slot for slot, and the discrepancies it returns are the
+per-step ones.  Every other core and every reader of per-step rows (the
+table, profile_steps, the PLCP witness, the verify sweeps, mp_step)
+steps term by term.
 """
 
 from __future__ import annotations
@@ -299,25 +301,28 @@ class _GenericCore:
         self.e = e + 1
         return delta
 
-    def _block(self, terms, w: int, deltas: list[int]) -> None:
+    def _block(self, terms, deltas: list[int]) -> None:
         """Advance len(terms) steps at once, as step would one at a time.
 
         From the rows mu0, mu0' at the start, the block carries the
         transition rows mu = A mu0 + B mu0' and mu' = C mu0 + D mu0'
-        through step's update rule.  Step j's discrepancy is
-        sum_i A_i W0[j-d+i] + sum_i B_i W1[j-d+i] (d = deg mu = (j - e)/2)
-        over the correlation windows W0[t] = sum_m mu0_m s_{t+m} and W1
-        of mu0', one product_slice each; terms past the block count as
-        zero, since the coefficients that reach them cancel above deg mu.
-        Four products at the end give mu and mu'.  Every value is reduced
-        mod p, so all slots are equal to step's; w is a slot size that
-        holds sums of 2 len(mu0) products.  The block's discrepancies are
-        appended to deltas.
+        through step's update rule, each pair as one interleaved row:
+        AB[2i] = A_i and AB[2i+1] = B_i, so x^k (A, B) is AB shifted by 2k
+        and one row update (_lin's rule) advances both columns.  Step j's
+        discrepancy is sum_t AB[t] W[2(j-d)+t] (d = deg mu = (j - e)/2)
+        over the interleaved correlation windows W[2t] = sum_m mu0_m
+        s_{t+m} and W[2t+1], the same of mu0', one product_slice each;
+        terms past the block count as zero, since the coefficients that
+        reach them cancel above deg mu.  Four products at the end give mu
+        and mu'.  Every value is reduced mod p, so all slots are equal to
+        step's; the Kronecker slots hold sums of 2 len(mu0) products.  The
+        block's discrepancies are appended to deltas.
         """
         p, s, j0, lin = self.p, self.s, self.j, self._lin
         e, c1, nabla = self.e, self.dprime, self.nabla
         mu0, mup0 = self.mu, self.mup
         d0 = len(mu0) - 1
+        w = _slot_bytes(p, 2 * len(mu0))
         s.extend(terms)
         # the windows take mu0' padded to deg mu0, so both start at slot d0
         rev0 = mu0[::-1], [*mup0, *[0] * (d0 + 1 - len(mup0))][::-1]
@@ -325,44 +330,45 @@ class _GenericCore:
         # degree plus one, so no step of the block reads below lo
         lo = min(j0 + 1 - d0, d0 + 1)
 
-        def windows(hi):  # W0, W1 at lo..hi
+        def windows(hi):  # W at lo..hi, the two windows interleaved
             u = s[lo - 1:hi + d0]
             u += [0] * (hi + d0 - lo + 1 - len(u))
-            return [product_slice(((f, u),), p, d0, len(u), w) for f in rev0]
+            W = [0] * (2 * (len(u) - d0))
+            W[0::2], W[1::2] = (product_slice(((f, u),), p, d0, len(u), w) for f in rev0)
+            return W
 
-        def times_rows(x, y):  # x mu0 + y mu0', canonical
+        def times_rows(xy):  # x mu0 + y mu0' for xy = (x, y) interleaved, canonical
+            x, y = _trim(xy[0::2]), _trim(xy[1::2])
             top = len(mu0) + max(len(x), len(y))
             return _trim(product_slice(((x, mu0), (y, mup0)), p, 0, top, w))
 
         end = j0 + len(terms)
-        W0, W1 = windows(end - d0)
-        one, zero = [1], []
-        A, B, C, D = one, zero, zero, one
+        W = windows(end - d0)
+        ab0 = AB = [1]     # (A, B) = (1, 0)
+        cd0 = CD = [0, 1]  # (C, D) = (0, 1)
         for j in range(j0 + 1, end + 1):
-            k = j - (j - e) // 2 - lo
-            if k + max(len(A), len(B)) > len(W0):
+            k = 2 * (j - (j - e) // 2 - lo)
+            if k + len(AB) > len(W):
                 # A or B grew past deg mu - deg mu0, through cancelling top
                 # terms (common over small fields) or a run of zero terms
-                W0, W1 = windows(end + max(len(A), len(B)))
-            delta = (sum(map(operator.mul, A, W0[k:]))
-                     + sum(map(operator.mul, B, W1[k:]))) % p
+                W = windows(end + (len(AB) + 1) // 2)
+            delta = sum(map(operator.mul, AB, W[k:k + len(AB)])) % p
             if delta:  # step's update rule, on both transition columns
                 if e <= 0:
-                    A, B = lin(c1, A, 0, delta, C, -e), lin(c1, B, 0, delta, D, -e)
+                    AB = lin(c1, AB, 0, delta, CD, -2 * e)
                     nabla = nabla * c1 % p
                 else:
-                    A, B, C, D = (lin(c1, A, e, delta, C, 0),
-                                  lin(c1, B, e, delta, D, 0), A, B)
+                    AB, CD = lin(c1, AB, 2 * e, delta, CD, 0), AB
                     c1 = delta
                     nabla = nabla * delta % p
                     e = -e
             e += 1
             deltas.append(delta)
         self.j, self.e, self.dprime, self.nabla = end, e, c1, nabla
-        if A is not one:  # a nonzero step
-            self.mu = times_rows(A, B)
-        if C is not zero:  # a jump
-            self.mup = times_rows(C, D)
+        if AB is not ab0:  # a nonzero step
+            self.mu = times_rows(AB)
+        if CD is not cd0:  # a jump
+            self.mup = times_rows(CD)
 
     def cur_lc(self) -> int:
         return len(self.mu) - 1
@@ -488,10 +494,10 @@ def _consume(core, terms) -> list[int]:
     Returns the discrepancies delta_1..delta_n.  A generic core over F_p
     without per-step normalization steps term by term until deg mu >=
     _BLOCK_MIN_DEG, then advances _BLOCK steps at a time
-    (_GenericCore._block) while a full block of terms remains and its
-    slots fit in 8 bytes; the rest steps term by term.  Every slot of the
-    core ends as step alone would leave it, but no per-step row exists in
-    between, so only callers that read the core after the run use this.
+    (_GenericCore._block) while a full block of terms remains; the rest
+    steps term by term.  Every slot of the core ends as step alone would
+    leave it, but no per-step row exists in between, so only callers that
+    read the core after the run use this.
     """
     step = core.step
     deltas: list[int] = []
@@ -501,10 +507,7 @@ def _consume(core, terms) -> list[int]:
             deltas.append(step(terms[i]))
             i += 1
         while n - i >= b:
-            w = _slot_bytes(core.p, 2 * len(core.mu))
-            if w is None:  # mu only grows: no later block fits either
-                break
-            core._block(terms[i:i + b], w, deltas)
+            core._block(terms[i:i + b], deltas)
             i += b
     deltas += map(step, terms[i:])
     return deltas

@@ -13,7 +13,7 @@ stores the terms in a plain tuple and ``s.term(j)`` does the 1-indexed
 lookup.  The generating Laurent series s_1 x^{-1} + ... + s_n x^{-n} is
 never materialized: its products with polynomials reduce to indexed
 convolutions.  ``part_coeffs``, the kernel behind ``polynomial_part``,
-computes the polynomial part, over F_p mostly as one Kronecker-substituted
+computes the polynomial part, over F_p as one Kronecker-substituted
 integer product; ``discrepancy`` computes a single coefficient.
 ``product_slice`` is the one Kronecker kernel: ``part_coeffs`` and the
 engine's blocked step loop both call it.
@@ -314,45 +314,79 @@ class Seq:
         return f"Seq({self.domain!r}, {list(self.terms)})"
 
 
-def _slot_bytes(p: int, m: int) -> int | None:
+def _slot_bytes(p: int, m: int) -> int:
     """Bytes per Kronecker slot for products of m-term sums over F_p.
 
-    A slot holds at most m * (p-1)^2, below 2^(2 bits(p-1) + bits(m)):
-    the smallest array item of 1, 2, 4 or 8 bytes that fits, else None.
+    A slot holds at most m * (p-1)^2, below 2^(2 bits(p-1) + bits(m)).
+    A value in [0, p) then takes at most half of its slot.
     """
-    need = (2 * (p - 1).bit_length() + m.bit_length() + 7) // 8
-    return next((w for w in (1, 2, 4, 8) if w >= need), None)
+    return (2 * (p - 1).bit_length() + m.bit_length() + 7) // 8
 
 
-def _pack(xs, w: int) -> int:
-    """Values in [0, 2^(8w)) as consecutive w-byte slots of one int, lowest first."""
-    items = array(_SLOT_CODES[w], xs)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return int.from_bytes(items.tobytes(), "little")
-
-
-def _unpack(raw: bytes, w: int) -> array:
-    """The w-byte slots of little-endian bytes, lowest first."""
-    items = array(_SLOT_CODES[w], raw)
+def _items(u: int, data) -> array:
+    """An array of u-byte unsigned items from values or little-endian bytes."""
+    items = array(_SLOT_CODES[u], data)
     if _BIG_ENDIAN:
         items.byteswap()
     return items
+
+
+def _pack(xs, w: int, u: int) -> int:
+    """Values as consecutive w-byte slots of one int, lowest first.
+
+    Each value fits in u <= w bytes, u a power of two up to 8.  A width of
+    1, 2, 4 or 8 bytes is one array item; another width copies each item
+    of an array of u-byte values into its slot, one strided slice a byte.
+    """
+    if w in _SLOT_CODES:
+        return int.from_bytes(_items(w, xs).tobytes(), "little")
+    items = _items(u, xs).tobytes()
+    raw = bytearray(len(xs) * w)
+    for k in range(u):
+        raw[k::w] = items[k::u]
+    return int.from_bytes(raw, "little")
+
+
+def _gather(raw: bytes, w: int, lo: int, size: int) -> array:
+    """Bytes lo..lo+size-1 of each w-byte slot of raw, as array items (size <= 8)."""
+    u = 1 << (size - 1).bit_length()
+    buf = bytearray(len(raw) // w * u)
+    for k in range(size):
+        buf[k::u] = raw[lo + k::w]
+    return _items(u, buf)
+
+
+def _unpack_mod(raw: bytes, w: int, p: int) -> list[int]:
+    """The w-byte slots of little-endian bytes, lowest first, each mod p.
+
+    A width of 1, 2, 4 or 8 bytes is read as one array; another width up
+    to 8 is gathered into array items by strided slices; up to 16, the low
+    8 bytes and the rest of each slot are gathered apart.
+    """
+    if w in _SLOT_CODES:
+        return [v % p for v in _items(w, raw)]
+    if w <= 8:
+        return [v % p for v in _gather(raw, w, 0, w)]
+    return [(v | h << 64) % p
+            for v, h in zip(_gather(raw, w, 0, 8), _gather(raw, w, 8, w - 8))]
 
 
 def product_slice(pairs, p: int, lo: int, hi: int, w: int) -> list[int]:
     """Coefficients lo..hi-1 of the sum of the products a*b over pairs, mod p.
 
     Every value is in [0, p), and w is a slot size (_slot_bytes) that
-    holds every coefficient of the unreduced sum.  Each list is packed
+    holds every coefficient of the unreduced sum, at most 16 bytes: any p
+    below 2^32 with fewer than 2^64 products a sum.  Each list is packed
     into w-byte slots of one int (Kronecker substitution), the products
     are summed as ints, and the slots are read back: none carries into
     the next.  Coefficients past the end of every product are omitted.
     """
-    prod = sum(_pack(a, w) * _pack(b, w) for a, b in pairs)
+    # the bytes of an array item that holds every value: 1, 2, 4 or 8
+    u = 1 << (((p - 1).bit_length() - 1) // 8).bit_length()
+    prod = sum(_pack(a, w, u) * _pack(b, w, u) for a, b in pairs)
     size = max(len(a) + len(b) - 1 for a, b in pairs)
     raw = prod.to_bytes(max(size, 0) * w, "little")[lo * w:hi * w]
-    return [v % p for v in _unpack(raw, w)]
+    return _unpack_mod(raw, w, p)
 
 
 def part_coeffs(f, terms, p: int) -> list[int]:
@@ -364,23 +398,19 @@ def part_coeffs(f, terms, p: int) -> list[int]:
     reduced mod p (p = 0: the integers) and canonical.
 
     Coefficient j is coefficient d + j of f times the reversed window
-    s_d..s_1.  Over F_p, when a slot of at most 8 bytes holds every sum,
-    that product is one product_slice; otherwise each coefficient is its
-    own sum.
+    s_d..s_1.  Over F_p that product is one product_slice; over the
+    integers each coefficient is its own sum.
     """
     d = len(f) - 1
     if d <= 0:
         return []
-    w = _slot_bytes(p, d) if p else None
-    if w is None:
+    if not p:
         out = [sum(map(operator.mul, f[j + 1:], terms)) for j in range(d)]
-        if p:
-            out = [v % p for v in out]
     else:
         window = terms[d - 1::-1]
         if len(window) < d:
             window = [0] * (d - len(window)) + list(window)
-        out = product_slice(((f, window),), p, d, 2 * d, w)
+        out = product_slice(((f, window),), p, d, 2 * d, _slot_bytes(p, d))
     return _trim(out)
 
 

@@ -994,7 +994,7 @@ def test_report_json_round_trip_integers():
 
 CORE_SLOTS = ("s", "mu", "mup", "e", "dprime", "nabla", "j")
 # the largest prime below 2^28: a block packs into 8-byte slots while
-# len(mu) < 128, so its runs switch from blocks to steps near n = 250
+# len(mu) < 128 and into 9-byte slots from there, past n = 250
 P28 = 268435399
 
 
@@ -1003,8 +1003,8 @@ def _record_blocks(monkeypatch):
     starts = []
     real = _GenericCore._block
     monkeypatch.setattr(_GenericCore, "_block",
-                        lambda core, terms, w, deltas: starts.append(len(core.mu))
-                        or real(core, terms, w, deltas))
+                        lambda core, terms, deltas: starts.append(len(core.mu))
+                        or real(core, terms, deltas))
     return starts
 
 
@@ -1051,25 +1051,30 @@ def test_blocked_run_equals_the_per_step_core(monkeypatch, p, block):
                 _assert_same_core(core, ref, (terms, eps, min_deg))
     if block > 220:
         assert not starts  # no full block ever remains
-    elif p == 2**31 - 1:
-        # sums of two products of (p-1)^2 fill 8 bytes: only the seed packs
-        assert starts and set(starts) == {1}
     else:
+        # every field blocks past deg 64, P28 and 2^31 - 1 in 9-byte slots
         assert max(starts) > 64
 
 
-def test_blocked_run_falls_back_where_the_slots_outgrow_8_bytes(monkeypatch):
-    starts = _record_blocks(monkeypatch)
-    dom = PrimeField(P28)
+@pytest.mark.parametrize("p", [P28, 2**31 - 1])
+def test_blocked_run_packs_slots_past_8_bytes(monkeypatch, p):
+    blocks = []  # (len(mu), slot bytes) at the start of every block
+    real = engine._slot_bytes  # each block sizes its slots once, for 2 len(mu)
+    monkeypatch.setattr(engine, "_slot_bytes",
+                        lambda p, m: blocks.append((m // 2, real(p, m))) or blocks[-1][1])
+    dom = PrimeField(p)
     rng = random.Random(28)
-    terms = [rng.randrange(P28) for _ in range(400)]
+    terms = [rng.randrange(p) for _ in range(400)]
     monkeypatch.setattr(engine, "_BLOCK", 3)
     monkeypatch.setattr(engine, "_BLOCK_MIN_DEG", 0)
     core = _GenericCore(dom)
     ref, deltas, _, _ = _stepped(dom, terms)
     assert engine._consume(core, terms) == deltas
-    _assert_same_core(core, ref, "fallback")
-    assert 100 < max(starts) < 128 < len(core.mu)
+    _assert_same_core(core, ref, "9-byte slots")
+    # blocks run to the end of the terms: the last ones start past
+    # deg 128 and pack 9 bytes a slot, the first 8
+    assert len(blocks) == 400 // 3
+    assert blocks[0] == (1, 8) and blocks[-1][0] > 128 and blocks[-1][1] == 9
 
 
 def test_blocked_run_refills_its_windows(monkeypatch):
@@ -1113,6 +1118,8 @@ def test_blocked_run_is_used_by_mp_run_and_the_profile_log(monkeypatch):
     ("minpoly", "--field", "3", "--epsilon", "2"),
     ("height", "--json", "--field", "3"),
     ("lcsum", "--json", "--field", "3"),
+    ("profile", "--json", "--field", "2147483647"),
+    ("minpoly", "--field", "2147483647"),
 ])
 def test_blocked_commands_print_the_per_step_bytes(monkeypatch, capsys, argv):
     p = int(argv[argv.index("--field") + 1])

@@ -161,10 +161,9 @@ def _part_by_oracle(dom, fc, terms):
     return Poly(dom, [prod.get(e, 0) for e in range(len(fc) - 1)]).coeffs
 
 
-@pytest.mark.parametrize("p", [2, 3, 251, 65521, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 251, 65521, 2**24 - 3, 2**31 - 1])
 def test_part_coeffs_matches_the_laurent_oracle(p):
-    # degrees up to 512 take every slot width: 1, 2, 4 and 8 bytes, and
-    # the per-coefficient sums past 8 (p = 2^31 - 1, d >= 4)
+    # degrees up to 512 take every slot width from 1 to 9 bytes
     rng = random.Random(p)
     dom = PrimeField(p)
     for d in (0, 1, 2, 3, 4, 15, 16, 63, 64, 200, 512):
@@ -181,12 +180,12 @@ def test_part_coeffs_matches_the_laurent_oracle(p):
 
 
 def test_part_coeffs_covers_every_slot_width():
-    widths = {_slot_bytes(p, d) for p in (2, 3, 251, 65521, 2**31 - 1)
+    widths = {_slot_bytes(p, d) for p in (2, 3, 251, 65521, 2**24 - 3, 2**31 - 1)
               for d in (1, 2, 3, 4, 15, 16, 63, 64, 200, 512)}
-    assert widths == {1, 2, 4, 8, None}  # None: too wide, summed per coefficient
+    assert widths == set(range(1, 10))  # 9: p = 2^31 - 1 at d = 512
 
 
-@pytest.mark.parametrize("p", [3, 65521, 268435399])
+@pytest.mark.parametrize("p", [3, 65521, 268435399, 2**31 - 1])
 def test_product_slice_matches_the_schoolbook_sum(p):
     # sums of one and two products, slices inside, across and past the
     # end, and every value p - 1, where the slots reach their bound
@@ -206,6 +205,29 @@ def test_product_slice_matches_the_schoolbook_sum(p):
             for lo, hi in [(0, size), (0, size + 3), (size // 3, size // 2),
                            (size // 2, size + 1)]:
                 assert product_slice(pairs, p, lo, hi, w) == full[lo:hi]
+
+
+@pytest.mark.parametrize("w, p, m", [
+    (3, 251, 255), (5, 65521, 255), (6, 2**20 - 3, 255), (7, 2**24 - 3, 255),
+    (9, 2**31 - 1, 1023), (10, 2**36 - 5, 255),
+])
+def test_product_slice_fills_each_slot_width_to_its_bound(w, p, m):
+    # every value p - 1 and sums of m products: the middle slot holds
+    # m (p-1)^2, above half of 2^(8w), in the widest slot _slot_bytes gives
+    assert _slot_bytes(p, m) == w and 2 * m * (p - 1) ** 2 > 2 ** (8 * w)
+    top = p - 1
+
+    def full(lens):  # coefficient k of sum [top]*na times [top]*nb, mod p
+        size = max(na + nb - 1 for na, nb in lens)
+        return [sum(max(0, min(k, na - 1) - max(0, k - nb + 1) + 1) for na, nb in lens)
+                * top * top % p for k in range(size)]
+
+    for lens in ([(m, m)], [(m // 2, m // 2), (m - m // 2, m - m // 2)], [(m, 3), (2, m)]):
+        pairs = [([top] * na, [top] * nb) for na, nb in lens]
+        ref = full(lens)
+        size = len(ref)
+        for lo, hi in [(0, size), (m - 2, m + 1), (size - 2, size + 2)]:
+            assert product_slice(pairs, p, lo, hi, w) == ref[lo:hi], (lens, lo, hi)
 
 
 def test_part_coeffs_over_the_integers():
