@@ -60,9 +60,9 @@ from .poly import (
     reciprocal,
 )
 from .rueppel import (
-    GammaTable,
     gamma,
     gamma_identities,
+    gamma_members,
     power_column_identity,
     rueppel_matrix_check,
     rueppel_mp,

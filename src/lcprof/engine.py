@@ -15,9 +15,9 @@ A core keeps no log: step returns delta_j, the driver of a run collects
 the discrepancies (_consume returns them), and the profile is derived
 from them alone after the run (_profile): e_0 = 1, e_j = e_{j-1} + 1,
 negated first when delta_j != 0 and e_{j-1} > 0, and
-LC_j = (j + 1 - e_j)/2.  MPState carries its chain's discrepancies and
-LC values, and reads the shift p_shift (steps since the last jump) off
-the latter: LC rises exactly at a jump.
+LC_j = (j + 1 - e_j)/2.  MPState carries its chain's discrepancies
+only, and reads the shift p_shift (steps since the last jump) off the
+LC values derived from them: LC rises exactly at a jump.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
@@ -553,19 +553,17 @@ class MPState:
     """Read-only engine state after j consumed terms.
 
     A view over a private core: the rows are converted on access.  The
-    state also carries its chain's discrepancies delta_1..delta_j and
-    LC_1..LC_j, each extended by one in mp_step; log derives the
-    exponents from the discrepancies (_profile), and p_shift (the steps
-    since the last jump, counting the jump step itself; j before any
-    jump) is read off the LC tuple.  mp_step steps a copy of the core,
-    so a state never changes once made.
+    state also carries its chain's discrepancies delta_1..delta_j,
+    extended by one in mp_step; log and p_shift (the steps since the last
+    jump, counting the jump step itself; j before any jump) derive the
+    profile from them (_profile).  mp_step steps a copy of the core, so
+    a state never changes once made.
     """
 
     domain: CoeffDomain
     config: MPConfig
     _core: _GenericCore | _PackedCore
     _deltas: tuple[int, ...] = ()
-    _lc: tuple[int, ...] = ()
 
     def __eq__(self, other):
         # the engine is deterministic: equal inputs give equal states
@@ -617,7 +615,7 @@ class MPState:
     def p_shift(self) -> int:
         # a jump raises deg mu by e > 0 and no other step changes it, so
         # the last rise of LC is the last jump (step i + 1 for LC at index i)
-        lc = self._lc
+        lc = _profile(self.domain, self._deltas)[0]
         for i in range(len(lc) - 1, -1, -1):
             if lc[i] > (lc[i - 1] if i else 0):
                 return self.j - i
@@ -643,8 +641,7 @@ def mp_step(state: MPState, term: int) -> MPState:
     """Consume one term and return the successor state; state is unchanged."""
     core = state._core.copy()
     delta = core.step(state.domain.normalize(term))
-    return MPState(state.domain, state.config, core,
-                   (*state._deltas, delta), (*state._lc, core.cur_lc()))
+    return MPState(state.domain, state.config, core, (*state._deltas, delta))
 
 
 @dataclass
@@ -749,10 +746,7 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
 def _each_step(core, s: Seq):
     """Step core through s; yield delta_j after each step j = 0..n (1 at j = 0)."""
     yield 1
-    normalize = s.domain.normalize
-    step = core.step
-    for t in s.terms:
-        yield normalize(step(t))
+    yield from map(core.step, s.terms)
 
 
 def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:

@@ -8,10 +8,11 @@ family g(0) = 0, g(1) = 1, g(k) = x*g(k-1) + g(k-2) (written gamma
 here).  All checks in this module are executable verifications of
 those closed forms against the engine, at exact arithmetic.
 
-Internally the family is cached bit-packed (see gf2), and each closed
-form is defined once on packed integers (the *_packed functions, which
-verify compares with the packed engine rows); the public Poly functions
-wrap them.
+Each member is computed on its own, bit-packed (see gf2), from Lucas's
+theorem; a sweep over many members builds one local list by the
+recurrence instead (gamma_members).  Each closed form is defined once on
+packed integers (the *_packed functions, which verify compares with the
+packed engine rows); the public Poly functions wrap them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .fields import GF2
 from .poly import Poly, Seq
 
 COLUMN_CHECK_BOUND = 2**16
-# Size guards, checked before anything is allocated.  The grow-only gamma
-# table holds about k^2/16 bytes once it reaches member k: 64 MiB here.
+# Size guards, checked before anything is allocated.  GAMMA_GUARD bounds
+# the index of a member (k bits packed) and the length of a member list
+# (about k^2/16 bytes up to member k: 64 MiB here).
 GAMMA_GUARD = 2**15
 RUEPPEL_GUARD = 2**22
 
@@ -42,36 +44,35 @@ def _poly(r: int) -> Poly:
     return Poly._canonical(GF2, gf2.to_coeffs(r))
 
 
-class GammaTable:
-    """Grow-only cache of the gamma family, packed one bit per coefficient."""
-
-    def __init__(self):
-        self._g = [0, 1]
-
-    def packed(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("gamma index must be nonnegative")
-        if k > GAMMA_GUARD:
-            raise ResourceLimitError(f"gamma index {k} exceeds the guard {GAMMA_GUARD}")
-        g = self._g
-        while len(g) <= k:
-            g.append((g[-1] << 1) ^ g[-2])
-        return g[k]
-
-    def poly(self, k: int) -> Poly:
-        return _poly(self.packed(k))
+def _check_gamma_index(k: int) -> None:
+    if k < 0:
+        raise ValueError("gamma index must be nonnegative")
+    if k > GAMMA_GUARD:
+        raise ResourceLimitError(f"gamma index {k} exceeds the guard {GAMMA_GUARD}")
 
 
-_TABLE = GammaTable()
+def gamma_packed(k: int) -> int:
+    """gamma(k) packed, from Lucas's theorem.
+
+    The coefficient of x^(k-1-2i) is C(k-1-i, i) mod 2, which is odd
+    exactly when i & (k-1-2i) == 0.
+    """
+    _check_gamma_index(k)
+    return sum(1 << b for i, b in enumerate(range(k - 1, -1, -2)) if not i & b)
 
 
 def gamma(k: int) -> Poly:
     """The k-th member of the recurrence family (degree k-1 for k >= 1)."""
-    return _TABLE.poly(k)
+    return _poly(gamma_packed(k))
 
 
-def gamma_packed(k: int) -> int:
-    return _TABLE.packed(k)
+def gamma_members(k: int) -> list[int]:
+    """[gamma_packed(0), ..., gamma_packed(k)], built by the recurrence."""
+    _check_gamma_index(k)
+    g = [0, 1]
+    while len(g) <= k:
+        g.append((g[-1] << 1) ^ g[-2])
+    return g[:k + 1]
 
 
 # Packed 2x2 matrices are (a, b, c, d) = [[a, b], [c, d]], the order of
@@ -109,8 +110,8 @@ def u_power_packed(k: int) -> tuple[int, int, int, int]:
         return (1, 0, 0, 1)
     if k < 0:
         raise ValueError("negative power; invert via adjugate instead")
-    g = _TABLE.packed
-    return (g(k + 1), g(k), g(k), g(k - 1))
+    g = gamma_packed(k)
+    return (gamma_packed(k + 1), g, g, gamma_packed(k - 1))
 
 
 def u_power(k: int) -> Mat2:
@@ -128,10 +129,11 @@ def step2_matrix() -> Mat2:
     return _mat2(_STEP2_PACKED)
 
 
-def gamma_identities(m: int, n: int) -> bool:
+def gamma_identities(m: int, n: int, g: list[int]) -> bool:
     """Check the family identities at the given pair of indices.
 
-    Covers the product rule gamma(m+n) = x*gamma(m)*gamma(n) +
+    g is the member list gamma_members(k) for some k >= max(m+n, m+1,
+    n+1).  Covers the product rule gamma(m+n) = x*gamma(m)*gamma(n) +
     gamma(m-n) (indices swapped if needed), the doubling special case,
     the degree law, the unit constant term of gamma(i) + gamma(i-1),
     and coprimality of consecutive members, certified by Cassini's
@@ -141,20 +143,19 @@ def gamma_identities(m: int, n: int) -> bool:
         raise ValueError("indices must be nonnegative")
     if m < n:
         m, n = n, m
-    gm, gn = _TABLE.packed(m), _TABLE.packed(n)
-    if _TABLE.packed(m + n) != (gf2.mul(gm, gn) << 1) ^ _TABLE.packed(m - n):
+    gm, gn = g[m], g[n]
+    if g[m + n] != (gf2.mul(gm, gn) << 1) ^ g[m - n]:
         return False
-    if _TABLE.packed(2 * n) != gf2.mul(gn, gn) << 1:
+    if g[2 * n] != gf2.mul(gn, gn) << 1:
         return False
     for i in (m, n):
-        gi = _TABLE.packed(i)
+        gi = g[i]
         if i >= 1:
             if gi.bit_length() - 1 != i - 1:
                 return False
-            if (gi ^ _TABLE.packed(i - 1)) & 1 != 1:
+            if (gi ^ g[i - 1]) & 1 != 1:
                 return False
-            cassini = gf2.mul(_TABLE.packed(i + 1), _TABLE.packed(i - 1))
-            if cassini ^ gf2.mul(gi, gi) != 1:
+            if gf2.mul(g[i + 1], g[i - 1]) ^ gf2.mul(gi, gi) != 1:
                 return False
     return True
 
@@ -169,7 +170,7 @@ def rueppel_mp_packed(n: int) -> tuple[int, int]:
     if n < 3 or n % 2 == 0:
         raise ValueError("closed form applies to odd n >= 3")
     p = (n + 3) // 2
-    gp, gp1 = _TABLE.packed(p), _TABLE.packed(p - 1)
+    gp, gp1 = gamma_packed(p), gamma_packed(p - 1)
     return gp ^ gp1, gp1
 
 

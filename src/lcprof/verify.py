@@ -56,6 +56,8 @@ from .rueppel import (
     COLUMN_CHECK_BOUND,
     GAMMA_GUARD,
     gamma_identities,
+    gamma_members,
+    gamma_packed,
     power_column_identity,
     rueppel_matrix_pattern,
     rueppel_mp_packed,
@@ -329,18 +331,21 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
 
     The run goes as far as the longest check needs; each check compares
     the packed rows after n terms (and the ones before them) with its
-    closed form, which is still computed on its own from the gamma table.
+    closed form, whose gamma members come from Lucas's theorem.  The
+    identity checks read one member list built by the recurrence, which
+    is compared with Lucas's theorem at a dozen indices up to its top.
     The sizes are checked against the gamma and column guards first.
     """
     if r0_k >= COLUMN_CHECK_BOUND.bit_length():
         raise ResourceLimitError(
             f"2^{r0_k} exceeds the column check guard {COLUMN_CHECK_BOUND}")
     # the largest gamma index each check reads (2^r0_k - 1: the column form)
-    top = max(gamma_n + gamma_n // 2, gamma_n + 1, (closed_n + 3) // 2,
-              (matrix_n + 1) // 2, 2**r0_k - 1)
+    g_top = max(gamma_n + gamma_n // 2, gamma_n + 1)
+    top = max(g_top, (closed_n + 3) // 2, (matrix_n + 1) // 2, 2**r0_k - 1)
     if top > GAMMA_GUARD:
         raise ResourceLimitError(
             f"gamma index {top} exceeds the guard {GAMMA_GUARD}")
+    g = gamma_members(g_top)
     snap_n = max(matrix_n, closed_n + 1)
     core = _PackedCore()
     pattern, closed, repeat = {}, {}, {}
@@ -368,8 +373,12 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     for n in range(3, closed_n + 1, 2):
         yield 1, "" if closed[n] else f"closed form at n={n}"
         yield 1, "" if repeat[n] else f"even repeat at n={n + 1}"
+    for i in range(12):
+        k = g_top * i // 11
+        ok = g[k] == gamma_packed(k)
+        yield 0, "" if ok else f"gamma({k}) by recurrence and by Lucas differ"
     for k in range(1, gamma_n + 1):
-        yield 1, "" if gamma_identities(k, k // 2) else f"gamma identities at {k}"
+        yield 1, "" if gamma_identities(k, k // 2, g) else f"gamma identities at {k}"
     for k in range(1, r0_k + 1):
         yield 1, "" if power_column_identity(k) else f"column closed form at k={k}"
 

@@ -694,13 +694,14 @@ def test_verify_rueppel_guard_exit_4(capsys, monkeypatch):
 
 def test_gamma_guard_allocates_nothing():
     from lcprof.errors import ResourceLimitError
-    from lcprof.rueppel import GAMMA_GUARD, GammaTable
+    from lcprof.rueppel import GAMMA_GUARD, gamma_members, gamma_packed
 
-    table = GammaTable()
+    # both refuse before building a member or a list
     with pytest.raises(ResourceLimitError):
-        table.packed(GAMMA_GUARD + 1)
-    assert len(table._g) == 2  # the table did not grow
-    assert table.packed(4) == 0b1000
+        gamma_packed(GAMMA_GUARD + 1)
+    with pytest.raises(ResourceLimitError):
+        gamma_members(GAMMA_GUARD + 1)
+    assert gamma_packed(4) == 0b1000
 
 
 @pytest.mark.parametrize("command", ["profile", "minpoly", "plcp-check"])

@@ -2,15 +2,15 @@
 
 import pytest
 
-from lcprof import gf2, rueppel
+from lcprof import gf2
 from lcprof.engine import Mat2, mp_run, profile_steps
 from lcprof.errors import ResourceLimitError
 from lcprof.fields import GF2
 from lcprof.poly import Poly, poly_gcd
 from lcprof.rueppel import (
-    GammaTable,
     gamma,
     gamma_identities,
+    gamma_members,
     gamma_packed,
     jump_matrix,
     power_column_identity,
@@ -56,10 +56,20 @@ def test_gamma_power_indices():
         assert gamma(2**k - 1) == want
 
 
-def test_gamma_table_is_growable_cache():
-    table = GammaTable()
-    assert table.poly(5) == p("x^4+x^2+1")
-    assert table.packed(2) == 0b10
+def test_gamma_small_members():
+    assert gamma(5) == p("x^4+x^2+1")
+    assert gamma_packed(2) == 0b10
+
+
+def test_lucas_members_match_the_recurrence():
+    g = gamma_members(2999)
+    assert [gamma_packed(k) for k in range(3000)] == g
+    # g(k), g(k+1) step by the recurrence in two variables up to 2^15
+    a, b = 0, 1
+    for _ in range(2**15 - 1):
+        a, b = b, (b << 1) ^ a
+    assert (gamma_packed(2**15 - 1), gamma_packed(2**15)) == (a, b)
+    assert b == 1 << (2**15 - 1)  # the power-of-two member is x^(k-1)
 
 
 def test_u_power_small():
@@ -78,28 +88,27 @@ def test_u_power_matches_repeated_product():
 
 
 def test_gamma_identity_examples():
-    assert gamma_identities(4, 4)  # doubling through x^7 = x*(x^3)^2
-    assert gamma_identities(3, 2)
-    assert gamma_identities(6, 5)
-    assert gamma_identities(0, 0)
+    g = gamma_members(11)
+    assert gamma_identities(4, 4, g)  # doubling through x^7 = x*(x^3)^2
+    assert gamma_identities(3, 2, g)
+    assert gamma_identities(6, 5, g)
+    assert gamma_identities(0, 0, g)
 
 
 @pytest.mark.parametrize("i", [3, 8, 33])
-def test_gamma_identities_reject_a_corrupted_member(monkeypatch, i):
+def test_gamma_identities_reject_a_corrupted_member(i):
     # A flipped middle bit keeps the degree of gamma(i) and the unit
     # constant term of gamma(i) + gamma(i-1), and at (i, 0) the product
     # and doubling rules hold trivially, so only the Cassini certificate
     # gamma(i+1)*gamma(i-1) + gamma(i)^2 = 1 is left to catch it.
-    table = GammaTable()
-    table.packed(i + 1)
-    monkeypatch.setattr(rueppel, "_TABLE", table)
-    assert gamma_identities(i, 0)
+    g = gamma_members(i + 1)
+    assert gamma_identities(i, 0, g)
     for bit in range(1, i - 1):
-        table._g[i] ^= 1 << bit
-        assert not gamma_identities(i, 0)
-        assert not gamma_identities(0, i)
-        table._g[i] ^= 1 << bit
-    assert gamma_identities(i, 0)
+        g[i] ^= 1 << bit
+        assert not gamma_identities(i, 0, g)
+        assert not gamma_identities(0, i, g)
+        g[i] ^= 1 << bit
+    assert gamma_identities(i, 0, g)
 
 
 def test_gamma_bulk_laws():

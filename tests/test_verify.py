@@ -327,6 +327,9 @@ def test_verify_rueppel_reports_a_broken_even_repeat(monkeypatch):
 
 @pytest.mark.parametrize("name, bad, checked, detail", [
     ("gamma_identities", 5, 256 + 63 + 2 * 64 + 5, "gamma identities at 5"),
+    # the top of the member list, gamma(128 + 64), is one of the samples
+    ("gamma_packed", 192, 256 + 63 + 2 * 64,
+     "gamma(192) by recurrence and by Lucas differ"),
     ("power_column_identity", 3, 256 + 63 + 2 * 64 + 128 + 3,
      "column closed form at k=3"),
 ])
