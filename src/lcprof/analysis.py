@@ -71,47 +71,30 @@ def is_plcp(s: Seq) -> bool:
     return True
 
 
+WITNESSES = ("lc", "parity", "exponent", "odd_delta", "index", "recursion")
+
+
 @dataclass
 class PlcpWitness:
     """The six equivalent perfect-profile conditions, checked separately.
 
-    details maps a condition name to the step indices where it fails.
+    details maps the name of each condition that fails (see WITNESSES)
+    to the step indices where it fails; a condition holds exactly when
+    its name is absent.
     """
 
-    holds_lc: bool
-    holds_parity: bool
-    holds_exponent: bool
-    holds_odd_delta: bool
-    holds_index: bool
-    holds_recursion: bool
     details: dict = field(default_factory=dict)
 
     def all(self) -> tuple[bool, ...]:
-        return (
-            self.holds_lc,
-            self.holds_parity,
-            self.holds_exponent,
-            self.holds_odd_delta,
-            self.holds_index,
-            self.holds_recursion,
-        )
+        """Whether each condition holds, in WITNESSES order."""
+        return tuple(name not in self.details for name in WITNESSES)
 
     def agree(self) -> bool:
         return len(set(self.all())) == 1
 
     def as_dict(self) -> dict:
-        return {
-            "lc": self.holds_lc,
-            "parity": self.holds_parity,
-            "exponent": self.holds_exponent,
-            "odd_delta": self.holds_odd_delta,
-            "index": self.holds_index,
-            "recursion": self.holds_recursion,
-            "failures": {k: list(v) for k, v in self.details.items()},
-        }
-
-
-WITNESSES = ("lc", "parity", "exponent", "odd_delta", "index", "recursion")
+        return {**dict(zip(WITNESSES, self.all())),
+                "failures": {k: list(v) for k, v in self.details.items()}}
 
 
 class _WitnessTrail(NamedTuple):
@@ -207,9 +190,7 @@ def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int]]:
         for i, name in enumerate(WITNESSES):
             if bits >> i & 1:
                 fails[name].append(j + 1 if name == "index" else j)
-    witness = PlcpWitness(*(not fails[name] for name in WITNESSES),
-                          details={k: v for k, v in fails.items() if v})
-    return witness, deltas
+    return PlcpWitness({k: v for k, v in fails.items() if v}), deltas
 
 
 def plcp_witnesses(s: Seq, epsilon: int = 0) -> PlcpWitness:
@@ -407,7 +388,7 @@ def _perfect_step(state, core, delta, j):
     return True if core.cur_lc() == (j + 1) // 2 else None
 
 
-def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
+def enumerate_plcp(q: int, n: int):
     """Yield every perfect-profile sequence in F_q^n, in product order.
 
     This is the independent oracle for the closed-form count: it checks
@@ -419,7 +400,8 @@ def enumerate_plcp(q: int, n: int, guard: int = ENUM_GUARD):
     dom = PrimeField(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if q**n > guard:
+    # q^n >= 2^n > ENUM_GUARD once n reaches its bit length: no power is built
+    if n >= ENUM_GUARD.bit_length() or q**n > ENUM_GUARD:
         raise ResourceLimitError(f"{q}^{n} exceeds the enumeration guard")
     core = _make_core(dom, MPConfig())
     for terms, _ in _walk_prefixes(core, q, n, _perfect_step, True):

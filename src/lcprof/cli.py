@@ -49,6 +49,10 @@ EXIT_FAIL = 3
 EXIT_RESOURCE = 4
 
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
+# one field per comma: an empty field between two commas stays a token
+_FIELD_SPLIT = re.compile(r"\s*,\s*|\s+")
+_EMPTY_FIELD = re.compile(r",\s*,")
+_COMMA_TEXT = re.compile(r"[0-9,]*")
 _PLAIN_TEXT = re.compile(r"[0-9\s,]*")
 _NEGATIVE = re.compile(r"-[0-9]+")
 
@@ -58,21 +62,30 @@ def parse_sequence(text: str, dom: PrimeField) -> Seq:
     int() alone also takes signs, underscores and non-ASCII digits ('+1',
     '1_0', Arabic-Indic digits).  One match over the whole text clears
     the usual input; only a text that fails it is checked token by token.
+    An empty field ('1,,0', '1, ,0', ',1') is an error, not a gap.
     """
     p = dom.p
     text = text.strip()
     if not text:
         return Seq(dom, ())
-    plain = _PLAIN_TEXT.fullmatch(text) is not None
+    comma_text = _COMMA_TEXT.fullmatch(text) is not None
+    plain = comma_text or _PLAIN_TEXT.fullmatch(text) is not None
+    tokens = _TOKEN_SPLIT.split(text)
+    # Between n tokens, n - 1 single commas at most.  More commas leave an
+    # empty field; with whitespace separators as well, the count cannot
+    # tell, so the text is searched.  Only then is it split field by field.
+    commas = text.count(",")
+    if commas >= len(tokens) or commas and not comma_text and _EMPTY_FIELD.search(text):
+        tokens = _FIELD_SPLIT.split(text)
     terms = []
-    for tok in _TOKEN_SPLIT.split(text):
+    for tok in tokens:
         if not plain and not (tok.isascii() and tok.isdigit()):
             if _NEGATIVE.fullmatch(tok):
                 raise SequenceParseError(f"value {tok} outside [0, {p})")
             raise SequenceParseError(f"not an integer: {tok!r}")
         try:
             v = int(tok)
-        except ValueError:  # an empty token, from a stray comma
+        except ValueError:  # an empty field, from a stray comma
             raise SequenceParseError(f"not an integer: {tok!r}") from None
         if v >= p:
             raise SequenceParseError(f"value {v} outside [0, {p})")
@@ -336,7 +349,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SequenceParseError as exc:
+    except (SequenceParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:
@@ -345,12 +358,6 @@ def main(argv=None) -> int:
     except LcprofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

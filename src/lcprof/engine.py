@@ -113,17 +113,15 @@ class MPConfig:
     """Engine options.
 
     epsilon seeds the displaced row (it changes the mu' lineage but not
-    the degree of the returned minimal polynomial).  monic_output
-    normalizes the reported minimal polynomial once at the end, never
-    inside the loop.  normalize_each_step (field domains only) divides
-    the fresh row mu at every step with a nonzero discrepancy by the
-    factor that step multiplies nabla by: delta' when the step does not
-    jump, delta when it does.  The result agrees with the plain run up
-    to a scalar.
+    the degree of the returned minimal polynomial).
+    normalize_each_step (field domains only) divides the fresh row mu at
+    every step with a nonzero discrepancy by the factor that step
+    multiplies nabla by: delta' when the step does not jump, delta when
+    it does.  The result agrees with the plain run up to a scalar.  For
+    a monic minimal polynomial, call .monic() on the report's minpoly.
     """
 
     epsilon: int = 0
-    monic_output: bool = False
     normalize_each_step: bool = False
 
 
@@ -650,7 +648,7 @@ class ProfileReport:
 
     lc, deltas cover steps 1..n; exponents covers 0..n (the seed
     exponent 1 first).  lc and exponents are derived from deltas
-    (_profile).
+    (_profile); minpoly is mu, the top-left entry of final_matrix.
     """
 
     domain: CoeffDomain
@@ -658,9 +656,12 @@ class ProfileReport:
     lc: list[int]
     deltas: list[int]
     exponents: list[int]
-    minpoly: Poly
     final_matrix: Mat2
     nabla: int
+
+    @property
+    def minpoly(self) -> Poly:
+        return self.final_matrix.a
 
     @property
     def jumps(self) -> list[int]:
@@ -683,7 +684,7 @@ class ProfileReport:
             "lc": list(self.lc),
             "deltas": list(self.deltas),
             "exponents": list(self.exponents),
-            "mu": rows[0][0] if self.minpoly is m.a else str(self.minpoly),
+            "mu": rows[0][0],
             "mu_prime": rows[1][0],
             "nabla": self.nabla,
             "matrix": rows,
@@ -706,7 +707,6 @@ class ProfileReport:
             lc=list(data["lc"]),
             deltas=list(data["deltas"]),
             exponents=list(data["exponents"]),
-            minpoly=Poly.from_text(domain, data["mu"]),
             final_matrix=matrix,
             nabla=data["nabla"],
         )
@@ -724,8 +724,6 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     run's slot for slot.
     """
     domain = s.domain
-    if config.monic_output and not domain.is_field:
-        raise UnsupportedDomainError("monic output needs a field")
     core = _make_core(domain, config, force_generic=force_generic)
     deltas = _consume(core, s.terms)  # already reduced: acc % p, or 0/1 packed
     lc, exponents = _profile(domain, deltas)
@@ -736,7 +734,6 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
         lc=lc,
         deltas=deltas,
         exponents=exponents,
-        minpoly=matrix.a.monic() if config.monic_output else matrix.a,
         final_matrix=matrix,
         nabla=domain.normalize(core.nabla),
     )

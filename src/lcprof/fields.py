@@ -60,13 +60,8 @@ class CoeffDomain:
     def is_zero(self, a: int) -> bool:
         return a == 0
 
-    # conveniences; Poly and Seq live in .poly but constructing them through
-    # the domain reads well at call sites
-    def poly(self, coeffs):
-        from .poly import Poly
-
-        return Poly(self, coeffs)
-
+    # a convenience; Seq lives in .poly but constructing one through the
+    # domain reads well at call sites
     def seq(self, terms):
         from .poly import Seq
 

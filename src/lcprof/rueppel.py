@@ -208,7 +208,7 @@ def rueppel_matrix_check(n: int) -> bool:
     return rueppel_matrix_pattern(n, core.packed_rows(), prev)
 
 
-def power_column_identity(k: int, bound: int = COLUMN_CHECK_BOUND) -> bool:
+def power_column_identity(k: int) -> bool:
     """Exact closed form of the power-of-two prefix column.
 
     Verifies that the inverse step-2 matrix times the inverse jump
@@ -218,7 +218,8 @@ def power_column_identity(k: int, bound: int = COLUMN_CHECK_BOUND) -> bool:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if 2**k > bound:
+    # 2^k > COLUMN_CHECK_BOUND, compared by bit length: no power is built
+    if k >= COLUMN_CHECK_BOUND.bit_length():
         raise ResourceLimitError(f"2^{k} exceeds the size bound")
     p = 2**k
     # U^{2-2^k} = (U^(2^k - 2))^{-1}; powers via the gamma closed form

@@ -64,6 +64,7 @@ from .rueppel import (
     rueppel_terms,
 )
 
+# every seeded-random suite draws from random.Random(DEFAULT_SEED)
 DEFAULT_SEED = 0x5EED
 
 
@@ -103,7 +104,8 @@ def _bits_to_terms(value: int, n: int) -> tuple[int, ...]:
 
 def _guard_binary_sweep(max_n: int) -> None:
     """Refuse to sweep the binary sequences of up to max_n terms past the guard."""
-    if 2 ** (max_n + 1) > ENUM_GUARD:
+    # 2^(max_n + 1) > ENUM_GUARD, compared by bit length: no power is built
+    if max_n + 1 >= ENUM_GUARD.bit_length():
         raise ResourceLimitError(
             f"the binary sequences of up to {max_n} terms exceed the "
             "enumeration guard")
@@ -167,13 +169,13 @@ def _char_verdicts(st: _Profile, n: int) -> tuple[bool, bool, bool]:
 
 # ---------------------------------------------------------------- oracle
 
-def _oracle_sequences(fields, exhaustive_n, trials, max_n, seed):
+def _oracle_sequences(fields, exhaustive_n, trials, max_n):
     """Every F_2 sequence of 1..exhaustive_n terms, then the seeded random ones."""
     if 2 in fields:
         for n in range(1, exhaustive_n + 1):
             for v in range(1 << n):
                 yield Seq(GF2, _bits_to_terms(v, n))
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for q in fields:
         if q == 2:
             continue
@@ -185,12 +187,11 @@ def _oracle_sequences(fields, exhaustive_n, trials, max_n, seed):
 
 @_suite("oracle")
 def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
-                  trials: int = 500, max_n: int = 8,
-                  seed: int = DEFAULT_SEED) -> VerifyResult:
+                  trials: int = 500, max_n: int = 8) -> VerifyResult:
     """Engine degree == brute-force least degree, and the output annihilates."""
     if 2 in fields:
         _guard_binary_sweep(exhaustive_n)
-    for s in _oracle_sequences(fields, exhaustive_n, trials, max_n, seed):
+    for s in _oracle_sequences(fields, exhaustive_n, trials, max_n):
         _, rep = mp_run(s)
         d, _ = brute_force_minpoly(s)
         deg = rep.minpoly.degree
@@ -201,8 +202,7 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
 # ---------------------------------------------------------------- bezout
 
 @_suite("bezout")
-def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
-                  seed: int = DEFAULT_SEED, epsilon: int = 0) -> VerifyResult:
+def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> VerifyResult:
     """det M = -nabla and both gcd certificates, at every step.
 
     On the generic core, whose certificate reads only mu, mu' and nabla
@@ -213,11 +213,11 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32,
     separate state, so there every step is checked afresh.
     """
     dom = PrimeField(field)
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(trials):
         n = rng.randrange(1, max_n + 1)
         terms = [rng.randrange(field) for _ in range(n)]
-        core = _make_core(dom, MPConfig(epsilon=epsilon))
+        core = _make_core(dom, MPConfig())
         packed = isinstance(core, _PackedCore)
         last = None
         for j, t in enumerate(terms, start=1):
@@ -348,31 +348,25 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     g = gamma_members(g_top)
     snap_n = max(matrix_n, closed_n + 1)
     core = _PackedCore()
-    pattern, closed, repeat = {}, {}, {}
-    prev = None
+    rows = [core.packed_rows()]  # rows[j]: the packed rows after j terms
     deltas = []
     for j, t in enumerate(rueppel_terms(max(profile_n, snap_n)).terms, start=1):
         deltas.append(core.step(t))
-        if j > snap_n:
-            continue
-        cur = core.packed_rows()
-        if 2 <= j <= matrix_n:
-            pattern[j] = rueppel_matrix_pattern(j, cur, prev)
-        if j % 2 and 3 <= j <= closed_n:
-            closed[j] = cur[:2] == rueppel_mp_packed(j)
-        elif j % 2 == 0 and 3 <= j - 1 <= closed_n:
-            repeat[j - 1] = cur[:2] == prev[:2]
-        prev = cur
+        if j <= snap_n:
+            rows.append(core.packed_rows())
     lcs, exps = _profile(GF2, deltas)
     for j in range(1, profile_n + 1):
         lc = lcs[j - 1]
         yield 1, "" if lc == (j + 1) // 2 else f"LC_{j} = {lc}"
         yield 0, "" if exps[j] in (0, 1) else f"e_{j} = {exps[j]}"
     for n in range(2, matrix_n + 1):
-        yield 1, "" if pattern[n] else f"matrix pattern at n={n}"
+        ok = rueppel_matrix_pattern(n, rows[n], rows[n - 1])
+        yield 1, "" if ok else f"matrix pattern at n={n}"
     for n in range(3, closed_n + 1, 2):
-        yield 1, "" if closed[n] else f"closed form at n={n}"
-        yield 1, "" if repeat[n] else f"even repeat at n={n + 1}"
+        ok = rows[n][:2] == rueppel_mp_packed(n)
+        yield 1, "" if ok else f"closed form at n={n}"
+        ok = rows[n + 1][:2] == rows[n][:2]
+        yield 1, "" if ok else f"even repeat at n={n + 1}"
     for i in range(12):
         k = g_top * i // 11
         ok = g[k] == gamma_packed(k)
@@ -391,14 +385,13 @@ def _height_check(st: _Profile, terms) -> str:
 
 @_suite("height")
 def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
-                  bound_trials: int = 1000, cf_trials: int = 200,
-                  seed: int = DEFAULT_SEED) -> VerifyResult:
+                  bound_trials: int = 1000, cf_trials: int = 200) -> VerifyResult:
     """Height bounds, the height-1 characterization, and the CF oracle."""
     hr = height(rueppel_terms(rueppel_n))
     yield 1, "" if hr.height == 1 else f"power-of-two height {hr.height}"
     yield _tree_sweep(_PROFILE_START, _profile_step, _height_check,
                       range(1, exhaustive_n + 1))
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(bound_trials):
         q = rng.choice((2, 3))
         dom = PrimeField(q)
@@ -429,7 +422,7 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
 
 @_suite("lcsum")
 def verify_lcsum(max_n: int = 12, sum_k: int = 20, sum_l: int = 20,
-                 trials: int = 500, seed: int = DEFAULT_SEED) -> VerifyResult:
+                 trials: int = 500) -> VerifyResult:
     """Sum bound, closed partial sum, and the worked three-term examples.
 
     No check reads max_n; it stays for callers that pass it.
@@ -438,7 +431,7 @@ def verify_lcsum(max_n: int = 12, sum_k: int = 20, sum_l: int = 20,
         for l in range(1, sum_l + 1):
             direct = sum((i + 1) // 2 for i in range(k + 1, k + 2 * l + 1))
             yield 1, "" if direct == l * l + (k + 1) * l else f"partial sum k={k} l={l}"
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(trials):
         q = rng.choice((2, 3, 5))
         dom = PrimeField(q)

@@ -58,8 +58,9 @@ def test_parse_sequence_rejects():
         parse_sequence("1,x", GF2)
     with pytest.raises(SequenceParseError, match=r"^value -1 outside \[0, 3\)$"):
         parse_sequence("-1", PrimeField(3))
-    with pytest.raises(SequenceParseError, match=r"^not an integer: ''$"):
-        parse_sequence(",1", GF2)  # a stray comma
+    for text in (",1", "1,,0", "1, ,0"):  # a stray comma, an empty field
+        with pytest.raises(SequenceParseError, match=r"^not an integer: ''$"):
+            parse_sequence(text, GF2)
     # int() would take each of these: an underscore, a non-ASCII digit, a sign
     for text, bad in (("1_0", "1_0"), ("\u0661,1", "\u0661"), ("+1,0", "+1"),
                       ("1 0,+1", "+1")):
@@ -79,6 +80,9 @@ def test_parse_errors_exit_2(capsys):
         code, out, err = run(capsys, "minpoly", "--field", "13", "--seq", seq)
         bad = seq.split(",")[0]
         assert (code, out, err) == (2, "", f"error: not an integer: {bad!r}\n")
+    for seq in ("1,,0", "1, ,0"):  # an empty field between two commas
+        code, out, err = run(capsys, "profile", "--seq", seq)
+        assert (code, out, err) == (2, "", "error: not an integer: ''\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -318,6 +322,10 @@ def test_plcp_count_and_enum(capsys):
 def test_enum_guard_exit_4(capsys):
     code, _, err = run(capsys, "plcp-enum", "--field", "2", "--n", "40")
     assert code == 4 and "guard" in err
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "plcp-enum", "--field", "3", "--n", str(10**18))
+    assert code == 4 and out == "" and "guard" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_stable_command(capsys):
@@ -600,10 +608,11 @@ def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
 
     monkeypatch.setattr(verify_mod, "_walk_prefixes", no_work)
     monkeypatch.setattr(verify_mod, "mp_run", no_work)
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "verify", suite, "--max-n", "40")
-    assert code == 4 and out == "" and "guard" in err
-    assert time.perf_counter() - t0 < 1.0
+    for max_n in (40, 10**18):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", suite, "--max-n", str(max_n))
+        assert code == 4 and out == "" and "guard" in err
+        assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,5 +1,6 @@
 """Engine: worked examples, step laws, certificates, and the two code paths."""
 
+import dataclasses
 import json
 import random
 import time
@@ -120,8 +121,8 @@ def test_run_final_example():
 
 
 def test_run_geometric_monic():
-    _, rep = mp_run(GF2.seq([1, 1, 1]), MPConfig(monic_output=True))
-    assert str(rep.minpoly) == "x+1"
+    _, rep = mp_run(GF2.seq([1, 1, 1]))
+    assert str(rep.minpoly.monic()) == "x+1"
     assert rep.lc == [1, 1, 1]
 
 
@@ -228,7 +229,8 @@ def test_part_degree_law(q, data):
 @given(st.data())
 def test_determinant_ledger_f3(data):
     terms = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=32))
-    for state in run_states(Seq(F3, terms))[1:]:
+    eps = data.draw(st.integers(0, 2))
+    for state in run_states(Seq(F3, terms), MPConfig(epsilon=eps))[1:]:
         assert state.matrix().det() == Poly(F3, (F3.neg(state.nabla),))
         assert bezout_check(state)
 
@@ -528,13 +530,21 @@ def _fresh_json_dict(rep):
     }
 
 
+def _with_monic_mu(rep):
+    """rep with mu scaled to its monic form: a new Poly in final_matrix."""
+    m = rep.final_matrix
+    return dataclasses.replace(rep, final_matrix=dataclasses.replace(m, a=m.a.monic()))
+
+
 @pytest.mark.parametrize("monic", [False, True])
 def test_json_dict_matches_fresh_renders(monic):
-    # mu = 2x^4+x^3+x^2+x over F_3 is not monic, so monic output is a new Poly
+    # mu = 2x^4+x^3+x^2+x over F_3 is not monic; its monic form is a new Poly
     s = Seq(F3, [0, 2, 1, 2, 2, 2, 0, 1])
-    _, rep = mp_run(s, MPConfig(epsilon=1, monic_output=monic))
+    _, rep = mp_run(s, MPConfig(epsilon=1))
     assert rep.final_matrix.a.leading == 2
-    assert (rep.minpoly is rep.final_matrix.a) == (not monic)
+    assert rep.minpoly is rep.final_matrix.a
+    if monic:
+        rep = _with_monic_mu(rep)
     data = rep.to_json_dict()
     assert data == _fresh_json_dict(rep)
     assert data["mu"] == ("x^4+2x^3+2x^2+2x" if monic else "2x^4+x^3+x^2+x")
@@ -543,14 +553,16 @@ def test_json_dict_matches_fresh_renders(monic):
         dom = PrimeField(q)
         for _ in range(10):
             s = Seq(dom, [rng.randrange(q) for _ in range(rng.randrange(0, 60))])
-            config = MPConfig(epsilon=rng.randrange(q), monic_output=monic)
+            config = MPConfig(epsilon=rng.randrange(q))
             _, rep = mp_run(s, config)
+            if monic:
+                rep = _with_monic_mu(rep)
             assert rep.to_json_dict() == _fresh_json_dict(rep)
 
 
 def test_monic_output_needs_field():
     with pytest.raises(UnsupportedDomainError):
-        mp_run(ZZ.seq([1, 2]), MPConfig(monic_output=True))
+        mp_run(ZZ.seq([1, 2]))[1].minpoly.monic()
 
 
 # ------------------------------------------------------- engine variants

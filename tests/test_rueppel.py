@@ -1,5 +1,7 @@
 """Closed forms of the power-of-two sequence versus the engine."""
 
+import time
+
 import pytest
 
 from lcprof import gf2
@@ -207,6 +209,10 @@ def test_column_closed_form():
         power_column_identity(0)
     with pytest.raises(ResourceLimitError):
         power_column_identity(30)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        power_column_identity(10**18)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_column_closed_form_generic_route():
