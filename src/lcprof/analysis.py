@@ -15,8 +15,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import gf2
-from .engine import MPConfig, _consume, _make_core, _profile, mp_run
+from . import gf2, gf3
+from .engine import MPConfig, _make_core, _profile, _run, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField
 from .poly import Poly, Seq, _trim, reduce_coeffs
@@ -30,9 +30,10 @@ def _require_binary(s: Seq, what: str) -> None:
 def _run_profile(s: Seq) -> tuple[list[int], list[int]]:
     """LC_1..LC_n and e_0..e_n of one engine run, blocked where it can be.
 
-    See _consume for the blocks and _profile for the derivation.
+    One engine._run: see _consume for the blocks and _profile for the
+    derivation.
     """
-    return _profile(s.domain, _consume(_make_core(s.domain, MPConfig()), s.terms))
+    return _run(s.domain, s.terms)[2:]
 
 
 # Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] of
@@ -109,7 +110,7 @@ class _WitnessTrail(NamedTuple):
 
 # step 0: LC_0 = 0, e_0 = 1 and delta_0 = 1 on every core; the rows stay
 # empty until step 1 enters the core's own unit row (core.unit: the list
-# [1], or the packed 1), which is its seed mu
+# [1], the packed 1 or the planes (1, 0)), which is its seed mu
 _WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), ())
 
 
@@ -133,7 +134,8 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
 
     The rows stay in the core's representation and are combined with
     the core's own _lin: coefficient lists on the generic core, packed
-    ints (shift and XOR) on the packed F_2 core.
+    ints (shift and XOR) on the packed F_2 core, plane pairs on the F_3
+    core.
     """
     lc, e = core.cur_lc(), core.e
     odd = j & 1
@@ -275,8 +277,9 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
 
     Computed by the Euclidean algorithm on the pair (x^n, numerator):
     over F_2 on packed polynomials, by shift and XOR (the loop of
-    gf2.gcd, recording each quotient), and over other fields on
-    coefficient lists (reduce_coeffs).  The quotient degrees extend the
+    gf2.gcd, recording each quotient), over F_3 on bit planes
+    (gf3.quo_rem), and over other fields on coefficient lists
+    (reduce_coeffs).  The quotient degrees extend the
     engine's jump exponents: quotient i has degree equal to the i-th
     jump exponent for every jump the profile realized; quotients past
     that point encode the truncation.
@@ -301,6 +304,15 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
             quotients.append(q)
             a, b = b, a
         return [Poly._canonical(dom, gf2.to_coeffs(q)) for q in quotients]
+    if p == 3:
+        # the terms are the numerator's coefficients, highest first
+        a, b = (1 << n, 0), gf3.from_bytes(bytes(s.terms))
+        quotients = []
+        while b[0] | b[1]:
+            q, r = gf3.quo_rem(a, b)
+            quotients.append(Poly._canonical(dom, q))
+            a, b = b, r
+        return quotients
     a, b = [0] * n + [1], _trim(list(s.terms[::-1]))
     quotients = []
     while b:

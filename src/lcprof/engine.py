@@ -24,21 +24,23 @@ delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
 the polynomial part of the first: once the first jump has happened,
 [f] = (f * s)_+ over the consumed prefix for both rows.  The generic
 core therefore carries only the first column and derives the second on
-request (poly.part_coeffs, one Kronecker product per row); the packed
-F_2 core carries both, since there a column update is one shift and XOR.
+request (poly.part_coeffs, one Kronecker product per row), and so does
+the bit-sliced F_3 core (one plane product per row); the packed F_2 core
+carries both, since there a column update is one shift and XOR.
 
 Determinant convention: det M = -nabla at every step (the identity
 mu*[mu'] - [mu]*mu' = -nabla is a Bezout certificate, forcing
 gcd(mu, [mu]) = gcd(mu, mu') = 1 over a field).
 
-For p = 2 the engine switches to a packed representation (polynomials
-and the consumed prefix as Python ints, one bit per coefficient) with
-identical observable behavior.  A core (_GenericCore or _PackedCore) is
-the only holder of engine state: MPState is a read-only view over one,
-mp_step resumes a copy of it (the packed one for p = 2), and every
+Three cores behave identically: for p = 2 the polynomials and the
+consumed prefix are ints, one bit per coefficient (_PackedCore, gf2);
+for p = 3 two bit planes each (_TernaryCore, gf3), since every unit of
+F_3 is +-1; elsewhere, and under force_generic, coefficient lists
+(_GenericCore).  A core is the only holder of engine state: MPState is
+a read-only view over one, mp_step resumes a copy of it, and every
 conversion of a core into Poly rows goes through _poly_rows.  The
 profile table needs only text, so profile_text_rows renders it from the
-core's coefficients without building Poly rows.
+core's own rows without building Poly rows.
 
 Over the small fields, p = 2, 3, 5, 7 and 11 (_BYTE_RESIDUES), the
 generic core's row update _lin packs each row at one byte a coefficient
@@ -50,21 +52,22 @@ Over the same fields the table renders every row from one per-call table
 of term texts (_term_table_text), the text of each c x^k built once.
 
 Runs that read no per-step rows (mp_run, and the profile behind height,
-lc_sum and char_equivalence) go through _consume.  On a generic core over
-F_p without per-step normalization it advances _BLOCK steps at a time
-once deg mu >= _BLOCK_MIN_DEG: a block is the product of its jump
-matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0', carried
-by the same update rule on the interleaved rows (A, B) and (C, D), one
-vector-coefficient polynomial each (Thome 2002), with each discrepancy
-one dot product with the interleaved correlation windows, and mu, mu'
-rebuilt by Kronecker products at the block's end (Berlekamp-Massey read
-as Euclid, as in Dornstetter 1987, at a fixed block size as in the
-half-gcd of Brent-Gustavson-Yun 1980).  Its Kronecker slots take as many
-bytes as the sums need, at any p.  The core it leaves equals the
-per-step core slot for slot, and the discrepancies it returns are the
-per-step ones.  Every other core and every reader of per-step rows (the
-table, profile_steps, the PLCP witness, the verify sweeps, mp_step)
-steps term by term.
+lc_sum and char_equivalence) go through _run and _consume.  On a generic
+core over F_p (p >= 5 unless forced: the F_2 and F_3 cores step term by
+term, which beats a block there) without per-step normalization it
+advances _BLOCK steps at a time once deg mu >= _BLOCK_MIN_DEG: a block
+is the product of its jump matrices, the transition (A, B; C, D) with
+mu = A mu0 + B mu0', carried by the same update rule on the interleaved
+rows (A, B) and (C, D), one vector-coefficient polynomial each (Thome
+2002), with each discrepancy one dot product with the interleaved
+correlation windows, and mu, mu' rebuilt by Kronecker products at the
+block's end (Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at
+a fixed block size as in the half-gcd of Brent-Gustavson-Yun 1980).  Its
+Kronecker slots take as many bytes as the sums need, at any p.  The core
+it leaves equals the per-step core slot for slot, and the discrepancies
+it returns are the per-step ones.  Every other core and every reader of
+per-step rows (the table, profile_steps, the PLCP witness, the verify
+sweeps, mp_step) steps term by term.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import gf2
+from . import gf2, gf3
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, IntegerRing, PrimeField, is_prime
 from .poly import (
@@ -198,6 +201,25 @@ def updating_matrix(domain: CoeffDomain, delta: int, delta_prime: int, e: int) -
     )
 
 
+def _memo_parts(core, derive):
+    """[mu] and [mu'] of a core that carries only mu and mu'.
+
+    A step never edits a row and a jump hands the old mu to mu', so a
+    memo keyed by row identity (core.parts, shared by copies) derives
+    each row once.
+    """
+    parts = []
+    for row in (core.mu, core.mup):
+        for known in core.parts:
+            if known[0] is row:
+                break
+        else:
+            known = row, derive(row)
+        parts.append(known)
+    core.parts = tuple(parts)
+    return parts[0][1], parts[1][1]
+
+
 class _GenericCore:
     """Dense coefficient-list engine over any coefficient domain.
 
@@ -220,6 +242,11 @@ class _GenericCore:
     )
 
     unit = [1]  # the row 1, shared: a row is never edited once made
+
+    @staticmethod
+    def row_bytes(row) -> bytes:
+        # over the small fields (_BYTE_RESIDUES) only: one byte a coefficient
+        return bytes(row[::-1])
 
     def __init__(self, domain: CoeffDomain, epsilon: int = 0, *,
                  normalize_each_step: bool = False):
@@ -376,23 +403,13 @@ class _GenericCore:
 
         The parts are derived, not carried: before the first jump the rows
         are the seed (1, 0) and (eps, -1), and after it [f] is the
-        polynomial part of f over the consumed prefix.  A step never edits
-        a row and a jump hands the old mu to mu', so a memo keyed by row
-        identity derives each row once.
+        polynomial part of f over the consumed prefix (_memo_parts).
         """
         mu, mup = self.mu, self.mup
         if len(mu) == 1:
             return mu, [], mup, [self.dom.neg(1)]
-        parts = []
-        for row in (mu, mup):
-            for known in self.parts:
-                if known[0] is row:
-                    break
-            else:
-                known = row, part_coeffs(row, self.s, self.p)
-            parts.append(known)
-        self.parts = tuple(parts)
-        return mu, parts[0][1], mup, parts[1][1]
+        part, mup_part = _memo_parts(self, lambda row: part_coeffs(row, self.s, self.p))
+        return mu, part, mup, mup_part
 
     def terms(self) -> tuple[int, ...]:
         return tuple(self.s)
@@ -419,6 +436,10 @@ class _PackedCore:
     dprime = 1
     nabla = 1
     unit = 1
+
+    @staticmethod
+    def row_bytes(row: int) -> bytes:
+        return bin(row)[2:].encode().translate(gf2._BITS)
 
     def __init__(self, epsilon: int = 0):
         self.j = 0
@@ -478,10 +499,103 @@ class _PackedCore:
         return new
 
 
+class _TernaryCore:
+    """Bit-sliced engine for F_3 (see gf3); semantics identical to _GenericCore.
+
+    The prefix is two planes, SP and SM (bit t set when s_{t+1} is 1, or
+    2), and mu, mu' plane pairs: a discrepancy is two popcounts and a
+    row update a plane sum.  It carries mu and mu' only.
+    """
+
+    __slots__ = ("normalize", "j", "SP", "SM", "mu", "mup", "e", "dprime",
+                 "nabla", "parts")
+
+    p = 3
+    unit = gf3.ONE
+    _lin = staticmethod(gf3.lin)
+    row_bytes = staticmethod(gf3.to_bytes)
+
+    def __init__(self, epsilon: int = 0, *, normalize_each_step: bool = False):
+        self.normalize = normalize_each_step
+        self.j = self.SP = self.SM = 0
+        self.mu = gf3.ONE
+        self.mup = gf3.scale(epsilon, gf3.ONE)
+        self.e = self.dprime = self.nabla = 1
+        self.parts = ()
+
+    def step(self, sj: int) -> int:
+        self.j = j = self.j + 1
+        if sj == 1:
+            self.SP |= 1 << (j - 1)
+        elif sj:
+            self.SM |= 1 << (j - 1)
+        mu = self.mu
+        P, M = mu
+        base = j - (P | M).bit_length()
+        tP, tM = self.SP >> base, self.SM >> base
+        # the planes are disjoint: a product of like signs is 1, else 2
+        delta = (((P & tP) | (M & tM)).bit_count()
+                 - ((P & tM) | (M & tP)).bit_count()) % 3
+        e = self.e
+        if delta:
+            if e <= 0:
+                nmu = gf3.lin(self.dprime, mu, 0, delta, self.mup, -e)
+                factor = self.dprime
+            else:
+                nmu = gf3.lin(self.dprime, mu, e, delta, self.mup, 0)
+                self.mup = mu
+                self.dprime = factor = delta
+                self.e = e = -e
+            self.nabla = self.nabla * factor % 3
+            if self.normalize and factor == 2:
+                nmu = nmu[1], nmu[0]  # 2 is its own inverse
+            self.mu = nmu
+        self.e = e + 1
+        return delta
+
+    def cur_lc(self) -> int:
+        return (self.mu[0] | self.mu[1]).bit_length() - 1
+
+    def plane_rows(self):
+        """mu, [mu], mu', [mu'] as plane pairs (see _GenericCore.pairs)."""
+        mu, mup = self.mu, self.mup
+        if mu == gf3.ONE:
+            return mu, (0, 0), mup, (0, 1)
+        part, mup_part = _memo_parts(self, self._part)
+        return mu, part, mup, mup_part
+
+    def _part(self, row):
+        # f times the reversed window s_d..s_1 (d = deg f), shifted down by
+        # d, as in poly.part_coeffs
+        d = gf3.degree(row)
+        window = tuple(int(f"{S & ((1 << d) - 1):0{d}b}"[::-1], 2)
+                       for S in (self.SP, self.SM))
+        P, M = gf3.mul(row, window)
+        return P >> d, M >> d
+
+    def pairs(self):
+        return tuple(gf3.to_coeffs(r) for r in self.plane_rows())
+
+    def terms(self) -> tuple[int, ...]:
+        return tuple(gf3.to_bytes((self.SP, self.SM), self.j)[::-1])
+
+    def copy(self) -> "_TernaryCore":
+        # every slot by name: the prefix-tree walks copy once per node
+        new = object.__new__(type(self))
+        new.normalize, new.j, new.SP, new.SM = self.normalize, self.j, self.SP, self.SM
+        new.mu, new.mup, new.e = self.mu, self.mup, self.e
+        new.dprime, new.nabla, new.parts = self.dprime, self.nabla, self.parts
+        return new
+
+
 def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = False):
-    # over F_2 the only unit is 1, so normalize_each_step changes nothing
+    # over F_2 the only unit is 1, so normalize_each_step changes nothing;
+    # over F_3 the units are +-1, so a scaling is a plane swap
     if domain.p == 2 and not force_generic:
         return _PackedCore(domain.normalize(config.epsilon))
+    if domain.p == 3 and not force_generic:
+        return _TernaryCore(domain.normalize(config.epsilon),
+                            normalize_each_step=config.normalize_each_step)
     return _GenericCore(domain, config.epsilon,
                         normalize_each_step=config.normalize_each_step)
 
@@ -490,6 +604,7 @@ def _consume(core, terms) -> list[int]:
     """Step core through terms, in blocks where that leaves the same core.
 
     Returns the discrepancies delta_1..delta_n.  A generic core over F_p
+    (the packed F_2 and the bit-sliced F_3 cores are never blocked)
     without per-step normalization steps term by term until deg mu >=
     _BLOCK_MIN_DEG, then advances _BLOCK steps at a time
     (_GenericCore._block) while a full block of terms remains; the rest
@@ -509,6 +624,14 @@ def _consume(core, terms) -> list[int]:
             i += b
     deltas += map(step, terms[i:])
     return deltas
+
+
+def _run(domain: CoeffDomain, terms, config: MPConfig = MPConfig(), *,
+         force_generic: bool = False):
+    """A fresh core stepped through terms (_consume), its deltas, LC and e (_profile)."""
+    core = _make_core(domain, config, force_generic=force_generic)
+    deltas = _consume(core, terms)
+    return core, deltas, *_profile(domain, deltas)
 
 
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
@@ -560,7 +683,7 @@ class MPState:
 
     domain: CoeffDomain
     config: MPConfig
-    _core: _GenericCore | _PackedCore
+    _core: _GenericCore | _PackedCore | _TernaryCore
     _deltas: tuple[int, ...] = ()
 
     def __eq__(self, other):
@@ -717,16 +840,16 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     """Run the engine over the whole sequence.
 
     Returns the final matrix and the profile report; an empty sequence
-    yields the seed state (minpoly 1, LC 0).  The packed fast path is
-    selected automatically for p = 2.  Over other F_p without
-    normalize_each_step the run goes blocked once deg mu >= 64 (see
-    _consume); its core, and so the matrix and report, equal the per-step
-    run's slot for slot.
+    yields the seed state (minpoly 1, LC 0).  The packed core is selected
+    automatically for p = 2 and the bit-sliced one for p = 3.  Over other
+    F_p without normalize_each_step the run goes blocked once deg mu >= 64
+    (see _consume); its core, and so the matrix and report, equal the
+    per-step run's slot for slot.
     """
     domain = s.domain
-    core = _make_core(domain, config, force_generic=force_generic)
-    deltas = _consume(core, s.terms)  # already reduced: acc % p, or 0/1 packed
-    lc, exponents = _profile(domain, deltas)
+    # the deltas are reduced already: a residue, or 0/1 packed
+    core, deltas, lc, exponents = _run(domain, s.terms, config,
+                                       force_generic=force_generic)
     matrix = Mat2(*_poly_rows(domain, core))
     report = ProfileReport(
         domain=domain,
@@ -757,22 +880,22 @@ def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
     return rows
 
 
-def _term_table_text(p: int, n: int, packed: bool):
+def _term_table_text(p: int, n: int, row_bytes):
     """A renderer of rows of degree <= n over a small F_p (_BYTE_RESIDUES).
 
-    It reads every term from one table, terms[c][k] = the text of c x^k
-    for c in 1..p-1 and k <= n, built once here and freed with the
-    renderer.  Its output equals coeffs_to_text's; packed F_2 rows are
-    unpacked first.
+    Every term comes from one table, built once here and freed with the
+    renderer: a tuple a degree, highest first, of the texts of c x^k for
+    c = 0..p-1 ("" for c = 0).  A C-level map picks each coefficient's
+    text by the row's bytes, highest degree first (row_bytes).  Its
+    output equals coeffs_to_text's.
     """
-    xs = ["x", *(f"x^{k}" for k in range(2, n + 1))]
-    terms = [None] + [[str(c)] + [x if c == 1 else f"{c}{x}" for x in xs]
-                      for c in range(1, p)]
+    xs = [*(f"x^{k}" for k in range(n, 1, -1)), "x"]
+    terms = [("", *(x if c == 1 else f"{c}{x}" for c in range(1, p))) for x in xs]
+    terms.append(("", *map(str, range(1, p))))
 
     def text(row) -> str:
-        if packed:
-            row = gf2.to_coeffs(row)
-        return "+".join([terms[c][k] for k, c in enumerate(row) if c][::-1]) or "0"
+        b = row_bytes(row)
+        return "+".join(filter(None, map(operator.getitem, terms[-len(b):], b))) or "0"
     return text
 
 
@@ -790,7 +913,7 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     """
     core = _make_core(s.domain, config)
     p = s.domain.p
-    text = (_term_table_text(p, len(s), isinstance(core, _PackedCore))
+    text = (_term_table_text(p, len(s), core.row_bytes)
             if p in _BYTE_RESIDUES else coeffs_to_text)
     out = []
     mu = mup = None
@@ -886,6 +1009,12 @@ def _bezout_ok(core) -> bool:
         mu, mu_part, mup, mup_part = core.packed_rows()
         return (gf2.mul(mu, mup_part) ^ gf2.mul(mu_part, mup) == 1
                 and gf2.gcd(mu, mu_part) == 1 and gf2.gcd(mu, mup) == 1)
+    if isinstance(core, _TernaryCore):
+        mu, mu_part, mup, mup_part = core.plane_rows()
+        det = gf3.lin(1, gf3.mul(mu, mup_part), 0, 1, gf3.mul(mu_part, mup), 0)
+        return (det == gf3.scale(-core.nabla, gf3.ONE)
+                and gf3.degree(gf3.gcd(mu, mu_part)) == 0
+                and gf3.degree(gf3.gcd(mu, mup)) == 0)
     p = core.p
     mu, mu_part, mup, mup_part = core.pairs()
     prods = itertools.zip_longest(mul_coeffs(mu, mup_part), mul_coeffs(mu_part, mup),

@@ -66,6 +66,10 @@ from .rueppel import (
 
 # every seeded-random suite draws from random.Random(DEFAULT_SEED)
 DEFAULT_SEED = 0x5EED
+# the most terms a bezout trial may draw: a trial checks a certificate at
+# every step, on rows up to half its length, so its work grows as n^3
+# and the sizes that finish lie far below this
+BEZOUT_N_GUARD = 4096
 
 
 @dataclass
@@ -205,13 +209,19 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
 def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> VerifyResult:
     """det M = -nabla and both gcd certificates, at every step.
 
-    On the generic core, whose certificate reads only mu, mu' and nabla
-    (the parts are derived from mu and mu'), a step that leaves mu and
-    mu' the same objects and nabla equal (a zero discrepancy) gives it
-    the same inputs, so the verdict of the last check stands for it; it
-    still counts as checked.  The packed F_2 core carries its parts as
-    separate state, so there every step is checked afresh.
+    On the generic and the bit-sliced F_3 cores, whose certificate reads
+    only mu, mu' and nabla (the parts are derived from mu and mu'), a
+    step that leaves mu and mu' the same objects and nabla equal (a zero
+    discrepancy) gives it the same inputs, so the verdict of the last
+    check stands for it; it still counts as checked.  The packed F_2
+    core carries its parts as separate state, so there every step is
+    checked afresh.  A max_n past BEZOUT_N_GUARD is refused before any
+    term is drawn.
     """
+    if max_n > BEZOUT_N_GUARD:
+        raise ResourceLimitError(
+            f"bezout trials of up to {max_n} terms exceed the guard of "
+            f"{BEZOUT_N_GUARD} terms")
     dom = PrimeField(field)
     rng = random.Random(DEFAULT_SEED)
     for _ in range(trials):

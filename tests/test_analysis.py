@@ -140,6 +140,7 @@ def _recursion_failures(s, eps):
 @pytest.mark.parametrize("q, n, eps, generic", [
     (2, 12, 0, False), (2, 12, 1, False), (2, 12, 0, True), (2, 12, 1, True),
     (3, 7, 0, True), (3, 7, 1, True), (3, 7, 2, True),
+    (3, 7, 0, False), (3, 7, 1, False), (3, 7, 2, False),
 ])
 def test_recursion_witness_matches_the_two_column_reference(q, n, eps, generic):
     # every sequence of up to n terms: the per-step verdicts agree at each node
@@ -568,6 +569,37 @@ def test_deltas_round_trip_both_ways(q, data):
     s2 = Seq(dom, terms)
     _, rep2 = mp_run(s2, MPConfig(epsilon=eps))
     assert deltas_to_sequence(dom, rep2.deltas, epsilon=eps) == s2
+
+
+def test_deltas_round_trip_on_the_ternary_core():
+    rng = random.Random(34)
+    for n in (0, 1, 30, 300):
+        deltas = [rng.randrange(3) for _ in range(n)]
+        eps = rng.randrange(3)
+        s = deltas_to_sequence(F3, deltas, eps)
+        assert mp_run(s, MPConfig(epsilon=eps))[1].deltas == deltas
+        assert mp_run(s, MPConfig(epsilon=eps), force_generic=True)[1].deltas == deltas
+
+
+def test_ternary_prefix_walks_match_the_generic_walk(monkeypatch):
+    # enumerate_plcp copies its core at every node of the prefix tree
+    from lcprof import analysis
+    from lcprof.engine import _GenericCore, _TernaryCore
+
+    real = analysis._make_core
+    walks = {}
+    for generic, kind in ((False, _TernaryCore), (True, _GenericCore)):
+        made = []
+
+        def make(dom, config, generic=generic):
+            made.append(real(dom, config, force_generic=generic))
+            return made[-1]
+
+        monkeypatch.setattr(analysis, "_make_core", make)
+        walks[kind] = [[s.terms for s in enumerate_plcp(3, n)] for n in range(8)]
+        assert {type(core) for core in made} == {kind}
+    assert walks[_TernaryCore] == walks[_GenericCore]
+    assert [len(w) for w in walks[_TernaryCore]] == [plcp_count(3, n) for n in range(8)]
 
 
 def test_deltas_needs_field():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lcprof import cli, fields
+from lcprof import analysis, cli, engine, fields
 from lcprof import verify as verify_mod
 from lcprof.cli import (
     TABLE_GUARD,
@@ -613,6 +613,48 @@ def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
         code, out, err = run(capsys, "verify", suite, "--max-n", str(max_n))
         assert code == 4 and out == "" and "guard" in err
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile",), ("profile", "--epsilon", "2"),
+    ("profile", "--json"), ("profile", "--json", "--epsilon", "2"),
+    ("minpoly",), ("minpoly", "--epsilon", "2"),
+    ("plcp-check", "--json"), ("plcp-check", "--json", "--epsilon", "2"),
+], ids=" ".join)
+def test_ternary_core_outputs_equal_the_generic_core(capsys, monkeypatch, argv):
+    rng = random.Random(35)
+    seqs = [",".join(str(rng.randrange(3)) for _ in range(n)) for n in (1, 9, 160)]
+    seqs += [",".join(["0"] * 40), "0"]
+
+    def outputs():
+        for seq in seqs:
+            assert main([*argv, "--field", "3", "--seq", seq]) == 0
+        return capsys.readouterr().out
+
+    planes = outputs()
+    real = engine._make_core
+
+    def generic(dom, config, force_generic=False):
+        return real(dom, config, force_generic=True)
+
+    monkeypatch.setattr(engine, "_make_core", generic)
+    monkeypatch.setattr(analysis, "_make_core", generic)
+    assert outputs() == planes
+
+
+def test_verify_bezout_max_n_guard_exit_4(capsys, monkeypatch):
+    # 40 is a valid bezout size, so the guard has its own test: a sweep
+    # that started would draw from the rng or build a core, and fail here
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started past the guard")
+
+    monkeypatch.setattr(verify_mod, "_make_core", no_work)
+    monkeypatch.setattr(verify_mod.random, "Random", no_work)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "bezout", "--max-n", str(10**18))
+    assert code == 4 and out == "" and "guard" in err
+    assert time.perf_counter() - t0 < 1.0
+    assert verify_mod.BEZOUT_N_GUARD >= max(verify_mod.SUITES["bezout"].max_n, 64)
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcprof import cli, engine
+from lcprof import cli, engine, gf3
 from lcprof.analysis import height as analysis_height
 from lcprof.engine import (
     Mat2,
@@ -28,6 +28,7 @@ from lcprof.engine import (
     updating_matrix,
     _GenericCore,
     _PackedCore,
+    _TernaryCore,
 )
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, IntegerRing, PrimeField
@@ -451,7 +452,8 @@ def test_pairs_derives_each_row_once(monkeypatch):
     (_PackedCore, 2),
     (lambda: _GenericCore(F3, 1), 3),
     (lambda: _GenericCore(PrimeField(65521), 2, normalize_each_step=True), 65521),
-], ids=["packed", "F_3", "F_65521"])
+    (lambda: _TernaryCore(1, normalize_each_step=True), 3),
+], ids=["packed", "F_3", "F_65521", "F_3 planes"])
 def test_copy_carries_every_slot(make, q):
     # copy() names each slot: one added to __slots__ and left out of it
     # would raise on read, or differ from the original here
@@ -466,6 +468,95 @@ def test_copy_carries_every_slot(make, q):
         assert child.s is not core.s  # the prefix grows in place
     child.step(1)
     assert core.terms() == child.terms()[:-1] and core.j == child.j - 1
+
+
+# ---------------------------------------------------- bit-sliced F_3 core
+
+def _assert_ternary_tracks_generic(terms, eps, normalize):
+    """After every step the F_3 core equals the generic core slot for slot."""
+    config = MPConfig(epsilon=eps, normalize_each_step=normalize)
+    core = engine._make_core(F3, config)
+    ref = engine._make_core(F3, config, force_generic=True)
+    assert type(core) is _TernaryCore and type(ref) is _GenericCore
+    for t in terms:
+        assert core.step(t) == ref.step(t)
+        for name in ("j", "e", "dprime", "nabla"):
+            assert getattr(core, name) == getattr(ref, name), name
+        # mu, [mu], mu', [mu'] unpacked from the planes
+        assert core.pairs() == ref.pairs()
+        assert core.cur_lc() == ref.cur_lc()
+    assert core.terms() == ref.terms()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_ternary_core_tracks_the_generic_core(eps, normalize):
+    rng = random.Random(30 + eps + 3 * normalize)
+    for n in [0, 1, 2, 5, 40, 200] + [rng.randrange(1, 80) for _ in range(40)]:
+        dense = rng.random() < 0.5
+        terms = [rng.randrange(3) if dense or rng.random() < 0.2 else 0
+                 for _ in range(n)]
+        _assert_ternary_tracks_generic(terms, eps, normalize)
+    _assert_ternary_tracks_generic([0] * 50, eps, normalize)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=60), st.integers(0, 2), st.booleans())
+def test_ternary_core_matches_generic_property(terms, eps, normalize):
+    _assert_ternary_tracks_generic(terms, eps, normalize)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("eps", [0, 1, 2])
+def test_ternary_pairs_match_a_core_that_carries_both_columns(eps, normalize):
+    # every F_3 sequence of up to 7 terms, through copies that share memos
+    _walk_both(_TernaryCore(eps, normalize_each_step=normalize),
+               TwoColumnCore(F3, eps, normalize), 3, 7)
+
+
+def _planes(coeffs):
+    return gf3.from_bytes(bytes(coeffs[::-1]))
+
+
+def test_ternary_lin_matches_a_list_reference():
+    # zero scalars included: the witness passes delta * eps, 0 at eps = 0,
+    # and unreduced, up to 4
+    rng = random.Random(33)
+
+    def row():
+        d = rng.randrange(-1, 120)
+        return [rng.randrange(3) for _ in range(d)] + [rng.randrange(1, 3)] * (d >= 0)
+
+    cases = [(1, [1], 1, 0, [1], 0), (0, [1, 2], 3, 2, [2], 1),
+             (0, [2, 1], 0, 0, [1, 1], 2), (4, [1], 0, 3, [1, 1], 0)]
+    for _ in range(300):
+        a, b = row(), row()
+        cases.append((rng.randrange(5), a, rng.randrange(10),
+                      rng.randrange(5), b, rng.randrange(10)))
+    for c1, a, ashift, c2, b, bshift in cases:
+        got = _TernaryCore._lin(c1, _planes(a), ashift, c2, _planes(b), bshift)
+        assert not got[0] & got[1]
+        assert gf3.to_coeffs(got) == _lin_reference(3, c1, a, ashift, c2, b, bshift)
+
+
+def test_ternary_core_is_made_for_f3_only():
+    assert type(engine._make_core(F3, MPConfig())) is _TernaryCore
+    assert type(engine._make_core(F3, MPConfig(), force_generic=True)) is _GenericCore
+    assert type(engine._make_core(F5, MPConfig())) is _GenericCore
+
+
+def test_generic_f3_throughput_floor():
+    # criterion 10's 4096-term F_3 input, on the generic core it no longer uses
+    from lcprof.verify import DEFAULT_SEED
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(1 << 15):
+        rng.randrange(2)
+    s3 = Seq(F3, [rng.randrange(3) for _ in range(4096)])
+    t0 = time.perf_counter()
+    _, rep3 = mp_run(s3, force_generic=True)
+    assert time.perf_counter() - t0 < 10.0
+    assert len(rep3.lc) == 4096
+    assert rep3 == mp_run(s3)[1]
 
 
 # ------------------------------------------------ canonical Poly rows
@@ -1126,10 +1217,10 @@ def test_blocked_run_is_used_by_mp_run_and_the_profile_log(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("profile", "--json", "--field", "65521"),
     ("profile", "--json", "--field", "65521", "--epsilon", "65520"),
-    ("minpoly", "--field", "3"),
-    ("minpoly", "--field", "3", "--epsilon", "2"),
-    ("height", "--json", "--field", "3"),
-    ("lcsum", "--json", "--field", "3"),
+    ("minpoly", "--field", "5"),
+    ("minpoly", "--field", "5", "--epsilon", "2"),
+    ("height", "--json", "--field", "5"),
+    ("lcsum", "--json", "--field", "5"),
     ("profile", "--json", "--field", "2147483647"),
     ("minpoly", "--field", "2147483647"),
 ])

@@ -1,11 +1,12 @@
 """Polynomial and sequence layer: frozen examples plus algebraic laws."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcprof import gf2
+from lcprof import gf2, gf3
 from lcprof.errors import DomainMismatchError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, PrimeField, is_prime
 from lcprof.poly import (
@@ -369,6 +370,42 @@ def test_gf2_gcd_of_consecutive_gammas():
         a, b = gamma_packed(k), gamma_packed(k - 1)
         assert gf2.gcd(a, b) == 1
         assert _gcd_list(a, b) == [1]
+
+
+# ------------------------------------------------ bit-sliced F_3 kernels
+
+def _planes(coeffs):
+    return gf3.from_bytes(bytes(coeffs[::-1]))
+
+
+def test_gf3_sum_of_every_coefficient_pair():
+    pairs = list(itertools.product(range(3), repeat=2))
+    for x, y in pairs:
+        one = ((x + y) % 3 == 1, (x + y) % 3 == 2)
+        assert gf3.add((x == 1, x == 2), (y == 1, y == 2)) == one
+    # the nine pairs side by side, one a coefficient
+    xs, ys = zip(*pairs)
+    got = gf3.add(_planes(xs), _planes(ys))
+    assert gf3.to_bytes(got, 9)[::-1] == bytes((x + y) % 3 for x, y in pairs)
+
+
+f3_rows = st.lists(st.integers(0, 2), max_size=100).map(
+    lambda c: list(Poly(F3, c).coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f3_rows, f3_rows)
+def test_gf3_kernels_match_the_list_kernels(a, b):
+    A, B = _planes(a), _planes(b)
+    assert gf3.to_coeffs(A) == a and gf3.degree(A) == len(a) - 1
+    assert gf3.to_coeffs(gf3.add(A, B)) == list((Poly(F3, a) + Poly(F3, b)).coeffs)
+    assert gf3.to_coeffs(gf3.mul(A, B)) == list((Poly(F3, a) * Poly(F3, b)).coeffs)
+    if b:
+        q, r = gf3.quo_rem(A, B)
+        want_q, want_r = poly_divmod(Poly(F3, a), Poly(F3, b))
+        assert (q, gf3.to_coeffs(r)) == (list(want_q.coeffs), list(want_r.coeffs))
+    # the remainders of Euclid are unique, so the gcds agree exactly
+    assert gf3.to_coeffs(gf3.gcd(A, B)) == gcd_coeffs(a, b, 3)
 
 
 # ------------------------------------------------------------ text format

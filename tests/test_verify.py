@@ -373,8 +373,9 @@ def test_verify_bezout_rechecks_a_nabla_changed_at_a_zero_step(monkeypatch, fiel
     # The suite skips a step that leaves mu, mu' and nabla as they were;
     # a nabla raised at a zero-discrepancy step must still be caught there.
     tampered = []
+    built = "_TernaryCore" if field == 3 else "_GenericCore"  # what _make_core builds
 
-    class TamperCore(engine._GenericCore):
+    class TamperCore(getattr(engine, built)):
         def step(self, sj):
             delta = super().step(sj)
             if delta == 0 and self.cur_lc() > 0 and not tampered:
@@ -382,7 +383,7 @@ def test_verify_bezout_rechecks_a_nabla_changed_at_a_zero_step(monkeypatch, fiel
                 tampered.append(self.j)
             return delta
 
-    monkeypatch.setattr(engine, "_GenericCore", TamperCore)  # what _make_core builds
+    monkeypatch.setattr(engine, built, TamperCore)
     result = verify_mod.verify_bezout(field=field, trials=50, max_n=32)
     assert tampered and not result.ok
     assert result.detail.endswith(f" step {tampered[0]}")
