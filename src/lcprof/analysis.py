@@ -15,11 +15,10 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import gf2, gf3
 from .engine import MPConfig, _make_core, _profile, _run, mp_run
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField
-from .poly import Poly, Seq, _trim, reduce_coeffs
+from .poly import Poly, Seq, field_ring
 
 
 def _require_binary(s: Seq, what: str) -> None:
@@ -109,8 +108,8 @@ class _WitnessTrail(NamedTuple):
 
 
 # step 0: LC_0 = 0, e_0 = 1 and delta_0 = 1 on every core; the rows stay
-# empty until step 1 enters the core's own unit row (core.unit: the list
-# [1], the packed 1 or the planes (1, 0)), which is its seed mu
+# empty until step 1 enters the row 1 of the core's ring (core.ring.one:
+# the list [1], the packed 1 or the planes (1, 0)), which is its seed mu
 _WITNESS_START = _WitnessTrail(0, 1, -1, (1, None), ())
 
 
@@ -133,9 +132,9 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
     so the mu comparison has failed already.  Comparing mu decides both.
 
     The rows stay in the core's representation and are combined with
-    the core's own _lin: coefficient lists on the generic core, packed
-    ints (shift and XOR) on the packed F_2 core, plane pairs on the F_3
-    core.
+    its ring's lin (core.ring): coefficient lists on the generic core,
+    packed ints (shift and XOR) on the packed F_2 core, plane pairs on
+    the F_3 core.
     """
     lc, e = core.cur_lc(), core.e
     odd = j & 1
@@ -155,9 +154,10 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
     # the pair recursion re-derives mu from the two-term recursions; the
     # base row is mu = x - delta_1*eps, over F_2 with a nonzero first term
     # the usual x + eps
-    one, row = core.unit, core.mu
+    ring, row = core.ring, core.mu
     if j == 1:
-        want = core._lin(1, one, 1, delta * eps, one, 0)
+        one = ring.one
+        want = ring.lin(1, one, 1, delta * eps, one, 0)
         trail = trail._replace(rows=(one,))
     elif not odd and delta == 0:
         want = trail.rows[0]  # nothing to absorb: the row carries over unscaled
@@ -166,7 +166,7 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
         # odd j: delta_{j-2} * x * row_{j-1} - delta_j * row_{j-3}
         c1, r2 = ((trail.deltas[1], trail.rows[2]) if odd
                   else (trail.deltas[0], trail.rows[1]))
-        want = core._lin(c1, trail.rows[0], odd, delta, r2, 0)
+        want = ring.lin(c1, trail.rows[0], odd, delta, r2, 0)
     if row != want:
         fails |= 32
     return _WitnessTrail(lc, e, last_jump, (delta, trail.deltas[0]),
@@ -275,51 +275,27 @@ def height(s: Seq) -> HeightReport:
 def cf_partial_quotients(s: Seq) -> list[Poly]:
     """Partial quotients of the rational (sum s_i x^{n-i}) / x^n.
 
-    Computed by the Euclidean algorithm on the pair (x^n, numerator):
-    over F_2 on packed polynomials, by shift and XOR (the loop of
-    gf2.gcd, recording each quotient), over F_3 on bit planes
-    (gf3.quo_rem), and over other fields on coefficient lists
-    (reduce_coeffs).  The quotient degrees extend the
-    engine's jump exponents: quotient i has degree equal to the i-th
-    jump exponent for every jump the profile realized; quotients past
-    that point encode the truncation.
+    Computed by the Euclidean algorithm on the pair (x^n, numerator), one
+    loop of ring.quo_rem in the ring of rows of the field (poly.field_ring:
+    packed ints over F_2, bit planes over F_3, coefficient lists
+    elsewhere).  The oracle reads the ring modules, never an engine core.
+    The quotient degrees extend the engine's jump exponents: quotient i
+    has degree equal to the i-th jump exponent for every jump the profile
+    realized; quotients past that point encode the truncation.
     """
     dom = s.domain
     if not dom.is_field:
         raise UnsupportedDomainError("continued fractions need a field")
     if not any(s.terms):
         raise ValueError("the zero sequence has no continued fraction")
-    n, p = len(s), dom.p
-    if p == 2:
-        # bit n - i of the numerator is s_i: the terms are its binary digits
-        a, b = 1 << n, int("".join(map(str, s.terms)), 2)
-        quotients = []
-        while b:
-            db, q = b.bit_length(), 0
-            k = a.bit_length() - db
-            while k >= 0:
-                a ^= b << k
-                q |= 1 << k
-                k = a.bit_length() - db
-            quotients.append(q)
-            a, b = b, a
-        return [Poly._canonical(dom, gf2.to_coeffs(q)) for q in quotients]
-    if p == 3:
-        # the terms are the numerator's coefficients, highest first
-        a, b = (1 << n, 0), gf3.from_bytes(bytes(s.terms))
-        quotients = []
-        while b[0] | b[1]:
-            q, r = gf3.quo_rem(a, b)
-            quotients.append(Poly._canonical(dom, q))
-            a, b = b, r
-        return quotients
-    a, b = [0] * n + [1], _trim(list(s.terms[::-1]))
+    ring = field_ring(dom.p)
+    # the terms are the numerator's coefficients, highest first
+    a, b = ring.from_bytes((1,) + (0,) * len(s)), ring.from_bytes(s.terms)
     quotients = []
-    while b:
-        q = [0] * (len(a) - len(b) + 1)
-        reduce_coeffs(a, b, p, q)  # a becomes the remainder
-        quotients.append(Poly._canonical(dom, q))
-        a, b = b, a
+    while ring.degree(b) >= 0:
+        q, r = ring.quo_rem(a, b)
+        quotients.append(Poly._canonical(dom, ring.to_coeffs(q)))
+        a, b = b, r
     return quotients
 
 

@@ -32,24 +32,19 @@ Determinant convention: det M = -nabla at every step (the identity
 mu*[mu'] - [mu]*mu' = -nabla is a Bezout certificate, forcing
 gcd(mu, [mu]) = gcd(mu, mu') = 1 over a field).
 
-Three cores behave identically: for p = 2 the polynomials and the
-consumed prefix are ints, one bit per coefficient (_PackedCore, gf2);
-for p = 3 two bit planes each (_TernaryCore, gf3), since every unit of
-F_3 is +-1; elsewhere, and under force_generic, coefficient lists
-(_GenericCore).  A core is the only holder of engine state: MPState is
-a read-only view over one, mp_step resumes a copy of it, and every
-conversion of a core into Poly rows goes through _poly_rows.  The
-profile table needs only text, so profile_text_rows renders it from the
-core's own rows without building Poly rows.
-
-Over the small fields, p = 2, 3, 5, 7 and 11 (_BYTE_RESIDUES), the
-generic core's row update _lin packs each row at one byte a coefficient
-and forms (c1 mod p) a + (-c2 mod p) b as one int.  A slot then holds at
-most 2 (p-1)^2 < 256, so none carries, and the reduction mod p and the
-trim are one bytes.translate and one rstrip.  Larger p and the integers
-keep the coefficient-list loop: wider slots lose to it at small degree.
-Over the same fields the table renders every row from one per-call table
-of term texts (_term_table_text), the text of each c x^k built once.
+Three cores behave identically, each on one row representation whose
+ring it names (core.ring: gf2, gf3 or poly.ListRing(p), with the same
+functions): for p = 2 the polynomials and the consumed prefix are ints,
+one bit per coefficient (_PackedCore); for p = 3 two bit planes each
+(_TernaryCore), since every unit of F_3 is +-1; elsewhere, and under
+force_generic, coefficient lists (_GenericCore).  Each returns its
+native rows mu, [mu], mu', [mu'] from rows(), so what reads rows
+(_bezout_ok, _poly_rows, the table) is one body over core.ring; the
+step loops stay one per core.  A core is the only holder of engine
+state: MPState is a read-only view over one, and mp_step resumes a copy
+of it.  The profile table needs only text, so profile_text_rows renders
+it from the core's own rows (over p = 2, 3, 5, 7 and 11 from one
+per-call table of term texts, _term_table_text) without Poly rows.
 
 Runs that read no per-step rows (mp_run, and the profile behind height,
 lc_sum and char_equivalence) go through _run and _consume.  On a generic
@@ -79,15 +74,15 @@ from typing import NamedTuple
 
 from . import gf2, gf3
 from .errors import ResourceLimitError, UnsupportedDomainError
-from .fields import CoeffDomain, IntegerRing, PrimeField, is_prime
+from .fields import CoeffDomain, IntegerRing, PrimeField
 from .poly import (
+    _BYTE_RESIDUES,
+    ListRing,
     Poly,
     Seq,
     _slot_bytes,
     _trim,
     coeffs_to_text,
-    gcd_coeffs,
-    mul_coeffs,
     part_coeffs,
     product_slice,
     reciprocal,
@@ -102,13 +97,6 @@ ZZ_NABLA_BITS = 2**18
 # (below it, blocks cost more than they save)
 _BLOCK = 64
 _BLOCK_MIN_DEG = 64
-# The small fields, each with the table that maps a byte to its residue
-# mod p.  There a row update c1 a + c2 b with every value in [0, p) has
-# slots of at most 2 (p-1)^2 < 256, so _lin runs in one-byte Kronecker
-# slots with no carry, and profile_text_rows renders from a table of
-# (p-1) (n+1) term texts: p = 2, 3, 5, 7 and 11.
-_BYTE_RESIDUES = {p: bytes(v % p for v in range(256))
-                  for p in range(2, 256) if 2 * (p - 1) ** 2 < 256 and is_prime(p)}
 
 
 @dataclass(frozen=True)
@@ -201,29 +189,37 @@ def updating_matrix(domain: CoeffDomain, delta: int, delta_prime: int, e: int) -
     )
 
 
-def _memo_parts(core, derive):
-    """[mu] and [mu'] of a core that carries only mu and mu'.
+def _derived_rows(core):
+    """rows() of the generic and the F_3 cores, which carry only mu and mu'.
 
-    A step never edits a row and a jump hands the old mu to mu', so a
-    memo keyed by row identity (core.parts, shared by copies) derives
-    each row once.
+    Before the first jump the rows are the seed (1, 0) and (eps, -1);
+    after it [f] is the polynomial part of f over the consumed prefix
+    (core._part).  A step never edits a row and a jump hands the old mu
+    to mu', so a memo keyed by row identity (core.parts, shared by
+    copies) derives each row once.
     """
+    mu, mup, ring = core.mu, core.mup, core.ring
+    if ring.degree(mu) == 0:
+        one = ring.one
+        return mu, ring.lin(0, one, 0, 0, one, 0), mup, ring.lin(0, one, 0, 1, one, 0)
     parts = []
-    for row in (core.mu, core.mup):
+    for row in (mu, mup):
         for known in core.parts:
             if known[0] is row:
                 break
         else:
-            known = row, derive(row)
+            known = row, core._part(row)
         parts.append(known)
     core.parts = tuple(parts)
-    return parts[0][1], parts[1][1]
+    return mu, parts[0][1], mup, parts[1][1]
 
 
 class _GenericCore:
     """Dense coefficient-list engine over any coefficient domain.
 
-    Carries mu and mu' only; pairs() derives the polynomial parts.
+    Carries mu and mu' only; rows() derives the polynomial parts.  Its
+    ring is poly.ListRing(p), whose lin runs in one-byte Kronecker slots
+    over the small fields.
     """
 
     __slots__ = (
@@ -238,15 +234,8 @@ class _GenericCore:
         "dprime",
         "nabla",
         "parts",
-        "residues",
+        "ring",
     )
-
-    unit = [1]  # the row 1, shared: a row is never edited once made
-
-    @staticmethod
-    def row_bytes(row) -> bytes:
-        # over the small fields (_BYTE_RESIDUES) only: one byte a coefficient
-        return bytes(row[::-1])
 
     def __init__(self, domain: CoeffDomain, epsilon: int = 0, *,
                  normalize_each_step: bool = False):
@@ -264,31 +253,7 @@ class _GenericCore:
         self.dprime = 1
         self.nabla = 1
         self.parts = ()  # (row, [row]) pairs derived so far, at most two
-        self.residues = _BYTE_RESIDUES.get(self.p)
-
-    def _lin(self, c1, a, ashift, c2, b, bshift):
-        # c1 * x^ashift * a  -  c2 * x^bshift * b, canonical
-        residues = self.residues
-        if residues:
-            # one byte a coefficient: (c1 mod p) a + (-c2 mod p) b as one
-            # int, then the reduction and the trim as C-level byte passes
-            p = self.p
-            v = ((c1 % p * int.from_bytes(bytes(a), "little") << 8 * ashift)
-                 + (-c2 % p * int.from_bytes(bytes(b), "little") << 8 * bshift))
-            size = max(ashift + len(a), bshift + len(b))
-            return list(v.to_bytes(size, "little").translate(residues).rstrip(b"\0"))
-        out = [0] * ashift + [c1 * x for x in a]
-        need = bshift + len(b)
-        if len(out) < need:
-            out.extend([0] * (need - len(out)))
-        for i, x in enumerate(b):
-            out[bshift + i] -= c2 * x
-        p = self.p
-        if p:
-            out = [v % p for v in out]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+        self.ring = ListRing(self.p)
 
     def step(self, sj: int) -> int:
         s = self.s
@@ -302,10 +267,10 @@ class _GenericCore:
         e = self.e
         if not self.dom.is_zero(delta):
             if e <= 0:
-                nmu = self._lin(self.dprime, mu, 0, delta, self.mup, -e)
+                nmu = self.ring.lin(self.dprime, mu, 0, delta, self.mup, -e)
                 factor = self.dprime
             else:
-                nmu = self._lin(self.dprime, mu, e, delta, self.mup, 0)
+                nmu = self.ring.lin(self.dprime, mu, e, delta, self.mup, 0)
                 self.mup = mu
                 self.dprime = factor = delta
                 self.e = e = -e
@@ -333,7 +298,7 @@ class _GenericCore:
         transition rows mu = A mu0 + B mu0' and mu' = C mu0 + D mu0'
         through step's update rule, each pair as one interleaved row:
         AB[2i] = A_i and AB[2i+1] = B_i, so x^k (A, B) is AB shifted by 2k
-        and one row update (_lin's rule) advances both columns.  Step j's
+        and one row update (ring.lin's rule) advances both columns.  Step j's
         discrepancy is sum_t AB[t] W[2(j-d)+t] (d = deg mu = (j - e)/2)
         over the interleaved correlation windows W[2t] = sum_m mu0_m
         s_{t+m} and W[2t+1], the same of mu0', one product_slice each;
@@ -343,7 +308,7 @@ class _GenericCore:
         step's; the Kronecker slots hold sums of 2 len(mu0) products.  The
         block's discrepancies are appended to deltas.
         """
-        p, s, j0, lin = self.p, self.s, self.j, self._lin
+        p, s, j0, lin = self.p, self.s, self.j, self.ring.lin
         e, c1, nabla = self.e, self.dprime, self.nabla
         mu0, mup0 = self.mu, self.mup
         d0 = len(mu0) - 1
@@ -398,18 +363,10 @@ class _GenericCore:
     def cur_lc(self) -> int:
         return len(self.mu) - 1
 
-    def pairs(self):
-        """mu, [mu], mu', [mu'] as coefficient lists, shared with the core.
+    rows = _derived_rows  # coefficient lists, shared with the core
 
-        The parts are derived, not carried: before the first jump the rows
-        are the seed (1, 0) and (eps, -1), and after it [f] is the
-        polynomial part of f over the consumed prefix (_memo_parts).
-        """
-        mu, mup = self.mu, self.mup
-        if len(mu) == 1:
-            return mu, [], mup, [self.dom.neg(1)]
-        part, mup_part = _memo_parts(self, lambda row: part_coeffs(row, self.s, self.p))
-        return mu, part, mup, mup_part
+    def _part(self, row):
+        return part_coeffs(row, self.s, self.p)
 
     def terms(self) -> tuple[int, ...]:
         return tuple(self.s)
@@ -424,7 +381,7 @@ class _GenericCore:
         new.j, new.s = self.j, self.s[:]
         new.mu, new.mup, new.e = self.mu, self.mup, self.e
         new.dprime, new.nabla = self.dprime, self.nabla
-        new.parts, new.residues = self.parts, self.residues
+        new.parts, new.ring = self.parts, self.ring
         return new
 
 
@@ -435,11 +392,7 @@ class _PackedCore:
 
     dprime = 1
     nabla = 1
-    unit = 1
-
-    @staticmethod
-    def row_bytes(row: int) -> bytes:
-        return bin(row)[2:].encode().translate(gf2._BITS)
+    ring = gf2
 
     def __init__(self, epsilon: int = 0):
         self.j = 0
@@ -472,19 +425,12 @@ class _PackedCore:
         self.e = e + 1
         return delta
 
-    def _lin(self, c1, a, ashift, c2, b, bshift):
-        # _GenericCore._lin on packed rows: c1, c2 are 0 or 1, minus is XOR
-        return ((a << ashift) if c1 else 0) ^ ((b << bshift) if c2 else 0)
-
     def cur_lc(self) -> int:
         return self.mu.bit_length() - 1
 
-    def packed_rows(self) -> tuple[int, int, int, int]:
+    def rows(self) -> tuple[int, int, int, int]:
         """mu, [mu], mu', [mu'] as packed polynomials (see gf2)."""
         return self.mu, self.mu_part, self.mup, self.mup_part
-
-    def pairs(self):
-        return [gf2.to_coeffs(r) for r in self.packed_rows()]
 
     def terms(self) -> tuple[int, ...]:
         S = self.S
@@ -510,16 +456,13 @@ class _TernaryCore:
     __slots__ = ("normalize", "j", "SP", "SM", "mu", "mup", "e", "dprime",
                  "nabla", "parts")
 
-    p = 3
-    unit = gf3.ONE
-    _lin = staticmethod(gf3.lin)
-    row_bytes = staticmethod(gf3.to_bytes)
+    ring = gf3
 
     def __init__(self, epsilon: int = 0, *, normalize_each_step: bool = False):
         self.normalize = normalize_each_step
         self.j = self.SP = self.SM = 0
-        self.mu = gf3.ONE
-        self.mup = gf3.scale(epsilon, gf3.ONE)
+        self.mu = gf3.one
+        self.mup = gf3.scale(epsilon, gf3.one)
         self.e = self.dprime = self.nabla = 1
         self.parts = ()
 
@@ -556,13 +499,7 @@ class _TernaryCore:
     def cur_lc(self) -> int:
         return (self.mu[0] | self.mu[1]).bit_length() - 1
 
-    def plane_rows(self):
-        """mu, [mu], mu', [mu'] as plane pairs (see _GenericCore.pairs)."""
-        mu, mup = self.mu, self.mup
-        if mu == gf3.ONE:
-            return mu, (0, 0), mup, (0, 1)
-        part, mup_part = _memo_parts(self, self._part)
-        return mu, part, mup, mup_part
+    rows = _derived_rows  # plane pairs
 
     def _part(self, row):
         # f times the reversed window s_d..s_1 (d = deg f), shifted down by
@@ -573,11 +510,8 @@ class _TernaryCore:
         P, M = gf3.mul(row, window)
         return P >> d, M >> d
 
-    def pairs(self):
-        return tuple(gf3.to_coeffs(r) for r in self.plane_rows())
-
     def terms(self) -> tuple[int, ...]:
-        return tuple(gf3.to_bytes((self.SP, self.SM), self.j)[::-1])
+        return tuple(gf3.row_bytes((self.SP, self.SM), self.j)[::-1])
 
     def copy(self) -> "_TernaryCore":
         # every slot by name: the prefix-tree walks copy once per node
@@ -635,13 +569,14 @@ def _run(domain: CoeffDomain, terms, config: MPConfig = MPConfig(), *,
 
 
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
-    """The core's rows mu, [mu], mu', [mu'] as Poly values.
+    """The core's native rows (core.rows()) as Poly values, by ring.to_coeffs.
 
-    Both cores keep their rows canonical (reduced and trimmed: the seed,
-    every _lin or XOR update, the per-step scaling by a unit, part_coeffs
-    and the packed bits), so the Polys are built without renormalizing.
+    Every core keeps its rows canonical (reduced and trimmed: the seed,
+    every ring.lin update, the per-step scaling by a unit, part_coeffs,
+    the packed bits and the planes), so no Poly is renormalized.
     """
-    return [Poly._canonical(domain, c) for c in core.pairs()]
+    to_coeffs = core.ring.to_coeffs
+    return [Poly._canonical(domain, to_coeffs(r)) for r in core.rows()]
 
 
 def _profile(domain: CoeffDomain, deltas) -> tuple[list[int], list[int]]:
@@ -886,7 +821,7 @@ def _term_table_text(p: int, n: int, row_bytes):
     Every term comes from one table, built once here and freed with the
     renderer: a tuple a degree, highest first, of the texts of c x^k for
     c = 0..p-1 ("" for c = 0).  A C-level map picks each coefficient's
-    text by the row's bytes, highest degree first (row_bytes).  Its
+    text by the row's bytes, highest degree first (ring.row_bytes).  Its
     output equals coeffs_to_text's.
     """
     xs = [*(f"x^{k}" for k in range(n, 1, -1)), "x"]
@@ -913,7 +848,7 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     """
     core = _make_core(s.domain, config)
     p = s.domain.p
-    text = (_term_table_text(p, len(s), core.row_bytes)
+    text = (_term_table_text(p, len(s), core.ring.row_bytes)
             if p in _BYTE_RESIDUES else coeffs_to_text)
     out = []
     mu = mup = None
@@ -1003,27 +938,17 @@ def lfsr_generate(feedback: Poly, fill: Seq, length: int) -> Seq:
 def _bezout_ok(core) -> bool:
     """det M = -nabla, and over F_p gcd(mu, [mu]) = gcd(mu, mu') = 1.
 
-    Over ZZ (p = 0) only the determinant is checked.
+    One body on every core: the native rows (core.rows()) in the core's
+    own ring (core.ring).  Over ZZ (ring p = 0) only the determinant is
+    checked.  The verdict is a pure function of the four rows and nabla.
     """
-    if isinstance(core, _PackedCore):
-        mu, mu_part, mup, mup_part = core.packed_rows()
-        return (gf2.mul(mu, mup_part) ^ gf2.mul(mu_part, mup) == 1
-                and gf2.gcd(mu, mu_part) == 1 and gf2.gcd(mu, mup) == 1)
-    if isinstance(core, _TernaryCore):
-        mu, mu_part, mup, mup_part = core.plane_rows()
-        det = gf3.lin(1, gf3.mul(mu, mup_part), 0, 1, gf3.mul(mu_part, mup), 0)
-        return (det == gf3.scale(-core.nabla, gf3.ONE)
-                and gf3.degree(gf3.gcd(mu, mu_part)) == 0
-                and gf3.degree(gf3.gcd(mu, mup)) == 0)
-    p = core.p
-    mu, mu_part, mup, mup_part = core.pairs()
-    prods = itertools.zip_longest(mul_coeffs(mu, mup_part), mul_coeffs(mu_part, mup),
-                                  fillvalue=0)
-    det = [(x - y) % p for x, y in prods] if p else [x - y for x, y in prods]
-    if det[:1] != [-core.nabla % p if p else -core.nabla] or any(det[1:]):
+    R = core.ring
+    mu, mu_part, mup, mup_part = core.rows()
+    det = R.lin(1, R.mul(mu, mup_part), 0, 1, R.mul(mu_part, mup), 0)
+    if det != R.lin(-core.nabla, R.one, 0, 0, R.one, 0):
         return False
-    return not p or (len(gcd_coeffs(mu, mu_part, p)) == 1
-                     and len(gcd_coeffs(mu, mup, p)) == 1)
+    return not R.p or (R.degree(R.gcd(mu, mu_part)) == 0
+                       and R.degree(R.gcd(mu, mup)) == 0)
 
 
 def bezout_check(state: MPState) -> bool:

@@ -7,15 +7,17 @@ canonical and (0, 0) is the zero polynomial.  The units of F_3 are +-1:
 negating a polynomial swaps its planes, and a sum is a few word-wide
 ANDs and ORs on them (the bitsliced GF(3) arithmetic of Boothby and
 Bradshaw 2009).  A product or a remainder is a loop of shifted sums.
-The engine's F_3 core and the continued-fraction oracle both run on
-these helpers.
+The module is a ring of rows with the same functions as gf2 and
+poly.ListRing; the engine's F_3 core and the continued-fraction oracle
+both run on it.
 """
 
 from __future__ import annotations
 
 from .gf2 import _BITS
 
-ONE = (1, 0)
+p = 3
+one = (1, 0)
 
 # coefficient bytes to the binary digits of one plane: b"\1" -> b"1" in
 # P, b"\2" -> b"1" in M, every other byte -> b"0"
@@ -68,7 +70,7 @@ def mul(a, b):
 
 
 def quo_rem(a, b):
-    """The quotient of a by a nonzero b, a coefficient list, and the remainder.
+    """The quotient and the remainder of a by a nonzero b.
 
     Each step clears the top coefficient of the remainder with c x^k b,
     where c = lead(a) / lead(b) = lead(a) lead(b), since each unit is its
@@ -78,22 +80,22 @@ def quo_rem(a, b):
     aP, aM = a
     bP, bM = b
     db = (bP | bM).bit_length() - 1
-    (sP, sM), c = ((bM, bP), 1) if bP >> db & 1 else ((bP, bM), 2)
+    sP, sM = (bM, bP) if bP >> db & 1 else (bP, bM)
     k = (aP | aM).bit_length() - 1 - db
-    q = [0] * (k + 1)
+    q1 = q2 = 0  # the steps at which the remainder led with 1, and with 2
     while k >= 0:
         if aP >> (k + db) & 1:
-            q[k] = c
+            q1 |= 1 << k
             xP, xM = sP << k, sM << k
         else:
-            q[k] = 3 - c
+            q2 |= 1 << k
             xP, xM = sM << k, sP << k
         # add, inlined: the loop runs once a coefficient of the quotient
         aA, xA = aP | aM, xP | xM
         aP, aM = ((aP & ~xA) | (xP & ~aA) | (aM & xM),
                   (aM & ~xA) | (xM & ~aA) | (aP & xP))
         k = (aP | aM).bit_length() - 1 - db
-    return q, (aP, aM)
+    return ((q1, q2) if bP >> db & 1 else (q2, q1)), (aP, aM)
 
 
 def gcd(a, b):
@@ -103,7 +105,7 @@ def gcd(a, b):
     return a
 
 
-def to_bytes(a, size: int | None = None) -> bytes:
+def row_bytes(a, size: int | None = None) -> bytes:
     """The coefficients as bytes, highest degree first, left-padded to size.
 
     size defaults to deg a + 1.  One C-level pass a plane: its binary
@@ -115,11 +117,12 @@ def to_bytes(a, size: int | None = None) -> bytes:
     return v.to_bytes((P | M).bit_length() if size is None else size, "big")
 
 
-def from_bytes(digits: bytes):
-    """Planes of the coefficient bytes 0, 1, 2, highest degree first."""
+def from_bytes(digits):
+    """Planes of the coefficients 0, 1, 2, highest degree first."""
+    digits = bytes(digits)
     return tuple(int(b"0" + digits.translate(t), 2) for t in _DIGITS)
 
 
 def to_coeffs(a) -> list[int]:
     """Ascending coefficient list; [] for zero."""
-    return list(to_bytes(a)[::-1])
+    return list(row_bytes(a)[::-1])

@@ -18,6 +18,9 @@ integer product; ``discrepancy`` computes a single coefficient.
 ``product_slice`` is the one Kronecker kernel: ``part_coeffs`` and the
 engine's blocked step loop both call it.
 
+``ListRing`` binds the list kernels to one p, with the functions of the
+packed rings gf2 and gf3; ``field_ring`` picks the ring of rows of F_p.
+
 Text format (bit-exact, used by the CLI and JSON reports): terms in
 descending degree, "x^k" for k >= 2, "x" for degree 1, constants as
 integers, terms joined by "+" (a negative integer coefficient absorbs
@@ -34,8 +37,9 @@ import sys
 from array import array
 from typing import Iterable
 
+from . import gf2, gf3
 from .errors import DomainMismatchError, UnsupportedDomainError
-from .fields import CoeffDomain
+from .fields import CoeffDomain, is_prime
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -45,6 +49,13 @@ _TERM_RE = re.compile(r"^(-?\d+)?(x(\^(\d+))?)?$")
 # of 1, 2, 4 or 8 bytes is one array item
 _SLOT_CODES = {array(c).itemsize: c for c in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
+# The small fields, each with the table that maps a byte to its residue
+# mod p.  There a row update c1 a + c2 b with every value in [0, p) has
+# slots of at most 2 (p-1)^2 < 256, so ListRing.lin runs in one-byte
+# Kronecker slots with no carry, and the engine's profile table renders
+# from a table of (p-1) (n+1) term texts: p = 2, 3, 5, 7 and 11.
+_BYTE_RESIDUES = {p: bytes(v % p for v in range(256))
+                  for p in range(2, 256) if 2 * (p - 1) ** 2 < 256 and is_prime(p)}
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -53,45 +64,111 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-# List-level kernels: Poly arithmetic runs on them, and so do the per-step
-# certificate checks, which would spend most of their time building Polys.
+class ListRing:
+    """F_p[x] on canonical ascending coefficient lists (Z[x] at p = 0).
 
-def mul_coeffs(a, b) -> list[int]:
-    """Product of two coefficient lists, unreduced; [] if either is zero."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def reduce_coeffs(rem: list[int], b, p: int, quot: list[int] | None = None) -> None:
-    """Reduce rem modulo b over F_p in place; b is canonical and nonzero.
-
-    If quot is given (len(rem) - deg b zeros), the quotient goes there.
+    The list kernels of Poly, the generic engine core and the certificate,
+    with gf2's and gf3's functions.  quo_rem and gcd need a field, and
+    row_bytes a small one (_BYTE_RESIDUES).
     """
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    for i in range(len(rem) - db - 1, -1, -1):
-        c = (rem[i + db] * inv) % p
-        if c:
-            if quot is not None:
-                quot[i] = c
-            for k in range(db + 1):
-                rem[i + k] = (rem[i + k] - c * b[k]) % p
-    _trim(rem)
+
+    __slots__ = ("p", "residues")
+
+    one = [1]  # the row 1, shared: a row is never edited once made
+
+    def __init__(self, p: int):
+        self.p = p
+        self.residues = _BYTE_RESIDUES.get(p)
+
+    def lin(self, c1, a, ashift, c2, b, bshift):
+        """c1 x^ashift a - c2 x^bshift b, canonical."""
+        residues = self.residues
+        if residues:
+            # one byte a coefficient: (c1 mod p) a + (-c2 mod p) b as one
+            # int, then the reduction and the trim as C-level byte passes
+            p = self.p
+            v = ((c1 % p * int.from_bytes(bytes(a), "little") << 8 * ashift)
+                 + (-c2 % p * int.from_bytes(bytes(b), "little") << 8 * bshift))
+            size = max(ashift + len(a), bshift + len(b))
+            return list(v.to_bytes(size, "little").translate(residues).rstrip(b"\0"))
+        out = [0] * ashift + [c1 * x for x in a]
+        need = bshift + len(b)
+        if len(out) < need:
+            out.extend([0] * (need - len(out)))
+        for i, x in enumerate(b):
+            out[bshift + i] -= c2 * x
+        p = self.p
+        if p:
+            out = [v % p for v in out]
+        return _trim(out)
+
+    def mul(self, a, b) -> list[int]:
+        # canonical: two leading coefficients multiply to a nonzero value
+        # over a field and over the integers
+        if not a or not b:
+            return []
+        size, p = len(a) + len(b) - 1, self.p
+        if p:  # one Kronecker product
+            return product_slice(((a, b),), p, 0, size, _slot_bytes(p, min(len(a), len(b))))
+        out = [0] * size
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return out
+
+    def _reduce(self, rem: list[int], b, quot: list[int] | None = None) -> None:
+        """Reduce rem modulo a canonical nonzero b in place; the quotient goes to quot."""
+        p, db = self.p, len(b) - 1
+        inv = pow(b[-1], p - 2, p)
+        for i in range(len(rem) - db - 1, -1, -1):
+            c = rem[i + db] * inv % p
+            if c:
+                if quot is not None:
+                    quot[i] = c
+                for k in range(db + 1):
+                    rem[i + k] = (rem[i + k] - c * b[k]) % p
+        _trim(rem)
+
+    def quo_rem(self, a, b) -> tuple[list[int], list[int]]:
+        rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+        self._reduce(rem, b, quot)
+        return quot, rem
+
+    def gcd(self, a, b) -> list[int]:
+        """A gcd, not made monic; gcd(a, 0) = a.  Euclid in place."""
+        a, b = list(a), list(b)
+        while b:
+            self._reduce(a, b)
+            a, b = b, a
+        return a
+
+    @staticmethod
+    def degree(a) -> int:
+        return len(a) - 1
+
+    @staticmethod
+    def to_coeffs(a) -> list[int]:
+        return a
+
+    @staticmethod
+    def row_bytes(a) -> bytes:
+        return bytes(a[::-1])
+
+    @staticmethod
+    def from_bytes(digits) -> list[int]:
+        """The row of the residues in digits, highest degree first."""
+        return _trim(list(digits[::-1]))
 
 
 def gcd_coeffs(a, b, p: int) -> list[int]:
-    """A gcd over F_p, not made monic; gcd(a, 0) = a."""
-    a, b = list(a), list(b)
-    while b:
-        reduce_coeffs(a, b, p)
-        a, b = b, a
-    return a
+    """A gcd over F_p of coefficient lists, not made monic; gcd(a, 0) = a."""
+    return ListRing(p).gcd(a, b)
+
+
+def field_ring(p: int):
+    """The ring of rows over F_p: gf2's packed ints, gf3's planes, else lists."""
+    return {2: gf2, 3: gf3}.get(p) or ListRing(p)
 
 
 def coeffs_to_text(coeffs) -> str:
@@ -183,24 +260,12 @@ class Poly:
             )
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        d = self.domain
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = d.add(out[k], c)
-        return Poly(d, out)
+        return self - -other
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         d = self.domain
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            d,
-            [d.sub(self.coefficient(k), other.coefficient(k)) for k in range(n)],
-        )
+        return Poly._canonical(d, ListRing(d.p).lin(1, self.coeffs, 0, 1, other.coeffs, 0))
 
     def __neg__(self) -> "Poly":
         d = self.domain
@@ -208,7 +273,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.domain, mul_coeffs(self.coeffs, other.coeffs))
+        d = self.domain
+        return Poly._canonical(d, ListRing(d.p).mul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         """Multiply by the domain element c."""
@@ -458,11 +524,9 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quot = [0] * max(len(rem) - b.degree, 0)
-    reduce_coeffs(rem, b.coeffs, a.domain.p, quot)
-    # both are reduced mod p and trimmed: rem by reduce_coeffs, and quot
+    # both are reduced mod p and trimmed: rem by quo_rem, and quot
     # tops out at lead(a) / lead(b) != 0
+    quot, rem = ListRing(a.domain.p).quo_rem(a.coeffs, b.coeffs)
     return Poly._canonical(a.domain, quot), Poly._canonical(a.domain, rem)
 
 

@@ -76,7 +76,7 @@ def gamma_members(k: int) -> list[int]:
 
 
 # Packed 2x2 matrices are (a, b, c, d) = [[a, b], [c, d]], the order of
-# Mat2's fields and of _PackedCore.packed_rows() (mu, [mu], mu', [mu']).
+# Mat2's fields and of _PackedCore.rows() (mu, [mu], mu', [mu']).
 _STEP2_PACKED = (0b11, 0b1, 0b1, 0b0)
 
 
@@ -183,7 +183,7 @@ def rueppel_mp(n: int) -> tuple[Poly, Poly]:
 def rueppel_matrix_pattern(n: int, rows, prev) -> bool:
     """Whether the packed engine rows after n terms (prev: after n - 1) fit.
 
-    rows and prev are (mu, [mu], mu', [mu']) as _PackedCore.packed_rows()
+    rows and prev are (mu, [mu], mu', [mu']) as _PackedCore.rows()
     gives them.  The pattern is M at n = 2, the previous matrix repeated
     at even n, and U^((n-1)/2) M at odd n.
     """
@@ -203,9 +203,9 @@ def rueppel_matrix_check(n: int) -> bool:
     core = _PackedCore()
     prev = None
     for t in rueppel_terms(n).terms:
-        prev = core.packed_rows()
+        prev = core.rows()
         core.step(t)
-    return rueppel_matrix_pattern(n, core.packed_rows(), prev)
+    return rueppel_matrix_pattern(n, core.rows(), prev)
 
 
 def power_column_identity(k: int) -> bool:

@@ -22,6 +22,7 @@ with the sequences of the shorter checked lengths counted as checked.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -209,14 +210,12 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
 def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> VerifyResult:
     """det M = -nabla and both gcd certificates, at every step.
 
-    On the generic and the bit-sliced F_3 cores, whose certificate reads
-    only mu, mu' and nabla (the parts are derived from mu and mu'), a
-    step that leaves mu and mu' the same objects and nabla equal (a zero
-    discrepancy) gives it the same inputs, so the verdict of the last
-    check stands for it; it still counts as checked.  The packed F_2
-    core carries its parts as separate state, so there every step is
-    checked afresh.  A max_n past BEZOUT_N_GUARD is refused before any
-    term is drawn.
+    The certificate (_bezout_ok) is a pure function of the core's four
+    native rows (core.rows()) and nabla, so a step that leaves all four
+    rows the same objects and nabla equal (a zero discrepancy, on every
+    core) gives it the same inputs: the verdict of the last check stands
+    for it, and it still counts as checked.  A max_n past BEZOUT_N_GUARD
+    is refused before any term is drawn.
     """
     if max_n > BEZOUT_N_GUARD:
         raise ResourceLimitError(
@@ -228,15 +227,14 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> Verify
         n = rng.randrange(1, max_n + 1)
         terms = [rng.randrange(field) for _ in range(n)]
         core = _make_core(dom, MPConfig())
-        packed = isinstance(core, _PackedCore)
         last = None
         for j, t in enumerate(terms, start=1):
             core.step(t)
-            mu, mup, nabla = core.mu, core.mup, core.nabla
-            same = last and mu is last[0] and mup is last[1] and nabla == last[2]
+            rows, nabla = core.rows(), core.nabla
+            same = (last and nabla == last[1]
+                    and all(map(operator.is_, rows, last[0])))
             yield 1, "" if same or _bezout_ok(core) else f"F_{field} {terms} step {j}"
-            if not packed:
-                last = mu, mup, nabla
+            last = rows, nabla
 
 
 # ----------------------------------------------------------- wang-massey
@@ -358,12 +356,12 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     g = gamma_members(g_top)
     snap_n = max(matrix_n, closed_n + 1)
     core = _PackedCore()
-    rows = [core.packed_rows()]  # rows[j]: the packed rows after j terms
+    rows = [core.rows()]  # rows[j]: the packed rows after j terms
     deltas = []
     for j, t in enumerate(rueppel_terms(max(profile_n, snap_n)).terms, start=1):
         deltas.append(core.step(t))
         if j <= snap_n:
-            rows.append(core.packed_rows())
+            rows.append(core.rows())
     lcs, exps = _profile(GF2, deltas)
     for j in range(1, profile_n + 1):
         lc = lcs[j - 1]

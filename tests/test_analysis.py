@@ -115,7 +115,7 @@ def _ref_recursion_step(ref, j, core, delta, eps, p):
     Returns the next reference state and which halves failed, (mu, [mu]).
     """
     rows, deltas = ref
-    row = tuple(core.pairs()[:2])
+    row = tuple(map(core.ring.to_coeffs, core.rows()[:2]))
     odd = j & 1
     if j == 1:
         want = (_lin_ref(1, [1], 1, delta * eps, [1], p), _lin_ref(delta, [1], 0, 0, [], p))
@@ -475,9 +475,11 @@ def _euclid_quotients(s):
 
 
 def test_cf_quotients_equal_a_poly_divmod_euclid():
+    # every ring: packed F_2, planes over F_3, and lists over F_5 and over
+    # F_65521, whose residues no byte holds
     rng = random.Random(17)
-    for _ in range(600):
-        q = rng.choice((2, 3, 5))
+    for _ in range(800):
+        q = rng.choice((2, 3, 5, 65521))
         n = rng.randrange(1, 81)
         terms = [rng.randrange(q) for _ in range(n)]
         terms[rng.randrange(n)] = rng.randrange(1, q)

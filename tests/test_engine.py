@@ -32,7 +32,7 @@ from lcprof.engine import (
 )
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, IntegerRing, PrimeField
-from lcprof.poly import Poly, Seq, poly_gcd, polynomial_part
+from lcprof.poly import ListRing, Poly, Seq, poly_gcd, polynomial_part
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -343,9 +343,14 @@ class TwoColumnCore:
         return delta
 
 
+def _coeff_rows(core):
+    """mu, [mu], mu', [mu'] as coefficient lists, on any core."""
+    return tuple(map(core.ring.to_coeffs, core.rows()))
+
+
 def _walk_both(core, ref, q, depth):
     """Every extension of up to depth terms: the cores must agree at each node."""
-    assert core.pairs() == ref.rows, (core.terms(), core.pairs(), ref.rows)
+    assert _coeff_rows(core) == ref.rows, (core.terms(), _coeff_rows(core), ref.rows)
     if depth:
         for t in range(q):
             child, rchild = core.copy(), ref.clone()
@@ -366,14 +371,14 @@ def test_pairs_match_the_two_column_core_over_zz(eps):
     core, ref = _GenericCore(ZZ, eps), TwoColumnCore(ZZ, eps)
     for t in [3, 1, 4, 1, 5, 9, 2, 6]:
         assert core.step(t) == ref.step(t)
-        assert core.pairs() == ref.rows
+        assert core.rows() == ref.rows
 
 
 def test_generic_step_updates_one_row(monkeypatch):
     assert not {"mu_part", "mup_part"} & set(_GenericCore.__slots__)
     calls = []
-    real = _GenericCore._lin
-    monkeypatch.setattr(_GenericCore, "_lin",
+    real = ListRing.lin
+    monkeypatch.setattr(ListRing, "lin",
                         lambda self, *args: calls.append(1) or real(self, *args))
     rng = random.Random(4)
     core = _GenericCore(F5)
@@ -402,7 +407,7 @@ def test_byte_slot_lin_matches_a_list_reference(p):
     # one-byte slots exactly where 2 (p-1)^2 < 256; 13, 65521 and ZZ
     # keep the list loop
     assert set(engine._BYTE_RESIDUES) == {2, 3, 5, 7, 11}
-    assert (core.residues is not None) == (p in (2, 3, 5, 7, 11))
+    assert (core.ring.residues is not None) == (p in (2, 3, 5, 7, 11))
     q = p or 50
     rng = random.Random(p)
 
@@ -422,11 +427,11 @@ def test_byte_slot_lin_matches_a_list_reference(p):
         cases.append((rng.randrange(top + 1), a, shifts[0], c2, b, shifts[1]))
         cases.append((c2, a, shifts[0], c2, a, shifts[0]))  # cancels mod p
     for c1, a, ashift, c2, b, bshift in cases:
-        got = core._lin(c1, a, ashift, c2, b, bshift)
+        got = core.ring.lin(c1, a, ashift, c2, b, bshift)
         assert got == _lin_reference(p, c1, a, ashift, c2, b, bshift)
         assert type(got) is list and all(type(v) is int for v in got)
         assert not p or all(0 <= v < p for v in got)
-    assert core._lin(2, [1, 1], 2, 2, [1, 1], 2) == []  # full cancellation
+    assert core.ring.lin(2, [1, 1], 2, 2, [1, 1], 2) == []  # full cancellation
 
 
 def test_pairs_derives_each_row_once(monkeypatch):
@@ -438,13 +443,13 @@ def test_pairs_derives_each_row_once(monkeypatch):
     nonzero = 0
     for t in [0, 0, 2, 1, 0, 4, 3, 3, 0, 1, 2, 0, 0, 4]:
         nonzero += core.step(t) != 0
-        assert core.pairs() == core.pairs()
+        assert core.rows() == core.rows()
     # the first jump also derives the part of the constant row it displaces
     assert len(calls) == nonzero + 1
     child = core.copy()
-    assert child.pairs() == core.pairs() and len(calls) == nonzero + 1
+    assert child.rows() == core.rows() and len(calls) == nonzero + 1
     delta = child.step(1)
-    child.pairs()
+    child.rows()
     assert len(calls) == nonzero + 1 + (delta != 0)
 
 
@@ -483,7 +488,7 @@ def _assert_ternary_tracks_generic(terms, eps, normalize):
         for name in ("j", "e", "dprime", "nabla"):
             assert getattr(core, name) == getattr(ref, name), name
         # mu, [mu], mu', [mu'] unpacked from the planes
-        assert core.pairs() == ref.pairs()
+        assert _coeff_rows(core) == ref.rows()
         assert core.cur_lc() == ref.cur_lc()
     assert core.terms() == ref.terms()
 
@@ -534,7 +539,7 @@ def test_ternary_lin_matches_a_list_reference():
         cases.append((rng.randrange(5), a, rng.randrange(10),
                       rng.randrange(5), b, rng.randrange(10)))
     for c1, a, ashift, c2, b, bshift in cases:
-        got = _TernaryCore._lin(c1, _planes(a), ashift, c2, _planes(b), bshift)
+        got = _TernaryCore.ring.lin(c1, _planes(a), ashift, c2, _planes(b), bshift)
         assert not got[0] & got[1]
         assert gf3.to_coeffs(got) == _lin_reference(3, c1, a, ashift, c2, b, bshift)
 
@@ -564,7 +569,7 @@ def test_generic_f3_throughput_floor():
 def _walk_poly_rows(dom, core, depth):
     """Every extension of up to depth terms: _poly_rows equals renormalized rows."""
     rows = engine._poly_rows(dom, core)
-    assert rows == [Poly(dom, c) for c in core.pairs()], core.terms()
+    assert rows == [Poly(dom, c) for c in _coeff_rows(core)], core.terms()
     if depth:
         for t in range(dom.p):
             child = core.copy()
@@ -589,7 +594,7 @@ def test_poly_rows_need_no_renormalizing_over_zz(eps):
     core = _GenericCore(ZZ, eps)
     for t in [3, 1, 4, 1, 5, 9, 2, 6]:
         core.step(t)
-        assert engine._poly_rows(ZZ, core) == [Poly(ZZ, c) for c in core.pairs()]
+        assert engine._poly_rows(ZZ, core) == [Poly(ZZ, c) for c in core.rows()]
 
 
 @pytest.mark.parametrize("q", [2, 3, 65521, 0])
@@ -847,6 +852,14 @@ def test_lfsr_basic_contracts():
     assert lfsr_generate(p(GF2, "x^3+x+1"), fill, 3) == fill
     with pytest.raises(ValueError):
         lfsr_generate(fb, GF2.seq([1]), 0)
+
+
+@pytest.mark.parametrize("dom, text", [(GF2, "x^2+x"), (F5, "x^2+3x")])
+def test_lfsr_refuses_a_feedback_with_a_zero_constant_term(dom, text):
+    # nonzero, so only the constant-term test refuses it, before any
+    # division by that term
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        lfsr_generate(p(dom, text), dom.seq([1, 0]), 4)
 
 
 def test_lfsr_singular_register():

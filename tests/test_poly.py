@@ -11,6 +11,7 @@ from lcprof.errors import DomainMismatchError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, PrimeField, is_prime
 from lcprof.poly import (
     NEG_INF,
+    ListRing,
     Poly,
     Seq,
     discrepancy,
@@ -386,26 +387,85 @@ def test_gf3_sum_of_every_coefficient_pair():
     # the nine pairs side by side, one a coefficient
     xs, ys = zip(*pairs)
     got = gf3.add(_planes(xs), _planes(ys))
-    assert gf3.to_bytes(got, 9)[::-1] == bytes((x + y) % 3 for x, y in pairs)
+    assert gf3.row_bytes(got, 9)[::-1] == bytes((x + y) % 3 for x, y in pairs)
 
 
-f3_rows = st.lists(st.integers(0, 2), max_size=100).map(
-    lambda c: list(Poly(F3, c).coeffs))
+# ------------------------------------------------------- rings of rows
+
+# every ring the engine and the continued-fraction oracle run on: packed
+# ints, bit planes, and coefficient lists at a byte-slot and a wide field
+RINGS = [gf2, gf3, ListRing(5), ListRing(65521)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(f3_rows, f3_rows)
-def test_gf3_kernels_match_the_list_kernels(a, b):
-    A, B = _planes(a), _planes(b)
-    assert gf3.to_coeffs(A) == a and gf3.degree(A) == len(a) - 1
-    assert gf3.to_coeffs(gf3.add(A, B)) == list((Poly(F3, a) + Poly(F3, b)).coeffs)
-    assert gf3.to_coeffs(gf3.mul(A, B)) == list((Poly(F3, a) * Poly(F3, b)).coeffs)
+@st.composite
+def _ring_case(draw):
+    ring = draw(st.sampled_from(RINGS))
+    dom = PrimeField(ring.p)
+    rows = st.lists(st.integers(0, ring.p - 1), max_size=100).map(
+        lambda c: list(Poly(dom, c).coeffs))
+    scalars = st.integers(-2 * ring.p, 2 * ring.p)
+    return (ring, dom, draw(rows), draw(rows), draw(scalars), draw(scalars),
+            draw(st.integers(0, 20)), draw(st.integers(0, 20)))
+
+
+def _combination(dom, c1, a, s1, c2, b, s2):
+    """c1 x^s1 a - c2 x^s2 b, coefficient by coefficient, as a Poly."""
+    out = [0] * max(s1 + len(a), s2 + len(b))
+    for i, x in enumerate(a):
+        out[s1 + i] += c1 * x
+    for i, x in enumerate(b):
+        out[s2 + i] -= c2 * x
+    return Poly(dom, out)
+
+
+def _schoolbook(dom, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Poly(dom, out)
+
+
+# about 200 examples a ring
+@settings(max_examples=800, deadline=None)
+@given(_ring_case())
+def test_every_ring_matches_the_list_kernels(case):
+    # Poly's +, - and * run on the list ring, so each is also checked
+    # against a coefficient-by-coefficient reference
+    ring, dom, a, b, c1, c2, s1, s2 = case
+    # native rows from the coefficients, highest first
+    A, B = ring.from_bytes(a[::-1]), ring.from_bytes(b[::-1])
+    coeffs = ring.to_coeffs
+    Pa, Pb = Poly(dom, a), Poly(dom, b)
+    assert coeffs(A) == a and ring.degree(A) == len(a) - 1
+    assert coeffs(ring.one) == [1]
+    if ring.p < 256:
+        assert ring.row_bytes(A).lstrip(b"\0") == bytes(a[::-1])
+        assert ring.from_bytes(ring.row_bytes(A)) == A
+    want = _combination(dom, c1, a, s1, c2, b, s2)
+    assert want == Pa.scale(c1).shift(s1) - Pb.scale(c2).shift(s2)
+    assert coeffs(ring.lin(c1, A, s1, c2, B, s2)) == list(want.coeffs)
+    assert _combination(dom, 1, a, 0, -1, b, 0) == Pa + Pb
+    assert coeffs(ring.lin(1, A, 0, -1, B, 0)) == list((Pa + Pb).coeffs)
+    assert _schoolbook(dom, a, b) == Pa * Pb
+    assert coeffs(ring.mul(A, B)) == list((Pa * Pb).coeffs)
     if b:
-        q, r = gf3.quo_rem(A, B)
-        want_q, want_r = poly_divmod(Poly(F3, a), Poly(F3, b))
-        assert (q, gf3.to_coeffs(r)) == (list(want_q.coeffs), list(want_r.coeffs))
+        q, r = ring.quo_rem(A, B)
+        want_q, want_r = poly_divmod(Pa, Pb)
+        assert (coeffs(q), coeffs(r)) == (list(want_q.coeffs), list(want_r.coeffs))
     # the remainders of Euclid are unique, so the gcds agree exactly
-    assert gf3.to_coeffs(gf3.gcd(A, B)) == gcd_coeffs(a, b, 3)
+    assert coeffs(ring.gcd(A, B)) == gcd_coeffs(a, b, ring.p)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"F_{r.p}")
+def test_every_ring_multiplies_rows_of_top_coefficients(ring):
+    # every coefficient p - 1: each slot of a Kronecker product reaches its
+    # bound, up to 300 products a sum
+    dom = PrimeField(ring.p)
+    for n in (1, 17, 100, 300):
+        a = [ring.p - 1] * n
+        A = ring.from_bytes(a)
+        assert ring.to_coeffs(ring.mul(A, A)) == list(_schoolbook(dom, a, a).coeffs)
 
 
 # ------------------------------------------------------------ text format

@@ -76,6 +76,18 @@ def test_tree_counterexample_matches_scan(monkeypatch):
     assert result.detail == "n=5 [1, 0, 0, 0, 0] plcp=False stable=True"
 
 
+def test_tree_sweeps_of_no_length_check_nothing():
+    # an empty range of lengths walks no tree: wang-massey at max_n = 0
+    # passes with no checks, and height counts no sweep checks at
+    # exhaustive_n = 0 (two sequences of one term, and four of two, above it)
+    assert verify_mod.verify_wang_massey(max_n=0) == verify_mod.VerifyResult(
+        "wang-massey", True, 0)
+    sizes = dict(rueppel_n=16, bound_trials=3, cf_trials=2)
+    checked = [verify_mod.verify_height(exhaustive_n=n, **sizes).checked
+               for n in (0, 1, 2)]
+    assert checked == [1 + 3 + 2 * 2 + c for c in (0, 2, 2 + 4)]
+
+
 def test_folded_transform_equals_t_transform_at_every_node():
     walk = analysis._walk_prefixes(verify_mod._PackedCore(), 2, 12,
                                    verify_mod._wm_step, verify_mod._WM_START)
@@ -303,8 +315,8 @@ def test_verify_rueppel_reports_a_flipped_row(monkeypatch, step, checked, detail
     class FlipCore(verify_mod._PackedCore):
         """Flips the constant term of [mu] after one step."""
 
-        def packed_rows(self):
-            mu, mu_part, *prev = super().packed_rows()
+        def rows(self):
+            mu, mu_part, *prev = super().rows()
             return (mu, mu_part ^ (self.j == step), *prev)
 
     monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
@@ -315,8 +327,8 @@ def test_verify_rueppel_reports_a_flipped_row(monkeypatch, step, checked, detail
 def test_verify_rueppel_reports_a_broken_even_repeat(monkeypatch):
     # past matrix_n only the repeat check reads the rows after an even step
     class FlipCore(verify_mod._PackedCore):
-        def packed_rows(self):
-            mu, mu_part, *prev = super().packed_rows()
+        def rows(self):
+            mu, mu_part, *prev = super().rows()
             return (mu, mu_part ^ (self.j == 100), *prev)
 
     monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
