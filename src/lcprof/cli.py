@@ -2,9 +2,10 @@
 
 Subcommands: profile, minpoly, plcp-check, plcp-count, plcp-enum,
 stable, height, lcsum, rueppel, gamma, verify.  Sequences come from
---seq (comma or whitespace separated ASCII digits) or --in (one sequence
-per line); digits must already lie in [0, p), out-of-range values are
-rejected rather than reduced, and so is an --epsilon outside [0, p).
+--seq (ASCII digits separated by commas or whitespace, one field per
+comma, so an empty field is an error) or --in (one sequence per line);
+digits must already lie in [0, p), out-of-range values are rejected
+rather than reduced, and so is an --epsilon outside [0, p).
 --json swaps the table output for one JSON object per input sequence
 (per suite for verify).  Each subcommand takes only the flags it reads:
 all but rueppel and gamma take --field, and only profile, minpoly and
@@ -48,44 +49,33 @@ EXIT_INPUT = 2
 EXIT_FAIL = 3
 EXIT_RESOURCE = 4
 
-_TOKEN_SPLIT = re.compile(r"[\s,]+")
 # one field per comma: an empty field between two commas stays a token
 _FIELD_SPLIT = re.compile(r"\s*,\s*|\s+")
-_EMPTY_FIELD = re.compile(r",\s*,")
 _COMMA_TEXT = re.compile(r"[0-9,]*")
-_PLAIN_TEXT = re.compile(r"[0-9\s,]*")
 _NEGATIVE = re.compile(r"-[0-9]+")
 
 def parse_sequence(text: str, dom: PrimeField) -> Seq:
     """Strict parse: ASCII-digit tokens in [0, p) of the field dom; no wrapping.
 
-    int() alone also takes signs, underscores and non-ASCII digits ('+1',
-    '1_0', Arabic-Indic digits).  One match over the whole text clears
-    the usual input; only a text that fails it is checked token by token.
-    An empty field ('1,,0', '1, ,0', ',1') is an error, not a gap.
+    One field per comma, or per run of whitespace that borders no comma;
+    an empty field ('1,,0', '1, ,0', ',1') is an error, not a gap.  Every
+    token is checked for ASCII digits, since int() alone also takes signs,
+    underscores and non-ASCII digits ('+1', '1_0', Arabic-Indic digits).
     """
     p = dom.p
     text = text.strip()
     if not text:
         return Seq(dom, ())
-    comma_text = _COMMA_TEXT.fullmatch(text) is not None
-    plain = comma_text or _PLAIN_TEXT.fullmatch(text) is not None
-    tokens = _TOKEN_SPLIT.split(text)
-    # Between n tokens, n - 1 single commas at most.  More commas leave an
-    # empty field; with whitespace separators as well, the count cannot
-    # tell, so the text is searched.  Only then is it split field by field.
-    commas = text.count(",")
-    if commas >= len(tokens) or commas and not comma_text and _EMPTY_FIELD.search(text):
-        tokens = _FIELD_SPLIT.split(text)
+    tokens = text.split(",") if _COMMA_TEXT.fullmatch(text) else _FIELD_SPLIT.split(text)
     terms = []
     for tok in tokens:
-        if not plain and not (tok.isascii() and tok.isdigit()):
+        if not (tok.isascii() and tok.isdigit()):
             if _NEGATIVE.fullmatch(tok):
                 raise SequenceParseError(f"value {tok} outside [0, {p})")
             raise SequenceParseError(f"not an integer: {tok!r}")
         try:
             v = int(tok)
-        except ValueError:  # an empty field, from a stray comma
+        except ValueError:  # more digits than int() converts
             raise SequenceParseError(f"not an integer: {tok!r}") from None
         if v >= p:
             raise SequenceParseError(f"value {v} outside [0, {p})")
@@ -128,16 +118,17 @@ def profile_table_lines(s: Seq, config: MPConfig):
 
     The columns are j, Delta_j, e_{j-1}, mu^(j), mu'^(j).  Row j lists
     the discrepancy consumed at step j (the conventional 1 at j = 0) and
-    the exponent reached after the step (blank at j = 0).  Cells are
-    padded to their column's width and each line is right-stripped.
+    the exponent reached after the step (blank at j = 0).  Every cell but
+    the last is padded to its column's width; the last, a mu' text or its
+    header, never ends in whitespace, so no line does.
     """
     table = [_TABLE_HEADERS] + [
         (str(j), str(delta), str(e) if j else "", mu, mup)
         for j, delta, e, mu, mup in profile_text_rows(s, config)
     ]
-    widths = [max(map(len, column)) for column in zip(*table)]
+    *widths, _ = [max(map(len, column)) for column in zip(*table)]
     for row in table:
-        yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        yield "  ".join([*map(str.ljust, row, widths), row[-1]])
 
 
 def render_profile_table(s: Seq, config: MPConfig) -> str:

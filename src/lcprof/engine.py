@@ -458,7 +458,7 @@ class _TernaryCore:
 
     ring = gf3
 
-    def __init__(self, epsilon: int = 0, *, normalize_each_step: bool = False):
+    def __init__(self, epsilon: int, *, normalize_each_step: bool = False):
         self.normalize = normalize_each_step
         self.j = self.SP = self.SM = 0
         self.mu = gf3.one

@@ -51,9 +51,14 @@ def quo_rem(a: int, b: int) -> tuple[int, int]:
 
 
 def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of packed polynomials (Euclid)."""
+    """Greatest common divisor (Euclid; quo_rem's loop, keeping no quotient)."""
     while b:
-        a, b = b, quo_rem(a, b)[1]
+        db = b.bit_length()
+        k = a.bit_length() - db
+        while k >= 0:
+            a ^= b << k
+            k = a.bit_length() - db
+        a, b = b, a
     return a
 
 

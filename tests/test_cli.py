@@ -12,6 +12,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcprof import analysis, cli, engine, fields
 from lcprof import verify as verify_mod
@@ -83,6 +84,58 @@ def test_parse_errors_exit_2(capsys):
     for seq in ("1,,0", "1, ,0"):  # an empty field between two commas
         code, out, err = run(capsys, "profile", "--seq", seq)
         assert (code, out, err) == (2, "", "error: not an integer: ''\n")
+
+
+_LONG_TOKEN = "9" + "0" * 4999  # past int()'s default limit of 4300 digits
+_LONG_ERROR = (f"not an integer: {_LONG_TOKEN!r}"
+               if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_LONG_TOKEN)
+               else f"value {_LONG_TOKEN} outside [0, {{p}})")
+# fields that are not terms, with the error each gives over F_p
+_NON_TERMS = (("", "not an integer: ''"), ("+1", "not an integer: '+1'"),
+              ("1_0", "not an integer: '1_0'"), ("-3", "value -3 outside [0, {p})"),
+              ("\u0663", "not an integer: '\u0663'"),  # Arabic-Indic three
+              ("\uff13", "not an integer: '\uff13'"),  # fullwidth three
+              (_LONG_TOKEN, _LONG_ERROR))
+_BLANKS = " \t\n\x1c\u2028\u3000"  # ASCII and Unicode whitespace
+_SPACE = st.text(_BLANKS, max_size=3)
+_READER_FIELDS = {p: PrimeField(p) for p in (2, 3, 13, 65521, 2**31 - 1)}
+
+
+@st.composite
+def _reader_line(draw):
+    """A line built field by field, its prime p, and its terms or first error."""
+    p = draw(st.sampled_from(sorted(_READER_FIELDS)))
+    term = st.tuples(st.integers(0, 2 * p), st.integers(0, 2)).map(
+        lambda vz: ("0" * vz[1] + str(vz[0]),
+                    vz[0] if vz[0] < p else f"value {vz[0]} outside [0, {p})"))
+    non_term = st.sampled_from(_NON_TERMS).map(lambda f: (f[0], f[1].format(p=p)))
+    fields = draw(st.lists(st.one_of(term, term, non_term), min_size=1, max_size=12))
+    line = draw(_SPACE) + fields[0][0]
+    for (left, _), (right, _) in zip(fields, fields[1:]):
+        # a run of whitespace is one boundary, so an empty field needs a
+        # comma between it and each neighbour
+        if left and right and draw(st.booleans()):
+            line += draw(st.text(_BLANKS, min_size=1, max_size=3))
+        else:
+            line += draw(_SPACE) + "," + draw(_SPACE)
+        line += right
+    line += draw(_SPACE)
+    if len(fields) == 1 and not fields[0][0]:
+        return line, p, []  # a blank line holds no field
+    errors = [want for _, want in fields if isinstance(want, str)]
+    return line, p, errors[0] if errors else [want for _, want in fields]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reader_line())
+def test_parse_sequence_matches_a_field_oracle(case):
+    line, p, want = case
+    if isinstance(want, str):
+        with pytest.raises(SequenceParseError) as info:
+            parse_sequence(line, _READER_FIELDS[p])
+        assert str(info.value) == want
+    else:
+        assert list(parse_sequence(line, _READER_FIELDS[p])) == want
 
 
 def test_usage_error_exit_2(capsys):

@@ -448,6 +448,13 @@ def test_verify_plcp_count_reports_a_wrong_count(monkeypatch):
         False, 2 + 4 + 8 + 3 + 9 + 27, "q=3 n=3: 12 != 13")
 
 
+def test_verify_plcp_count_default_cases():
+    # every binary sequence of 1..14 terms and every ternary one of 1..8:
+    # 2 + ... + 2^14 + 3 + ... + 3^8 checks
+    result = verify_mod.verify_plcp_count()
+    assert (result.ok, result.checked) == (True, 42606)
+
+
 # ------------------------------------------------------------------ lcsum
 
 LCSUM_SMALL = dict(sum_k=2, sum_l=2, trials=10)   # 4 * 2 partial sums
