@@ -8,13 +8,15 @@ digits must already lie in [0, p), out-of-range values are rejected
 rather than reduced, and so is an --epsilon outside [0, p).
 --json swaps the table output for one JSON object per input sequence
 (per suite for verify).  Each subcommand takes only the flags it reads:
-all but rueppel and gamma take --field, and only profile, minpoly and
-plcp-check take --epsilon.  verify takes its defaults from
-verify.SUITES, and a single suite refuses a --max-n, --field or
---trials it does not read.
+all but stable (always over F_2), rueppel and gamma take --field, and
+only profile, minpoly and plcp-check take --epsilon.  verify takes its
+defaults from verify.SUITES, and a single suite refuses a --max-n,
+--field or --trials it does not read.
 
-Exit codes: 0 success, 2 input/usage error, 3 verification or engine
-failure, 4 resource guard tripped.
+Exit codes: 0 success, 2 input/usage error, 3 a failed verify suite (or
+an engine error that no input is known to reach), 4 resource guard
+tripped.  Past argparse a refusal is an exception, and main alone turns
+it into one "error: ..." line and its exit code.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _input_sequences(args) -> list[Seq]:
             lines = fh.read().splitlines()
     else:
         raise SequenceParseError("no sequence given (use --seq or --in)")
-    dom = PrimeField(args.field)  # validated once: trial division up to sqrt(p)
+    dom = PrimeField(getattr(args, "field", 2))  # checked once; stable reads no --field
     # profile, minpoly and plcp-check seed with --epsilon: a field element,
     # held to [0, p) like the terms rather than reduced
     eps = getattr(args, "epsilon", 0)
@@ -249,17 +251,15 @@ def cmd_verify(args) -> int:
     suites = verify_mod.SUITES
     name = args.suite
     if name != "all" and name not in suites:
-        print(f"unknown suite {name!r}; choose from "
-              f"{', '.join(sorted(suites))} or all", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{', '.join(sorted(suites))} or all")
     if name != "all":
         suite = suites[name]
         unread = ("--max-n" if args.max_n is not None and suite.max_n is None else
                   "--field" if args.field != 2 and not suite.field else
                   "--trials" if args.trials is not None and suite.trials is None else "")
         if unread:
-            print(f"verify {name} does not read {unread}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"verify {name} does not read {unread}")
     all_ok = True
     for suite in suites.values() if name == "all" else [suites[name]]:
         result = suite.run(args.max_n if args.max_n is not None else suite.max_n,
@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
         n_arg=True)
     add("plcp-enum", cmd_plcp_enum, "enumerate perfect-profile sequences",
         n_arg=True)
-    add("stable", cmd_stable, "binary stability check", seq=True)
+    add("stable", cmd_stable, "binary stability check", seq=True, field=False)
     add("height", cmd_height, "sequence height", seq=True)
     add("lcsum", cmd_lcsum, "sum of the complexity profile", seq=True)
     add("rueppel", cmd_rueppel, "power-of-two indicator sequence terms",

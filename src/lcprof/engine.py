@@ -192,16 +192,13 @@ def updating_matrix(domain: CoeffDomain, delta: int, delta_prime: int, e: int) -
 def _derived_rows(core):
     """rows() of the generic and the F_3 cores, which carry only mu and mu'.
 
-    Before the first jump the rows are the seed (1, 0) and (eps, -1);
-    after it [f] is the polynomial part of f over the consumed prefix
-    (core._part).  A step never edits a row and a jump hands the old mu
-    to mu', so a memo keyed by row identity (core.parts, shared by
-    copies) derives each row once.
+    [f] is the polynomial part of f over the consumed prefix (core._part),
+    looked up first in a memo keyed by row identity (core.parts, shared
+    by copies).  A step never edits a row and a jump hands the old mu to
+    mu', so each row is derived once; the constructor seeds the memo with
+    the seed rows (1, 0) and (eps, -1), so neither is ever derived.
     """
-    mu, mup, ring = core.mu, core.mup, core.ring
-    if ring.degree(mu) == 0:
-        one = ring.one
-        return mu, ring.lin(0, one, 0, 0, one, 0), mup, ring.lin(0, one, 0, 1, one, 0)
+    mu, mup = core.mu, core.mup
     parts = []
     for row in (mu, mup):
         for known in core.parts:
@@ -252,7 +249,7 @@ class _GenericCore:
         self.e = 1
         self.dprime = 1
         self.nabla = 1
-        self.parts = ()  # (row, [row]) pairs derived so far, at most two
+        self.parts = ((self.mu, []), (self.mup, [self.p - 1]))  # p - 1 is -1 over ZZ too
         self.ring = ListRing(self.p)
 
     def step(self, sj: int) -> int:
@@ -464,7 +461,7 @@ class _TernaryCore:
         self.mu = gf3.one
         self.mup = gf3.scale(epsilon, gf3.one)
         self.e = self.dprime = self.nabla = 1
-        self.parts = ()
+        self.parts = ((self.mu, (0, 0)), (self.mup, (0, 1)))
 
     def step(self, sj: int) -> int:
         self.j = j = self.j + 1

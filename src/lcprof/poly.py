@@ -196,11 +196,10 @@ def text_to_coeffs(text: str) -> list[int]:
     coeffs: dict[int, int] = {}
     for term in text.replace("-", "+-").lstrip("+").split("+"):
         m = _TERM_RE.match(term)
+        # a nonempty match holds a coefficient, an x, or both
         if not m or not m.group(0):
             raise ValueError(f"bad polynomial term {term!r}")
         cs, xpart, _, ks = m.group(1), m.group(2), m.group(3), m.group(4)
-        if not cs and not xpart:
-            raise ValueError(f"bad polynomial term {term!r}")
         c = int(cs) if cs is not None else 1
         k = 0 if xpart is None else (1 if ks is None else int(ks))
         coeffs[k] = coeffs.get(k, 0) + c

@@ -31,6 +31,7 @@ from .analysis import (
     ENUM_GUARD,
     WITNESSES,
     _WITNESS_START,
+    _guard_enumeration,
     _walk_prefixes,
     _witness_step,
     cf_partial_quotients,
@@ -281,6 +282,8 @@ def verify_wang_massey(max_n: int = 15) -> VerifyResult:
 @_suite("plcp-count")
 def verify_plcp_count(cases=((2, 14), (3, 8))) -> VerifyResult:
     """Exhaustive census equals the closed-form count."""
+    for q, top in cases:  # every case is guarded before any census
+        _guard_enumeration(q, top)
     for q, top in cases:
         for n in range(1, top + 1):
             census = sum(1 for _ in enumerate_plcp(q, n))

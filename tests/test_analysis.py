@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcprof import analysis
 from lcprof.analysis import (
     WITNESSES,
     _WITNESS_START,
@@ -540,6 +541,25 @@ def test_enumerate_rejects_a_negative_length():
 def test_enumerate_guard():
     with pytest.raises(ResourceLimitError):
         list(enumerate_plcp(2, 30))
+
+
+def test_enumerate_guard_bounds_the_output_before_the_walk(monkeypatch):
+    monkeypatch.setattr(analysis, "ENUM_GUARD", 1000)
+    # 3^5 = 243 candidates and 72 perfect profiles of 5 terms: 360 terms
+    assert sum(1 for _ in enumerate_plcp(3, 5)) == 72
+
+    def walk(*args):
+        raise AssertionError("the walk started past the guard")
+
+    monkeypatch.setattr(analysis, "_walk_prefixes", walk)
+    # 3^6 = 729 candidates pass, but 216 profiles of 6 terms are 1296 terms
+    with pytest.raises(ResourceLimitError, match="1296 terms"):
+        next(enumerate_plcp(3, 6))
+
+
+def test_plcp_count_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        plcp_count(3, -1)
 
 
 @pytest.mark.parametrize("q,n", [(2, 9), (3, 6), (5, 4)])

@@ -24,7 +24,7 @@ from lcprof.cli import (
     render_profile_table,
 )
 from lcprof.engine import MPConfig, ProfileReport, profile_steps
-from lcprof.errors import SequenceParseError
+from lcprof.errors import SequenceParseError, UnsupportedDomainError
 from lcprof.fields import GF2, PrimeField
 
 R6_TABLE = """\
@@ -372,6 +372,13 @@ def test_plcp_count_and_enum(capsys):
     assert sorted(out.strip().split("\n")) == ["1,0,1", "1,1,0"]
 
 
+def test_plcp_enum_and_rueppel_json(capsys):
+    code, out, _ = run(capsys, "plcp-enum", "--field", "2", "--n", "3", "--json")
+    assert code == 0 and sorted(json.loads(out)) == [[1, 0, 1], [1, 1, 0]]
+    code, out, _ = run(capsys, "rueppel", "--n", "8", "--json")
+    assert code == 0 and json.loads(out) == {"terms": [1, 1, 0, 1, 0, 0, 0, 1]}
+
+
 def test_enum_guard_exit_4(capsys):
     code, _, err = run(capsys, "plcp-enum", "--field", "2", "--n", "40")
     assert code == 4 and "guard" in err
@@ -386,9 +393,6 @@ def test_stable_command(capsys):
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "stable", "--seq", "1,1,1")
     assert code == 0 and out.strip() == "false"
-    # non-binary field is an unsupported-domain failure
-    code, _, err = run(capsys, "stable", "--field", "3", "--seq", "1,1")
-    assert code == 3 and "binary" in err
 
 
 def test_height_and_lcsum(capsys):
@@ -514,10 +518,42 @@ def test_verify_all_applies_each_flag_where_it_is_read(capsys):
     ("plcp-count", "--n", "3", "--epsilon", "1"),
     ("verify", "lcsum", "--epsilon", "1"),
     ("verify", "--suite", "lcsum"),
+    ("stable", "--field", "3", "--seq", "1,2"),
+    ("stable", "--field", "2", "--seq", "1,1"),
 ], ids=" ".join)
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("profile", "--seq", "1,2"), 2),
+    (("profile", "--seq", "1", "--in", "no-such-file.txt"), 2),
+    (("profile", "--field", "5", "--epsilon", "7", "--seq", "1"), 2),
+    (("verify", "nonsense"), 2),
+    (("verify", "lcsum", "--max-n", "3"), 2),
+    (("gamma", "--n", "32769"), 4),
+    # 13^6 candidates pass the q^n bound, but their 3,796,416 perfect
+    # profiles would print 22.8 M terms
+    (("plcp-enum", "--field", "13", "--n", "6"), 4),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_each_refusal_is_one_error_line(capsys, argv, want):
+    # main alone turns a refusal into its exit code and its one line,
+    # before any work
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == want and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_an_engine_error_that_escapes_a_command_exits_3(capsys, monkeypatch):
+    def refuse(s):
+        raise UnsupportedDomainError("no such domain")
+
+    monkeypatch.setattr(cli, "is_stable", refuse)
+    code, out, err = run(capsys, "stable", "--seq", "1,1")
+    assert (code, out, err) == (3, "", "error: no such domain\n")
 
 
 def test_readme_command_lines_parse():
@@ -548,6 +584,11 @@ def test_readme_verify_table_matches_the_registry():
     assert table == [[name, cell(suite.max_n), cell(suite.trials),
                       "yes" if suite.field else "no"]
                      for name, suite in verify_mod.SUITES.items()]
+
+
+def test_verify_size_not_an_integer_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "x")
+    assert code == 2 and out == "" and "invalid int value: 'x'" in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -444,13 +444,12 @@ def test_pairs_derives_each_row_once(monkeypatch):
     for t in [0, 0, 2, 1, 0, 4, 3, 3, 0, 1, 2, 0, 0, 4]:
         nonzero += core.step(t) != 0
         assert core.rows() == core.rows()
-    # the first jump also derives the part of the constant row it displaces
-    assert len(calls) == nonzero + 1
+    assert len(calls) == nonzero
     child = core.copy()
-    assert child.rows() == core.rows() and len(calls) == nonzero + 1
+    assert child.rows() == core.rows() and len(calls) == nonzero
     delta = child.step(1)
     child.rows()
-    assert len(calls) == nonzero + 1 + (delta != 0)
+    assert len(calls) == nonzero + (delta != 0)
 
 
 @pytest.mark.parametrize("make, q", [
@@ -1270,3 +1269,49 @@ def test_integer_runs_stop_at_the_nabla_guard():
     for t in s.terms[:core.j - 1]:
         short.step(t)
     assert short.nabla.bit_length() <= engine.ZZ_NABLA_BITS
+
+
+# ------------------------------------------------ refusals and rare branches
+
+def test_mat2_text():
+    m = updating_matrix(F5, 2, 3, 1)
+    assert str(m) == "[[3x, 3], [1, 0]]"
+    assert str(Mat2.identity(F5)) == "[[1, 0], [0, 1]]"
+
+
+def test_equal_inputs_give_equal_states():
+    a, b = run_states(R6)[-1], run_states(GF2.seq(list(R6)))[-1]
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != run_states(R6.prefix(5))[-1]
+    assert a != run_states(R6, MPConfig(epsilon=1))[-1]
+    assert a != run_states(F3.seq(list(R6)))[-1]
+    assert a != a.consumed
+
+
+def test_generic_core_normalizes_over_a_field_only():
+    with pytest.raises(UnsupportedDomainError, match="field"):
+        _GenericCore(ZZ, normalize_each_step=True)
+
+
+def test_lfsr_generate_refusals_and_integer_feedback():
+    with pytest.raises(ValueError, match="domain"):
+        lfsr_generate(Poly(F5, (1, 1)), GF2.seq([1]), 3)
+    with pytest.raises(ValueError, match="register length"):
+        lfsr_generate(Poly(GF2, (1, 1, 1)), GF2.seq([1]), 3)
+    # constant term -1 over ZZ: s_j = s_{j-1} + s_{j-2}
+    fib = lfsr_generate(Poly(ZZ, (-1, 1, 1)), ZZ.seq([1, 1]), 8)
+    assert list(fib) == [1, 1, 2, 3, 5, 8, 13, 21]
+    with pytest.raises(UnsupportedDomainError, match="constant term"):
+        lfsr_generate(Poly(ZZ, (2, 1)), ZZ.seq([1]), 3)
+
+
+def test_minpoly_coset_needs_a_finite_field():
+    with pytest.raises(UnsupportedDomainError, match="finite field"):
+        minpoly_coset(mp_init(ZZ))
+
+
+def test_brute_force_guard_over_f2():
+    # no x + c annihilates 0,0,0,1; degree 2 would try 2^3 > 4 candidates
+    with pytest.raises(ResourceLimitError, match="degree 2"):
+        brute_force_minpoly(GF2.seq([0, 0, 0, 1]), guard=4)
+    assert brute_force_minpoly(GF2.seq([0, 0, 0, 1]), guard=32)[0] == 4

@@ -563,3 +563,60 @@ def test_gf2_to_coeffs_matches_the_bit_loop():
         got = gf2.to_coeffs(a)
         assert got == _to_coeffs_by_bits(a) and len(got) == 1 << 16
         assert all(type(c) is int for c in got[:64])
+
+
+# ------------------------------------------------ refusals and rare branches
+
+def test_poly_call_matches_direct_sums():
+    f = Poly(F5, (3, 0, 4, 1))
+    for x in range(5):
+        assert f(x) == sum(c * x**k for k, c in enumerate(f.coeffs)) % 5
+    g = Poly(ZZ, (-2, 0, 3, -1))
+    for x in range(-4, 5):
+        assert g(x) == sum(c * x**k for k, c in enumerate(g.coeffs))
+    assert Poly(F5)(3) == 0
+
+
+@pytest.mark.parametrize("text", ["x^2+y", "x++1", "x2", "x^-1"])
+def test_from_text_rejects_a_bad_term(text):
+    with pytest.raises(ValueError, match="bad polynomial term"):
+        Poly.from_text(F5, text)
+
+
+def test_zero_has_no_leading_coefficient():
+    with pytest.raises(ValueError, match="no leading"):
+        Poly(F5).leading
+
+
+@pytest.mark.parametrize("i", [-1, 4])
+def test_seq_prefix_out_of_range(i):
+    with pytest.raises(IndexError, match="prefix length"):
+        F5.seq([1, 2, 3]).prefix(i)
+
+
+def test_poly_divmod_refusals():
+    with pytest.raises(UnsupportedDomainError, match="field"):
+        poly_divmod(Poly(ZZ, (1, 1)), Poly(ZZ, (1,)))
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(Poly(F5, (1, 1)), Poly(F5))
+
+
+def test_poly_and_seq_dunders():
+    f = Poly(F5, (1, 0, 2))
+    assert f and not Poly(F5)
+    assert repr(f) == "Poly(PrimeField(5), '2x^2+1')"
+    s = F5.seq([1, 4])
+    assert repr(s) == "Seq(PrimeField(5), [1, 4])"
+    assert hash(s) == hash(F5.seq((1, 4))) and len({s, F5.seq([1, 4])}) == 1
+
+
+def test_integer_ring_is_plain_integer_arithmetic():
+    assert (ZZ.add(-3, 5), ZZ.sub(-3, 5), ZZ.mul(-3, 5)) == (2, -8, -15)
+
+
+def test_is_prime_below_two_and_the_inverse_of_zero():
+    assert not is_prime(0) and not is_prime(1)
+    with pytest.raises(ZeroDivisionError):
+        F5.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F5.inv(10)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from lcprof import gf2
+from lcprof import gf2, rueppel
 from lcprof.engine import Mat2, mp_run, profile_steps
 from lcprof.errors import ResourceLimitError
 from lcprof.fields import GF2
@@ -246,3 +246,48 @@ def test_nonminimal_power_annihilator():
             _, rep = mp_run(r)
             if n % 2 == 0 or n + 1 < 2 ** (k + 1):
                 assert f.degree > rep.lc[-1]
+
+
+# ------------------------------------------------ refusals and rare branches
+
+@pytest.mark.parametrize("call", [
+    lambda: rueppel_terms(-1),
+    lambda: gamma(-1),
+    lambda: gamma_members(-1),
+    lambda: u_power(-1),
+    lambda: gamma_identities(-1, 0, gamma_members(4)),
+    lambda: gamma_identities(0, -1, gamma_members(4)),
+], ids=["rueppel_terms", "gamma", "gamma_members", "u_power",
+        "gamma_identities m", "gamma_identities n"])
+def test_negative_arguments_are_refused(call):
+    with pytest.raises(ValueError, match="negative|nonnegative"):
+        call()
+
+
+def test_matrix_pattern_starts_at_two():
+    with pytest.raises(ValueError, match="n = 2"):
+        rueppel_matrix_pattern(1, (1, 0, 0, 1), None)
+
+
+@pytest.mark.parametrize("m, n, index, flip", [
+    (3, 2, 1, 1),  # the product rule
+    (3, 2, 4, 1),  # the doubling rule
+    (2, 1, 0, 1),  # the unit constant term of gamma(1) + gamma(0)
+])
+def test_gamma_identities_fail_on_a_tampered_list(m, n, index, flip):
+    g = gamma_members(8)
+    assert gamma_identities(m, n, g)
+    g[index] ^= flip
+    assert not gamma_identities(m, n, g)
+
+
+def test_gamma_identities_check_the_degree_law():
+    # all zero members keep the product and doubling rules, but gamma(1)
+    # must have degree 0
+    assert not gamma_identities(1, 1, [0] * 3)
+
+
+def test_adjugate_needs_a_unimodular_matrix():
+    # det [[x+1, 1], [1, 1]] = x over F_2
+    with pytest.raises(ValueError, match="unimodular"):
+        rueppel._adjugate_packed((0b11, 0b1, 0b1, 0b1))

@@ -448,6 +448,17 @@ def test_verify_plcp_count_reports_a_wrong_count(monkeypatch):
         False, 2 + 4 + 8 + 3 + 9 + 27, "q=3 n=3: 12 != 13")
 
 
+def test_verify_plcp_count_guards_every_case_before_any_census(monkeypatch):
+    monkeypatch.setattr(analysis, "ENUM_GUARD", 1000)
+
+    def census(q, n):
+        raise AssertionError("a census started past the guard")
+
+    monkeypatch.setattr(verify_mod, "enumerate_plcp", census)
+    with pytest.raises(ResourceLimitError):
+        verify_mod.verify_plcp_count(cases=((2, 3), (3, 6)))
+
+
 def test_verify_plcp_count_default_cases():
     # every binary sequence of 1..14 terms and every ternary one of 1..8:
     # 2 + ... + 2^14 + 3 + ... + 3^8 checks
