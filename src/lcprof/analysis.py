@@ -15,7 +15,15 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import MPConfig, _make_core, _profile, _run, mp_run
+from .engine import (
+    MPConfig,
+    _each_step,
+    _make_core,
+    _profile,
+    _run,
+    _walk_prefixes,
+    mp_run,
+)
 from .errors import ResourceLimitError, UnsupportedDomainError
 from .fields import CoeffDomain, PrimeField
 from .poly import Poly, Seq, field_ring
@@ -27,11 +35,7 @@ def _require_binary(s: Seq, what: str) -> None:
 
 
 def _run_profile(s: Seq) -> tuple[list[int], list[int]]:
-    """LC_1..LC_n and e_0..e_n of one engine run, blocked where it can be.
-
-    One engine._run: see _consume for the blocks and _profile for the
-    derivation.
-    """
+    """LC_1..LC_n and e_0..e_n of one engine._run, blocked where it can be."""
     return _run(s.domain, s.terms)[2:]
 
 
@@ -64,11 +68,7 @@ def is_plcp(s: Seq) -> bool:
     """LC_j = floor((j+1)/2) at every step (vacuously true when empty)."""
     # stops at the first step off the profile, unlike a full run
     core = _make_core(s.domain, MPConfig())
-    for j, t in enumerate(s.terms, start=1):
-        core.step(t)
-        if core.cur_lc() != (j + 1) // 2:
-            return False
-    return True
+    return all(core.cur_lc() == (core.j + 1) // 2 for _ in _each_step(core, s.terms))
 
 
 WITNESSES = ("lc", "parity", "exponent", "odd_delta", "index", "recursion")
@@ -185,8 +185,7 @@ def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int]]:
     trail = _WITNESS_START
     fails: dict[str, list[int]] = {name: [] for name in WITNESSES}
     deltas = []
-    for j, t in enumerate(s.terms, start=1):
-        delta = core.step(t)
+    for j, delta in enumerate(_each_step(core, s.terms), start=1):
         deltas.append(delta)
         trail, bits = _witness_step(trail, j, core, delta, eps)
         for i, name in enumerate(WITNESSES):
@@ -362,34 +361,6 @@ def _guard_enumeration(q: int, n: int) -> None:
             f"the enumeration guard {ENUM_GUARD}")
 
 
-def _walk_prefixes(core, q: int, max_n: int, fold, state):
-    """Every prefix of at most max_n terms that extends the core's, depth first.
-
-    Yields (terms, state) for the core's own prefix and then for each
-    extension, in itertools.product order: a node before its children,
-    children in term order 0..q-1.  The engine is online, so a child's
-    core is a copy of its parent's stepped once, and fold(state, core,
-    delta, j) gives the child's state from its parent's after step j; a
-    fold that returns None cuts the child and its subtree.  The stack
-    holds O(max_n * q) cores.  The walk steps the given core itself.
-    """
-    stack = [(core, state, core.terms())]
-    while stack:
-        core, state, terms = stack.pop()
-        yield terms, state
-        j = len(terms) + 1
-        if j > max_n:
-            continue
-        children = []
-        for t in range(q):
-            # the last child takes over the parent's core: nothing reads it again
-            child = core.copy() if t < q - 1 else core
-            cstate = fold(state, child, child.step(t), j)
-            if cstate is not None:
-                children.append((child, cstate, terms + (t,)))
-        stack.extend(reversed(children))
-
-
 def _perfect_step(state, core, delta, j):
     return True if core.cur_lc() == (j + 1) // 2 else None
 
@@ -419,6 +390,9 @@ def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
     unknown term, with the current leading coefficient as the unit
     multiplier, so each target determines the term (field domains).
     Trial steps on copies of the core read off the two coefficients.
+    Those trials choose each term, so this is the one run outside the
+    engine's drivers (_run, _each_step, _walk_prefixes) that steps a
+    core itself.
     """
     if not domain.is_field:
         raise UnsupportedDomainError("solving for terms needs a field")

@@ -46,8 +46,15 @@ of it.  The profile table needs only text, so profile_text_rows renders
 it from the core's own rows (over p = 2, 3, 5, 7 and 11 from one
 per-call table of term texts, _term_table_text) without Poly rows.
 
-Runs that read no per-step rows (mp_run, and the profile behind height,
-lc_sum and char_equivalence) go through _run and _consume.  On a generic
+This module alone builds and steps cores.  _make_core is the one
+factory, and three drivers step them: _run for a whole run, _each_step
+for a run whose caller reads the core after every step, and
+_walk_prefixes for the prefix tree; mp_step takes one step.  Elsewhere
+only analysis.deltas_to_sequence steps a core: its two trial steps a
+term choose that term.
+
+_run serves the runs that read no per-step rows (mp_run, and the profile
+behind height, lc_sum and char_equivalence) through _consume.  On a generic
 core over F_p (p >= 5 unless forced: the F_2 and F_3 cores step term by
 term, which beats a block there) without per-step normalization it
 advances _BLOCK steps at a time once deg mu >= _BLOCK_MIN_DEG: a block
@@ -60,9 +67,7 @@ block's end (Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at
 a fixed block size as in the half-gcd of Brent-Gustavson-Yun 1980).  Its
 Kronecker slots take as many bytes as the sums need, at any p.  The core
 it leaves equals the per-step core slot for slot, and the discrepancies
-it returns are the per-step ones.  Every other core and every reader of
-per-step rows (the table, profile_steps, the PLCP witness, the verify
-sweeps, mp_step) steps term by term.
+it returns are the per-step ones.  Every other run steps term by term.
 """
 
 from __future__ import annotations
@@ -565,6 +570,39 @@ def _run(domain: CoeffDomain, terms, config: MPConfig = MPConfig(), *,
     return core, deltas, *_profile(domain, deltas)
 
 
+def _each_step(core, terms):
+    """Step core through terms, yielding delta_j after step j; read core in between."""
+    return map(core.step, terms)
+
+
+def _walk_prefixes(core, q: int, max_n: int, fold, state):
+    """Every prefix of at most max_n terms that extends the core's, depth first.
+
+    Yields (terms, state) for the core's own prefix and then for each
+    extension, in itertools.product order: a node before its children,
+    children in term order 0..q-1.  The engine is online, so a child's
+    core is a copy of its parent's stepped once, and fold(state, core,
+    delta, j) gives the child's state from its parent's after step j; a
+    fold that returns None cuts the child and its subtree.  The stack
+    holds O(max_n * q) cores.  The walk steps the given core itself.
+    """
+    stack = [(core, state, core.terms())]
+    while stack:
+        core, state, terms = stack.pop()
+        yield terms, state
+        j = len(terms) + 1
+        if j > max_n:
+            continue
+        children = []
+        for t in range(q):
+            # the last child takes over the parent's core: nothing reads it again
+            child = core.copy() if t < q - 1 else core
+            cstate = fold(state, child, child.step(t), j)
+            if cstate is not None:
+                children.append((child, cstate, terms + (t,)))
+        stack.extend(reversed(children))
+
+
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
     """The core's native rows (core.rows()) as Poly values, by ring.to_coeffs.
 
@@ -795,18 +833,12 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     return matrix, report
 
 
-def _each_step(core, s: Seq):
-    """Step core through s; yield delta_j after each step j = 0..n (1 at j = 0)."""
-    yield 1
-    yield from map(core.step, s.terms)
-
-
 def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
-    """Per-step snapshots j = 0..n (row 0 is the seed matrix)."""
+    """Per-step snapshots j = 0..n (row 0 is the seed matrix, delta_0 = 1)."""
     domain = s.domain
     core = _make_core(domain, config)
     rows = []
-    for delta in _each_step(core, s):
+    for delta in itertools.chain((1,), _each_step(core, s.terms)):  # the seed first
         rows.append(ProfileRow(core.j, delta, core.e, core.cur_lc(),
                                *_poly_rows(domain, core)))
     return rows
@@ -850,7 +882,7 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     out = []
     mu = mup = None
     mu_text = mup_text = ""
-    for delta in _each_step(core, s):
+    for delta in itertools.chain((1,), _each_step(core, s.terms)):  # the seed first
         new_mu, new_mup = core.mu, core.mup
         # mu' changes only at a jump, where it takes the previous mu
         if new_mup != mup:

@@ -161,11 +161,6 @@ class ListRing:
         return _trim(list(digits[::-1]))
 
 
-def gcd_coeffs(a, b, p: int) -> list[int]:
-    """A gcd over F_p of coefficient lists, not made monic; gcd(a, 0) = a."""
-    return ListRing(p).gcd(a, b)
-
-
 def field_ring(p: int):
     """The ring of rows over F_p: gf2's packed ints, gf3's planes, else lists."""
     return {2: gf2, 3: gf3}.get(p) or ListRing(p)
@@ -536,4 +531,4 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return Poly(a.domain, gcd_coeffs(a.coeffs, b.coeffs, a.domain.p)).monic()
+    return Poly(a.domain, ListRing(a.domain.p).gcd(a.coeffs, b.coeffs)).monic()

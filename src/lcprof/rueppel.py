@@ -18,7 +18,7 @@ packed engine rows); the public Poly functions wrap them.
 from __future__ import annotations
 
 from . import gf2
-from .engine import Mat2, _PackedCore
+from .engine import Mat2, MPConfig, _each_step, _make_core
 from .errors import ResourceLimitError
 from .fields import GF2
 from .poly import Poly, Seq
@@ -76,7 +76,7 @@ def gamma_members(k: int) -> list[int]:
 
 
 # Packed 2x2 matrices are (a, b, c, d) = [[a, b], [c, d]], the order of
-# Mat2's fields and of _PackedCore.rows() (mu, [mu], mu', [mu']).
+# Mat2's fields and of the packed F_2 core's rows() (mu, [mu], mu', [mu']).
 _STEP2_PACKED = (0b11, 0b1, 0b1, 0b0)
 
 
@@ -183,9 +183,9 @@ def rueppel_mp(n: int) -> tuple[Poly, Poly]:
 def rueppel_matrix_pattern(n: int, rows, prev) -> bool:
     """Whether the packed engine rows after n terms (prev: after n - 1) fit.
 
-    rows and prev are (mu, [mu], mu', [mu']) as _PackedCore.rows()
-    gives them.  The pattern is M at n = 2, the previous matrix repeated
-    at even n, and U^((n-1)/2) M at odd n.
+    rows and prev are (mu, [mu], mu', [mu']) as the packed F_2 core's
+    rows() gives them.  The pattern is M at n = 2, the previous matrix
+    repeated at even n, and U^((n-1)/2) M at odd n.
     """
     if n < 2:
         raise ValueError("pattern starts at n = 2")
@@ -200,12 +200,11 @@ def rueppel_matrix_check(n: int) -> bool:
     """Engine matrix pattern: M at 2, repeat at even n, U-power at odd n."""
     if n < 2:
         raise ValueError("pattern starts at n = 2")
-    core = _PackedCore()
-    prev = None
-    for t in rueppel_terms(n).terms:
-        prev = core.rows()
-        core.step(t)
-    return rueppel_matrix_pattern(n, core.rows(), prev)
+    core = _make_core(GF2, MPConfig())
+    rows = core.rows()
+    for _ in _each_step(core, rueppel_terms(n).terms):
+        prev, rows = rows, core.rows()
+    return rueppel_matrix_pattern(n, rows, prev)
 
 
 def power_column_identity(k: int) -> bool:

@@ -32,7 +32,6 @@ from .analysis import (
     WITNESSES,
     _WITNESS_START,
     _guard_enumeration,
-    _walk_prefixes,
     _witness_step,
     cf_partial_quotients,
     enumerate_plcp,
@@ -43,10 +42,11 @@ from .analysis import (
 )
 from .engine import (
     MPConfig,
-    _PackedCore,
     _bezout_ok,
+    _each_step,
     _make_core,
     _profile,
+    _walk_prefixes,
     annihilates,
     brute_force_minpoly,
     mp_run,
@@ -132,7 +132,7 @@ def _tree_sweep(start, fold, check, lengths: range) -> tuple[int, str]:
     _guard_binary_sweep(lengths[-1])
     counts = [0] * (lengths[-1] + 1)
     least = None  # (n, v, detail)
-    core = _PackedCore()
+    core = _make_core(GF2, MPConfig())
     for terms, st in _walk_prefixes(core, 2, lengths[-1], fold, start):
         n = len(terms)
         if n in lengths:
@@ -229,8 +229,7 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> Verify
         terms = [rng.randrange(field) for _ in range(n)]
         core = _make_core(dom, MPConfig())
         last = None
-        for j, t in enumerate(terms, start=1):
-            core.step(t)
+        for j, _ in enumerate(_each_step(core, terms), start=1):
             rows, nabla = core.rows(), core.nabla
             same = (last and nabla == last[1]
                     and all(map(operator.is_, rows, last[0])))
@@ -358,12 +357,12 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
             f"gamma index {top} exceeds the guard {GAMMA_GUARD}")
     g = gamma_members(g_top)
     snap_n = max(matrix_n, closed_n + 1)
-    core = _PackedCore()
+    core = _make_core(GF2, MPConfig())
     rows = [core.rows()]  # rows[j]: the packed rows after j terms
     deltas = []
-    for j, t in enumerate(rueppel_terms(max(profile_n, snap_n)).terms, start=1):
-        deltas.append(core.step(t))
-        if j <= snap_n:
+    for delta in _each_step(core, rueppel_terms(max(profile_n, snap_n)).terms):
+        deltas.append(delta)
+        if core.j <= snap_n:
             rows.append(core.rows())
     lcs, exps = _profile(GF2, deltas)
     for j in range(1, profile_n + 1):

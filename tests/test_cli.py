@@ -829,7 +829,7 @@ def test_verify_rueppel_guard_exit_4(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the rueppel suite started past the guard")
 
-    monkeypatch.setattr(verify_mod, "_PackedCore", no_work)
+    monkeypatch.setattr(verify_mod, "_make_core", no_work)
     monkeypatch.setattr(verify_mod, "gamma_identities", no_work)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", "rueppel", "--max-n", "30000")
@@ -864,3 +864,74 @@ def test_epsilon_outside_the_field_exit_2(capsys, monkeypatch, command, eps, jso
                          "--seq", "1,2,3", *json_flag)
     assert (code, out) == (2, "")
     assert err == f"error: --epsilon value {eps} outside [0, 5)\n"
+
+
+# ------------------------------------------------------ seeded fuzzing
+
+FUZZ_FIELDS = ["2"] * 4 + ["3", "5", "13", "65521", "2147483647",  # primes
+                           "4", "1", "0", "-7", "2147483659", str(10**30)]  # refused
+FUZZ_WORDS = ["0", "1", "2", "12", "007", "-1", "+1", "x", "1a", "", "1_0"]
+FUZZ_SEPS = [",", " ", ", ", "\t", ",,", " , "]
+
+
+def _fuzz_argv(rng):
+    """One random argv for a subcommand other than verify."""
+    def seq():  # at most 64 fields, half of the lines malformed
+        words, seps = (FUZZ_WORDS, FUZZ_SEPS) if rng.random() < 0.5 else ("01", ", ")
+        return rng.choice(seps).join(rng.choice(words) for _ in range(rng.randrange(65)))
+
+    cmd = rng.choice(["profile", "minpoly", "plcp-check", "stable", "height",
+                      "lcsum", "plcp-count", "plcp-enum", "rueppel", "gamma"])
+    args = [cmd]
+    if cmd not in ("stable", "rueppel", "gamma"):  # stable is over F_2 alone
+        args += ["--field", rng.choice(FUZZ_FIELDS)]
+    if cmd in ("profile", "minpoly", "plcp-check"):
+        args += ["--epsilon", str(rng.choice([0, 1, 2, -1, 65521, 10**20]))]
+    if cmd in ("plcp-count", "plcp-enum", "rueppel", "gamma"):
+        sizes = [-3, 0, 1, 2, 5, 8, 10**18] + [64] * (cmd != "plcp-enum")
+        args += ["--n", str(rng.choice(sizes))]
+    else:
+        args += ["--seq", seq()]
+    return args + ["--json"] * rng.randrange(2)
+
+
+def test_seeded_cli_fuzz_exits_0_2_or_4_quickly(capsys):
+    rng = random.Random(22)
+    for _ in range(400):
+        args = _fuzz_argv(rng)
+        t0 = time.perf_counter()
+        code, _, _ = run(capsys, *args)
+        took = time.perf_counter() - t0
+        assert code in (0, 2, 4), (args, code)
+        assert took < 5, (args, took)
+
+
+def _refused_verify_argv(rng):
+    """One verify argv that must be refused before any suite starts."""
+    names = [*verify_mod.SUITES, "all"]
+    kind = rng.randrange(3)
+    if kind == 0:  # a suite name that is not one
+        name = rng.choice(names)
+        return ["verify", rng.choice([name.upper(), name[:-1], name + "x", "x" + name])]
+    if kind == 1:  # a flag the single suite does not read
+        unread = [(name, flag) for name, suite in verify_mod.SUITES.items()
+                  for flag, read in (("--max-n", suite.max_n is not None),
+                                     ("--field", suite.field),
+                                     ("--trials", suite.trials is not None)) if not read]
+        values = {"--max-n": ["1", "6", str(10**18)], "--field": ["3"],
+                  "--trials": ["1", "20", str(10**9)]}
+        name, flag = rng.choice(unread)
+        return ["verify", name, flag, rng.choice(values[flag])]
+    # a size below 1 or not an integer, on any suite or all
+    return ["verify", rng.choice(names), *rng.choice([("--max-n", "0"), ("--trials", "x")])]
+
+
+def test_seeded_verify_refusals_exit_2_at_once(capsys):
+    rng = random.Random(23)
+    for _ in range(100):
+        args = _refused_verify_argv(rng)
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, *args)
+        took = time.perf_counter() - t0
+        assert code == 2 and out == "", (args, code, out[:80])
+        assert took < 1, (args, took)

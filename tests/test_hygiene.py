@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports and no dead private helpers in lcprof.
+"""Source hygiene in lcprof: no unused imports, no dead private helpers,
+and no core built or stepped outside engine.py.
 
 Only the stdlib ast module is used.  The package __init__ is exempt: its
 imports are the public re-exports.
@@ -82,3 +83,40 @@ def test_every_private_module_name_is_referenced():
                   for name, line in _private_defs(_tree(path)).items()
                   if name not in used)
     assert not dead, f"private names that nothing references: {dead}"
+
+
+# Only engine.py builds or steps a core: other modules get one from
+# engine._make_core and step it through the engine's drivers (_run,
+# _each_step, _walk_prefixes).  deltas_to_sequence is the one exception:
+# its two trial steps a term choose that term.
+CORE_CLASSES = {"_PackedCore", "_GenericCore", "_TernaryCore"}
+STEP_ALLOWED = {("analysis.py", "deltas_to_sequence")}
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _step_reads(tree):
+    """(top-level definition, line) of every read of a .step attribute."""
+    return [(getattr(top, "name", None), node.lineno)
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "step"]
+
+
+def test_only_the_engine_names_a_core_class():
+    named = {path.name: sorted(CORE_CLASSES & _uses(_tree(path)))
+             for path in ALL_MODULES if path.name != "engine.py"}
+    named = {name: classes for name, classes in named.items() if classes}
+    assert not named, f"core classes named outside engine.py: {named}"
+
+
+def test_only_the_engine_steps_a_core():
+    stray = sorted(f"{path.name}:{line} in {where}"
+                   for path in ALL_MODULES if path.name != "engine.py"
+                   for where, line in _step_reads(_tree(path))
+                   if (path.name, where) not in STEP_ALLOWED)
+    assert not stray, f".step read outside the engine's drivers: {stray}"
+
+
+def test_the_prefix_walk_is_defined_in_the_engine_alone():
+    homes = [path.name for path in ALL_MODULES
+             if "_walk_prefixes" in _private_defs(_tree(path))]
+    assert homes == ["engine.py"]

@@ -16,7 +16,6 @@ from lcprof.poly import (
     Seq,
     discrepancy,
     _slot_bytes,
-    gcd_coeffs,
     part_coeffs,
     poly_divmod,
     poly_gcd,
@@ -342,7 +341,7 @@ def test_divmod_contract(p, data):
 
 def _gcd_list(a: int, b: int) -> list[int]:
     """The list kernel's gcd of two packed polynomials (monic over F_2)."""
-    return gcd_coeffs(gf2.to_coeffs(a), gf2.to_coeffs(b), 2)
+    return ListRing(2).gcd(gf2.to_coeffs(a), gf2.to_coeffs(b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,7 +453,7 @@ def test_every_ring_matches_the_list_kernels(case):
         want_q, want_r = poly_divmod(Pa, Pb)
         assert (coeffs(q), coeffs(r)) == (list(want_q.coeffs), list(want_r.coeffs))
     # the remainders of Euclid are unique, so the gcds agree exactly
-    assert coeffs(ring.gcd(A, B)) == gcd_coeffs(a, b, ring.p)
+    assert coeffs(ring.gcd(A, B)) == ListRing(ring.p).gcd(a, b)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"F_{r.p}")

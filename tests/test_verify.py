@@ -21,7 +21,7 @@ from lcprof.fields import GF2
 
 
 def test_walk_verdicts_match_public_functions():
-    core = verify_mod._PackedCore()
+    core = engine._PackedCore()
     walk = analysis._walk_prefixes(core, 2, 10, verify_mod._equiv_step,
                                    verify_mod._EQUIV_START)
     seen = []
@@ -89,7 +89,7 @@ def test_tree_sweeps_of_no_length_check_nothing():
 
 
 def test_folded_transform_equals_t_transform_at_every_node():
-    walk = analysis._walk_prefixes(verify_mod._PackedCore(), 2, 12,
+    walk = analysis._walk_prefixes(engine._PackedCore(), 2, 12,
                                    verify_mod._wm_step, verify_mod._WM_START)
     nodes = 0
     for terms, (perfect, t) in walk:
@@ -136,14 +136,14 @@ def _raise_exponent_after(monkeypatch, prefix):
     """Swap in a packed core that raises e by 2 after the given prefix."""
     v = sum(t << i for i, t in enumerate(prefix))
 
-    class RaiseCore(verify_mod._PackedCore):
+    class RaiseCore(engine._PackedCore):
         def step(self, sj):
             delta = super().step(sj)
             if (self.j, self.S) == (len(prefix), v):
                 self.e += 2
             return delta
 
-    monkeypatch.setattr(verify_mod, "_PackedCore", RaiseCore)
+    monkeypatch.setattr(verify_mod, "_make_core", lambda dom, config: RaiseCore())
 
 
 @pytest.mark.parametrize("prefix, checked, detail", [
@@ -312,26 +312,26 @@ def test_verify_rueppel_builds_no_poly(monkeypatch):
     (101, 256 + 63 + 2 * 49 + 1, "closed form at n=101"),
 ])
 def test_verify_rueppel_reports_a_flipped_row(monkeypatch, step, checked, detail):
-    class FlipCore(verify_mod._PackedCore):
+    class FlipCore(engine._PackedCore):
         """Flips the constant term of [mu] after one step."""
 
         def rows(self):
             mu, mu_part, *prev = super().rows()
             return (mu, mu_part ^ (self.j == step), *prev)
 
-    monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
+    monkeypatch.setattr(verify_mod, "_make_core", lambda dom, config: FlipCore())
     result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
     assert (result.ok, result.checked, result.detail) == (False, checked, detail)
 
 
 def test_verify_rueppel_reports_a_broken_even_repeat(monkeypatch):
     # past matrix_n only the repeat check reads the rows after an even step
-    class FlipCore(verify_mod._PackedCore):
+    class FlipCore(engine._PackedCore):
         def rows(self):
             mu, mu_part, *prev = super().rows()
             return (mu, mu_part ^ (self.j == 100), *prev)
 
-    monkeypatch.setattr(verify_mod, "_PackedCore", FlipCore)
+    monkeypatch.setattr(verify_mod, "_make_core", lambda dom, config: FlipCore())
     result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
     assert (result.ok, result.checked, result.detail) == (
         False, 256 + 63 + 2 * 49, "even repeat at n=100")
@@ -371,7 +371,7 @@ def test_verify_rueppel_guard_is_exact(monkeypatch, past):
     def no_work(*args, **kwargs):
         raise AssertionError("the rueppel suite started past the guard")
 
-    monkeypatch.setattr(verify_mod, "_PackedCore", no_work)
+    monkeypatch.setattr(verify_mod, "_make_core", no_work)
     with pytest.raises(ResourceLimitError, match="guard"):
         verify_mod.verify_rueppel(**{**limit, **past})
     with pytest.raises(ResourceLimitError, match="column"):
