@@ -277,11 +277,18 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
     Computed by the Euclidean algorithm on the pair (x^n, numerator), one
     loop of ring.quo_rem in the ring of rows of the field (poly.field_ring:
     packed ints over F_2, bit planes over F_3, coefficient lists
-    elsewhere).  The oracle reads the ring modules, never an engine core.
-    The quotient degrees extend the engine's jump exponents: quotient i
-    has degree equal to the i-th jump exponent for every jump the profile
-    realized; quotients past that point encode the truncation.
+    elsewhere), in _cf_quotients.  The oracle reads the ring modules,
+    never an engine core.  The quotient degrees extend the engine's jump
+    exponents: quotient i has degree equal to the i-th jump exponent for
+    every jump the profile realized; quotients past that point encode the
+    truncation.
     """
+    ring, quotients = _cf_quotients(s)
+    return [Poly._canonical(s.domain, ring.to_coeffs(q)) for q in quotients]
+
+
+def _cf_quotients(s: Seq):
+    """The ring of rows and the partial quotients as its rows (cf_partial_quotients)."""
     dom = s.domain
     if not dom.is_field:
         raise UnsupportedDomainError("continued fractions need a field")
@@ -293,9 +300,9 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
     quotients = []
     while ring.degree(b) >= 0:
         q, r = ring.quo_rem(a, b)
-        quotients.append(Poly._canonical(dom, ring.to_coeffs(q)))
+        quotients.append(q)
         a, b = b, r
-    return quotients
+    return ring, quotients
 
 
 def lc_sum(s: Seq) -> tuple[int, int]:

@@ -43,8 +43,10 @@ native rows mu, [mu], mu', [mu'] from rows(), so what reads rows
 step loops stay one per core.  A core is the only holder of engine
 state: MPState is a read-only view over one, and mp_step resumes a copy
 of it.  The profile table needs only text, so profile_text_rows renders
-it from the core's own rows (over p = 2, 3, 5, 7 and 11 from one
-per-call table of term texts, _term_table_text) without Poly rows.
+it from the core's own rows without Poly rows: over p = 2, 3, 5, 7 and
+11 from one per-call table of the texts of groups of adjacent terms
+(_term_table_text), whose pattern of coefficients one lookup reads, three
+at a time over F_2 and two over F_3.
 
 This module alone builds and steps cores.  _make_core is the one
 factory, and three drivers step them: _run for a whole run, _each_step
@@ -844,22 +846,50 @@ def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:
     return rows
 
 
-def _term_table_text(p: int, n: int, row_bytes):
-    """A renderer of rows of degree <= n over a small F_p (_BYTE_RESIDUES).
+def _term_table_text(p: int, row_bytes):
+    """A renderer of rows over a small F_p (_BYTE_RESIDUES).
 
-    Every term comes from one table, built once here and freed with the
-    renderer: a tuple a degree, highest first, of the texts of c x^k for
-    c = 0..p-1 ("" for c = 0).  A C-level map picks each coefficient's
-    text by the row's bytes, highest degree first (ring.row_bytes).  Its
-    output equals coeffs_to_text's.
+    One lookup renders g adjacent coefficients: g = 3 over F_2 and 2 over
+    F_3, where a group has p^g <= 9 patterns, else 1 (a larger g costs a
+    table of p^g texts a group, which raises the heap peak of a table
+    run).  Degrees g m .. g m + g - 1 form group m.  One table,
+    grown here as rows reach new groups and freed with the renderer,
+    holds a list a group: pattern sum_i c_(gm+i) p^i picks the text of
+    its nonzero terms c x^k, highest degree first, each after a "+" (""
+    for the zero pattern).  The row's bytes, highest degree first
+    (ring.row_bytes), read as one int and times K = sum_i p^i 256^(g-1-i),
+    hold group m's pattern in byte g m + g - 1 from the low end: a digit
+    sum below p^g, so no byte carries into the next (the slots of
+    poly.product_slice).  A C-level map picks each group's text by its
+    pattern, and the top group's text, which holds the leading term,
+    drops its first "+" (so no text of a whole row is copied to cut it);
+    the output equals coeffs_to_text's.
     """
-    xs = [*(f"x^{k}" for k in range(n, 1, -1)), "x"]
-    terms = [("", *(x if c == 1 else f"{c}{x}" for c in range(1, p))) for x in xs]
-    terms.append(("", *map(str, range(1, p))))
+    g = {2: 3, 3: 2}.get(p, 1)
+    K = sum(p**i << 8 * (g - 1 - i) for i in range(g))
+    cs = range(2, p)
+    groups = []  # lowest first; a random run's rows reach only degree about n/2
+
+    def group(m):
+        for k in range(g * m, g * m + g):
+            x = "x" if k == 1 else f"x^{k}" if k else ""
+            terms = ["", f"+{x or 1}", *[f"+{c}{x}" for c in cs]]
+            opts = [t + o for t in terms for o in opts] if k > g * m else terms
+        return opts
 
     def text(row) -> str:
         b = row_bytes(row)
-        return "+".join(filter(None, map(operator.getitem, terms[-len(b):], b))) or "0"
+        G = -(-len(b) // g) or 1  # the zero row: one group, pattern 0
+        if G > len(groups):
+            groups.extend(map(group, range(len(groups), G)))
+        # byte g m + g - 1 from the low end is byte g (G - m) from the high end
+        idx = (int.from_bytes(b, "big") * K).to_bytes(g * G + g, "big")[g::g]
+        # each group's table, then in place its text: a fresh list from
+        # list(map(...)) peaked 10 MiB higher on a 16384-term F_3 table
+        parts = groups[G - 1::-1]
+        parts[:] = map(operator.getitem, parts, idx)
+        parts[0] = parts[0][1:]
+        return "".join(parts) or "0"
     return text
 
 
@@ -871,13 +901,13 @@ def profile_text_rows(s: Seq, config: MPConfig = MPConfig()) -> list[tuple]:
     read.  A polynomial is rendered only at a step that changes it, and a
     mu' that is the previous mu reuses that text, so the rows of an
     unchanged polynomial share one str.  Over the small fields every row
-    is rendered from one per-call table of term texts (_term_table_text);
-    elsewhere, where that table would hold p (n+1) strings, by
-    coeffs_to_text.
+    is rendered from one per-call table of the texts of term groups
+    (_term_table_text); elsewhere, where that table would hold p (n+1)
+    strings, by coeffs_to_text.
     """
     core = _make_core(s.domain, config)
     p = s.domain.p
-    text = (_term_table_text(p, len(s), core.ring.row_bytes)
+    text = (_term_table_text(p, core.ring.row_bytes)
             if p in _BYTE_RESIDUES else coeffs_to_text)
     out = []
     mu = mup = None

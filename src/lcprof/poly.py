@@ -53,7 +53,8 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # mod p.  There a row update c1 a + c2 b with every value in [0, p) has
 # slots of at most 2 (p-1)^2 < 256, so ListRing.lin runs in one-byte
 # Kronecker slots with no carry, and the engine's profile table renders
-# from a table of (p-1) (n+1) term texts: p = 2, 3, 5, 7 and 11.
+# from a per-call table of term texts (engine._term_table_text): p = 2, 3,
+# 5, 7 and 11.
 _BYTE_RESIDUES = {p: bytes(v % p for v in range(256))
                   for p in range(2, 256) if 2 * (p - 1) ** 2 < 256 and is_prime(p)}
 

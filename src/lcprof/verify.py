@@ -31,9 +31,9 @@ from .analysis import (
     ENUM_GUARD,
     WITNESSES,
     _WITNESS_START,
+    _cf_quotients,
     _guard_enumeration,
     _witness_step,
-    cf_partial_quotients,
     enumerate_plcp,
     height,
     is_stable,
@@ -418,7 +418,8 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
             s = Seq(dom, terms)
             _, rep = mp_run(s)
             jexp = rep.jump_exponents
-            degs = [int(q_.degree) for q_ in cf_partial_quotients(s)]
+            ring, quotients = _cf_quotients(s)
+            degs = list(map(ring.degree, quotients))
             yield 1, "" if len(degs) >= len(jexp) else f"cf too short F_{q} {terms}"
             yield 0, ("" if degs[: len(jexp)] == jexp else
                       f"cf degrees {degs[: len(jexp)]} != jumps {jexp} F_{q} {terms}")

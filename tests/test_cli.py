@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, exit codes, output formats."""
 
 import contextlib
+import hashlib
 import json
 import random
 import shlex
@@ -255,6 +256,52 @@ def test_profile_table_streams(tmp_path):
     size = out_path.stat().st_size
     assert size > 3 * 2**20
     assert peak < size / 2
+
+
+# The full stdout sha256 of seeded tables, one a row representation and
+# renderer path: (profile flags, field, n, seed), the input being n draws
+# of random.Random(seed).randrange(field).  An intended change of the
+# table's bytes edits a hash here and says so in CHANGES.md.
+TABLE_SHA256 = [
+    (("--field", "2"), 2, 3001, 1,
+     "44a4af871f35705f1da72fe363760917ff42d5fbb96a236f930d9a01ba59ef94"),
+    (("--field", "2", "--epsilon", "1"), 2, 3002, 2,
+     "12ed689f4d9ba6fb66ad682061f035c6c7b0e0870921a1ecc4a39754acc0b997"),
+    (("--field", "3"), 3, 2048, 3,
+     "54b94ff64fac4827ce7c0a2641180f7bc2c08ba5fbaa254e58825f45407e643d"),
+    (("--field", "3", "--epsilon", "2"), 3, 2001, 4,
+     "a679654595d7c8e2123ea97e110860e42a0f6f69fb3d20fdc84619b3e5544c84"),
+    (("--field", "5", "--epsilon", "4"), 5, 1001, 5,
+     "14545b403f6f67bd00c15a65ad5ec0fbd298918d75ba9917639c652820c7dd8b"),
+    (("--field", "11"), 11, 300, 6,
+     "b9440d88a100d48a6e68515ae171c8605108a5b72deba7e8a2a508e9be5210dc"),
+    (("--field", "13"), 13, 200, 7,
+     "dd5af0e821098e07ea3951b0f6c54b014a1f4555a1bb91a1baff8d5928f77455"),
+]
+
+
+class _Sha256Writer:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("flags, field, n, seed, want", TABLE_SHA256,
+                         ids=[" ".join(c[0]) + f" n={c[2]}" for c in TABLE_SHA256])
+def test_profile_table_bytes_are_pinned(tmp_path, flags, field, n, seed, want):
+    rng = random.Random(seed)
+    path = tmp_path / "terms.txt"
+    path.write_text(",".join(str(rng.randrange(field)) for _ in range(n)),
+                    encoding="utf-8")
+    out = _Sha256Writer()
+    with contextlib.redirect_stdout(out):
+        code = main(["profile", *flags, "--in", str(path)])
+    assert (code, out.hash.hexdigest()) == (0, want)
 
 
 def test_table_guard_exit_4(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Engine: worked examples, step laws, certificates, and the two code paths."""
 
 import dataclasses
+import itertools
 import json
 import random
 import time
@@ -32,7 +33,15 @@ from lcprof.engine import (
 )
 from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, IntegerRing, PrimeField
-from lcprof.poly import ListRing, Poly, Seq, poly_gcd, polynomial_part
+from lcprof.poly import (
+    ListRing,
+    Poly,
+    Seq,
+    coeffs_to_text,
+    field_ring,
+    poly_gcd,
+    polynomial_part,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -432,6 +441,33 @@ def test_byte_slot_lin_matches_a_list_reference(p):
         assert type(got) is list and all(type(v) is int for v in got)
         assert not p or all(0 <= v < p for v in got)
     assert core.ring.lin(2, [1, 1], 2, 2, [1, 1], 2) == []  # full cancellation
+
+
+@pytest.mark.parametrize("p", sorted(engine._BYTE_RESIDUES))
+def test_term_table_text_matches_coeffs_to_text(p):
+    # each field on its own ring (gf2 ints, gf3 planes, ListRing lists);
+    # one lookup renders a group of g coefficients, from a table that
+    # grows as rows reach new groups
+    ring = field_ring(p)
+    g = {2: 3, 3: 2}.get(p, 1)
+
+    def check(rows):
+        text = engine._term_table_text(p, ring.row_bytes)
+        for row in rows:
+            assert text(row) == coeffs_to_text(ring.to_coeffs(row)), row
+
+    # every row of degree <= 3 g + 2, so more than three groups, the zero
+    # row first and the degree rising by one (degree <= 4 over F_11, whose
+    # 11^6 rows of degree 5 would take seconds)
+    low = 3 * g + 2 if p < 11 else 4
+    check(map(ring.from_bytes, itertools.product(range(p), repeat=low + 1)))
+    rng = random.Random(p)
+    for n in range(200, 200 + g):  # every n mod g
+        top = [bytes([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n)])
+               for _ in range(20)]  # degree exactly n, so the table grows at once
+        rand = [bytes(rng.randrange(p) for _ in range(rng.randrange(n + 1)))
+                for _ in range(200)]
+        check([ring.from_bytes(b"")] + [ring.from_bytes(b) for b in top + rand])
 
 
 def test_pairs_derives_each_row_once(monkeypatch):

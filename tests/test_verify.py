@@ -233,15 +233,15 @@ HEIGHT_SMALL = dict(rueppel_n=64, exhaustive_n=6, bound_trials=20, cf_trials=5)
 def test_height_reports_a_dropped_quotient(monkeypatch, k, checked, head):
     # the k-th continued fraction loses its first partial quotient; the
     # failing sequence is one of the suite's 64-term random inputs
-    real = verify_mod.cf_partial_quotients
+    real = verify_mod._cf_quotients
     calls = []
 
     def faulty(s):
         calls.append(s)
-        quots = real(s)
-        return quots[1:] if len(calls) == k else quots
+        ring, quots = real(s)
+        return ring, quots[1:] if len(calls) == k else quots
 
-    monkeypatch.setattr(verify_mod, "cf_partial_quotients", faulty)
+    monkeypatch.setattr(verify_mod, "_cf_quotients", faulty)
     result = verify_mod.verify_height(**HEIGHT_SMALL)
     assert (result.ok, result.checked) == (False, checked)
     assert result.detail.startswith(head)
@@ -252,9 +252,13 @@ def test_height_reports_a_dropped_quotient(monkeypatch, k, checked, head):
 def test_height_reports_a_dropped_last_quotient(monkeypatch):
     # the quotients past the jumps still have to sum to the degree of
     # x^n over the gcd, which is x^(trailing zero terms)
-    real = verify_mod.cf_partial_quotients
-    monkeypatch.setattr(verify_mod, "cf_partial_quotients",
-                        lambda s: real(s)[:-1])
+    real = verify_mod._cf_quotients
+
+    def faulty(s):
+        ring, quots = real(s)
+        return ring, quots[:-1]
+
+    monkeypatch.setattr(verify_mod, "_cf_quotients", faulty)
     result = verify_mod.verify_height(**HEIGHT_SMALL)
     assert (result.ok, result.checked) == (False, 1 + 126 + 20 + 1)
     assert result.detail.startswith("cf degree sum 59 != 61 F_2 [1, 1, 1, 0, 1,")
