@@ -7,7 +7,10 @@ comma, so an empty field is an error) or --in (one sequence per line);
 digits must already lie in [0, p), out-of-range values are rejected
 rather than reduced, and so is an --epsilon outside [0, p).
 --json swaps the table output for one JSON object per input sequence
-(per suite for verify).  Each subcommand takes only the flags it reads:
+(per suite for verify), with the bytes of json.dumps but each long list
+written in chunks, so no report's list is ever one string; plcp-enum
+writes its sequences as the prefix walk yields them, text or JSON, and
+never holds the list.  Each subcommand takes only the flags it reads:
 all but stable (always over F_2), rueppel and gamma take --field, and
 only profile, minpoly and plcp-check take --epsilon.  verify takes its
 defaults from verify.SUITES, and a single suite refuses a --max-n,
@@ -26,6 +29,7 @@ import dataclasses
 import json
 import re
 import sys
+from itertools import islice
 
 from . import verify as verify_mod
 from .analysis import (
@@ -104,8 +108,40 @@ def _input_sequences(args) -> list[Seq]:
     return [parse_sequence(line, dom) for line in lines]
 
 
+# List items that one json.dumps call encodes: json.dumps keeps one str
+# per item until its final join, so a long list is written in chunks.
+_CHUNK = 4096
+
+
+def _write_list(items) -> None:
+    """Write json.dumps(list(items)), encoding _CHUNK items at a time.
+
+    Nothing is written before the first chunk is drawn, so a generator
+    that refuses at its first item leaves stdout empty.
+    """
+    items = iter(items)
+    out = sys.stdout
+    out.write("[" + json.dumps(list(islice(items, _CHUNK)))[1:-1])
+    while chunk := list(islice(items, _CHUNK)):
+        out.write(", " + json.dumps(chunk)[1:-1])
+    out.write("]")
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    """Print json.dumps(obj); a dict (of str keys) is written key by key,
+    each list value through _write_list."""
+    if not isinstance(obj, dict):
+        print(json.dumps(obj))
+        return
+    out = sys.stdout
+    out.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, list):
+            _write_list(value)
+        else:
+            out.write(json.dumps(value))
+    out.write("}\n")
 
 
 _TABLE_HEADERS = ("j", "Delta_j", "e_{j-1}", "mu^(j)", "mu'^(j)")
@@ -193,9 +229,12 @@ def cmd_plcp_count(args) -> int:
 
 
 def cmd_plcp_enum(args) -> int:
-    seqs = [list(s.terms) for s in enumerate_plcp(args.field, args.n)]
+    # written as the walk yields; its guard refuses at the first item,
+    # before a byte is written
+    seqs = (s.terms for s in enumerate_plcp(args.field, args.n))
     if args.json:
-        _emit(seqs)
+        _write_list(seqs)
+        print()
     else:
         for terms in seqs:
             print(",".join(map(str, terms)))

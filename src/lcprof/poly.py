@@ -171,16 +171,12 @@ def coeffs_to_text(coeffs) -> str:
     """Render ascending canonical coefficients in the text format."""
     if not coeffs:
         return "0"
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            parts.append(xs if c == 1 else f"{c}{xs}")
+    parts = [f"x^{k}" if c == 1 else f"{c}x^{k}"
+             for k in range(len(coeffs) - 1, 1, -1) if (c := coeffs[k])]
+    if len(coeffs) > 1 and (c := coeffs[1]):
+        parts.append("x" if c == 1 else f"{c}x")
+    if c := coeffs[0]:
+        parts.append(str(c))
     return "+".join(parts).replace("+-", "-")
 
 
@@ -334,7 +330,11 @@ class Seq:
 
     def __init__(self, domain: CoeffDomain, terms: Iterable[int] = ()):
         self.domain = domain
-        self.terms = tuple(domain.normalize(t) for t in terms)
+        # from a list, not a generator: tuple() resizes a generator's tuple to
+        # its length, so it never draws on the interpreter's free list of
+        # short tuples, but freeing it fills that list; a stream of short
+        # sequences (plcp-enum) would leave 2000 dead tuples there
+        self.terms = tuple([domain.normalize(t) for t in terms])
 
     def __len__(self):
         return len(self.terms)

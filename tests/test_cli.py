@@ -258,6 +258,39 @@ def test_profile_table_streams(tmp_path):
     assert peak < size / 2
 
 
+def _traced_peak(tmp_path, argv):
+    """main(argv)'s tracemalloc peak and output size, stdout to a file."""
+    out_path = tmp_path / "out.txt"
+    with open(out_path, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak, out_path.stat().st_size
+
+
+def test_profile_json_writes_its_lists_in_chunks(tmp_path):
+    rng = random.Random(2**15)
+    path = tmp_path / "f2.txt"
+    path.write_text(",".join(str(rng.randrange(2)) for _ in range(2**15)),
+                    encoding="utf-8")
+    peak, size = _traced_peak(tmp_path, ["profile", "--json", "--in", str(path)])
+    assert size > 0.7 * 2**20
+    assert peak < 6 * size  # a str held per item of each whole list reads 9.7x
+
+
+@pytest.mark.parametrize("json_flag, bound", [((), 0.25), (("--json",), 4)])
+def test_plcp_enum_streams(tmp_path, json_flag, bound):
+    peak, size = _traced_peak(tmp_path, ["plcp-enum", "--field", "3", "--n", "12",
+                                         *json_flag])
+    assert size > 2**20
+    assert peak < bound * size  # every sequence held at once reads 7x
+
+
 # The full stdout sha256 of seeded tables, one a row representation and
 # renderer path: (profile flags, field, n, seed), the input being n draws
 # of random.Random(seed).randrange(field).  An intended change of the
@@ -301,6 +334,87 @@ def test_profile_table_bytes_are_pinned(tmp_path, flags, field, n, seed, want):
     out = _Sha256Writer()
     with contextlib.redirect_stdout(out):
         code = main(["profile", *flags, "--in", str(path)])
+    assert (code, out.hash.hexdigest()) == (0, want)
+
+
+# The full stdout sha256 of every --json output, and of plcp-enum's text:
+# (argv, field, line lengths, seed), each line of the --in file being that
+# many draws of random.Random(seed).randrange(field); no lengths, no --in.
+# The 9001-term F_2 lists and the 7776 sequences of F_3^10 are written in
+# several chunks.  An intended change of these bytes edits a hash here and
+# says so in CHANGES.md.
+JSON_SHA256 = [
+    (("profile", "--json", "--field", "2"), 2, (9001,), 11,
+     "70276eea5e07fe4cff57485c57ff838ba1b16f2cec550617bb229f0fc48bda29"),
+    (("profile", "--json", "--field", "2", "--epsilon", "1"), 2, (9001,), 12,
+     "70137e7449df575d419a65df53e6e16e5a6aa83b99c1b6766feca7e27ceb2641"),
+    (("profile", "--json", "--field", "3"), 3, (2001,), 13,
+     "6a84de9d1b6cf3e60575bed63af2c03c22f46c0eff68ba10f3fb178c288f3ba9"),
+    (("profile", "--json", "--field", "65521"), 65521, (1024,), 14,
+     "5e9f4a65e8c446ba88ba5f730e998e327e64cf64997be1ec2dc2973baf1402f9"),
+    (("profile", "--json", "--field", str(2**31 - 1)), 2**31 - 1, (300,), 15,
+     "e6326e0d81c81a583c0e7ad8a14c20414f1de01d7bd00a341a8a9ec780638b7b"),
+    (("profile", "--json"), 2, (0,), 16,  # the empty sequence
+     "1cb87a21699b232447853cae1c9c308c2e5ae133236f03cbfe08b42b94fb3ba6"),
+    (("profile", "--json", "--field", "5", "--epsilon", "3"), 5, (40, 17), 17,
+     "b65656d4d8f1260bffb98bfbb50a784b9b08c4107b44c424ec69ada43c4a5f3b"),
+    (("plcp-enum", "--json", "--field", "3", "--n", "10"), None, (), None,
+     "aeee0c5d55cc8c3ee1829a387fc103bd8f14afcef70cad1ac0828bb21e07a8c3"),
+    (("plcp-enum", "--field", "3", "--n", "10"), None, (), None,
+     "ccc51adf63ad70bec24532cbecdd8a05859a3ac604374543291e74207db7b45a"),
+    (("rueppel", "--json", "--n", "10000"), None, (), None,
+     "1b4f19d19814f66a6104dac7d5da08a9c1474aad31a3c279469f1a410c3acc74"),
+    (("height", "--json"), 2, (200,), 18,
+     "d9ba09e173d50d9c2b6f028b160c1ad44d8e66589fcd738bc202a4667377dfe8"),
+    (("lcsum", "--json", "--field", "3"), 3, (500,), 19,
+     "f2715e4f9d6d1298e35821476868e6671a38ba2415999ecf2cfe4c2efda3c202"),
+    (("minpoly", "--json", "--field", "7"), 7, (300,), 20,
+     "f2a6c6a862ccb8f72e1ebc17d410a06e9bfedf2cc86056270ce4c84784955a2a"),
+    (("plcp-check", "--json", "--field", "3"), 3, (60,), 21,
+     "06ba0965463dd0baaa3108da9c8d01c361d6b697adf4ce4207fe5032a6d6913a"),
+    (("stable", "--json"), 2, (64,), 22,
+     "d6c69bb440e7a3968e676fe8715a37fa0029041592f151afbf1ae1fd3d0388cd"),
+    (("gamma", "--json", "--n", "1000"), None, (), None,
+     "e2b789bed223ad74a195649fd377dd8ecec8a3b41f21e412d8865f60a5e9ae42"),
+    (("plcp-count", "--json", "--field", "5", "--n", "40"), None, (), None,
+     "8d70c80abdfd6eb39c92c21e6579dc67598f36a014a3726e45a5ab39db448757"),
+    (("verify", "bezout", "--json"), None, (), None,
+     "e65d33af97b64663f06e6f69feacc766cb0303546db2caa2a2af15458b40360d"),
+]
+
+
+_JSON_ITEMS = [0, 1, -7, 2**70, True, False, None, 'say "hi"\\',
+               "caf\u00e9 \u2028 \U0001f600", [1, [2, None]], [], {"k": [1]}]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_chunked_json_equals_json_dumps(capsys, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+        for start in range(len(_JSON_ITEMS)):
+            items = [_JSON_ITEMS[(start + i) % len(_JSON_ITEMS)] for i in range(n)]
+            cli._write_list(iter(items))
+            assert capsys.readouterr().out == json.dumps(items)
+            for obj in (items, {"a": items, "b": 1, "c": items[::-1], "d": "x"}):
+                cli._emit(obj)
+                assert capsys.readouterr().out == json.dumps(obj) + "\n"
+    for obj in ({}, {"x": 1, "y": "z\u00e9", "n": None, "d": {"e": [1, 2, 3, 4]}}):
+        cli._emit(obj)
+        assert capsys.readouterr().out == json.dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize("argv, field, lengths, seed, want", JSON_SHA256,
+                         ids=[" ".join(c[0]) + f" n={c[2]}" for c in JSON_SHA256])
+def test_json_bytes_are_pinned(tmp_path, argv, field, lengths, seed, want):
+    if lengths:
+        rng = random.Random(seed)
+        path = tmp_path / "terms.txt"
+        path.write_text("".join(",".join(str(rng.randrange(field)) for _ in range(n))
+                                + "\n" for n in lengths), encoding="utf-8")
+        argv = (*argv, "--in", str(path))
+    out = _Sha256Writer()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
     assert (code, out.hash.hexdigest()) == (0, want)
 
 
@@ -433,6 +547,9 @@ def test_enum_guard_exit_4(capsys):
     code, out, err = run(capsys, "plcp-enum", "--field", "3", "--n", str(10**18))
     assert code == 4 and out == "" and "guard" in err
     assert time.perf_counter() - t0 < 1.0
+    for json_flag in ((), ("--json",)):  # the stream is refused before its first byte
+        code, out, err = run(capsys, "plcp-enum", "--field", "13", "--n", "6", *json_flag)
+        assert (code, out) == (4, "") and "guard" in err
 
 
 def test_stable_command(capsys):

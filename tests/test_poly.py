@@ -16,6 +16,7 @@ from lcprof.poly import (
     Seq,
     discrepancy,
     _slot_bytes,
+    coeffs_to_text,
     part_coeffs,
     poly_divmod,
     poly_gcd,
@@ -494,6 +495,39 @@ def test_text_round_trip(p, coeffs):
     dom = PrimeField(p)
     f = Poly(dom, coeffs)
     assert Poly.from_text(dom, str(f)) == f
+
+
+def _reference_coeffs_to_text(coeffs):
+    """The term-by-term loop that coeffs_to_text replaced."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            parts.append(xs if c == 1 else f"{c}{xs}")
+    return "+".join(parts).replace("+-", "-")
+
+
+def test_coeffs_to_text_matches_the_term_loop():
+    rng = random.Random(170)
+    cases = [list(c) for n in range(4) for c in itertools.product(range(-2, 4), repeat=n)]
+    for p in (2, 3, 5, 65521):
+        for n in (*range(8), 30, 200, 1000):
+            for _ in range(5):
+                cases.append([rng.randrange(p) for _ in range(n)])
+                cases.append([rng.randrange(p) for _ in range(n)] + [1 + rng.randrange(p - 1)])
+    for n in (1, 2, 5, 40):  # over ZZ, with negative coefficients
+        for _ in range(20):
+            cases.append([rng.randint(-30, 30) for _ in range(n)])
+    for coeffs in cases:
+        assert coeffs_to_text(coeffs) == _reference_coeffs_to_text(coeffs), coeffs
+        assert coeffs_to_text(tuple(coeffs)) == _reference_coeffs_to_text(coeffs)
 
 
 def test_text_rejects_garbage():
