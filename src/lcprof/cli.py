@@ -127,12 +127,9 @@ def _write_list(items) -> None:
     out.write("]")
 
 
-def _emit(obj) -> None:
-    """Print json.dumps(obj); a dict (of str keys) is written key by key,
-    each list value through _write_list."""
-    if not isinstance(obj, dict):
-        print(json.dumps(obj))
-        return
+def _emit(obj: dict) -> None:
+    """Print json.dumps(obj) for a report dict of str keys, written key by
+    key, each list value through _write_list."""
     out = sys.stdout
     out.write("{")
     for i, (key, value) in enumerate(obj.items()):

@@ -66,10 +66,11 @@ rows (A, B) and (C, D), one vector-coefficient polynomial each (Thome
 2002), with each discrepancy one dot product with the interleaved
 correlation windows, and mu, mu' rebuilt by Kronecker products at the
 block's end (Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at
-a fixed block size as in the half-gcd of Brent-Gustavson-Yun 1980).  Its
-Kronecker slots take as many bytes as the sums need, at any p.  The core
-it leaves equals the per-step core slot for slot, and the discrepancies
-it returns are the per-step ones.  Every other run steps term by term.
+a fixed block size as in the half-gcd of Brent-Gustavson-Yun 1980).
+poly.product_slice sizes its Kronecker slots to the sums, at any p.  The
+core it leaves equals the per-step core slot for slot, and the
+discrepancies it returns are the per-step ones.  Every other run steps
+term by term.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ from .poly import (
     ListRing,
     Poly,
     Seq,
-    _slot_bytes,
     _trim,
+    _window_sum,
     coeffs_to_text,
     part_coeffs,
     product_slice,
@@ -309,14 +310,13 @@ class _GenericCore:
         terms past the block count as zero, since the coefficients that
         reach them cancel above deg mu.  Four products at the end give mu
         and mu'.  Every value is reduced mod p, so all slots are equal to
-        step's; the Kronecker slots hold sums of 2 len(mu0) products.  The
-        block's discrepancies are appended to deltas.
+        step's; product_slice sizes its own Kronecker slots.  The block's
+        discrepancies are appended to deltas.
         """
         p, s, j0, lin = self.p, self.s, self.j, self.ring.lin
         e, c1, nabla = self.e, self.dprime, self.nabla
         mu0, mup0 = self.mu, self.mup
         d0 = len(mu0) - 1
-        w = _slot_bytes(p, 2 * len(mu0))
         s.extend(terms)
         # the windows take mu0' padded to deg mu0, so both start at slot d0
         rev0 = mu0[::-1], [*mup0, *[0] * (d0 + 1 - len(mup0))][::-1]
@@ -328,13 +328,13 @@ class _GenericCore:
             u = s[lo - 1:hi + d0]
             u += [0] * (hi + d0 - lo + 1 - len(u))
             W = [0] * (2 * (len(u) - d0))
-            W[0::2], W[1::2] = (product_slice(((f, u),), p, d0, len(u), w) for f in rev0)
+            W[0::2], W[1::2] = (product_slice(((f, u),), p, d0, len(u)) for f in rev0)
             return W
 
         def times_rows(xy):  # x mu0 + y mu0' for xy = (x, y) interleaved, canonical
             x, y = _trim(xy[0::2]), _trim(xy[1::2])
             top = len(mu0) + max(len(x), len(y))
-            return _trim(product_slice(((x, mu0), (y, mup0)), p, 0, top, w))
+            return _trim(product_slice(((x, mu0), (y, mup0)), p, 0, top))
 
         end = j0 + len(terms)
         W = windows(end - d0)
@@ -931,14 +931,9 @@ def annihilates(f: Poly, s: Seq) -> bool:
     """
     if f.is_zero:
         return True
-    fc = f.coeffs
-    d = len(fc) - 1
-    terms = s.terms
-    dom = f.domain
-    for j in range(d + 1, len(terms) + 1):
-        base = j - 1 - d
-        acc = sum(map(operator.mul, fc, terms[base:base + d + 1]))
-        if dom.normalize(acc) != 0:
+    fc, terms, normalize = f.coeffs, s.terms, f.domain.normalize
+    for base in range(len(terms) - len(fc) + 1):
+        if normalize(_window_sum(fc, terms, base)) != 0:
             return False
     return True
 
@@ -952,9 +947,7 @@ def feedback_polynomial(state) -> tuple[Poly, int]:
     lfsr_generate accepts.
     """
     mu = state.minpoly if isinstance(state, ProfileReport) else state.mu_bar[0]
-    d = mu.degree
-    lc = int(d) if d >= 0 else 0
-    return reciprocal(mu), lc
+    return reciprocal(mu), mu.degree
 
 
 def lfsr_generate(feedback: Poly, fill: Seq, length: int) -> Seq:
@@ -983,11 +976,11 @@ def lfsr_generate(feedback: Poly, fill: Seq, length: int) -> Seq:
         scale = g0
     else:
         raise UnsupportedDomainError("cannot divide by the constant term")
-    taps = [feedback.coefficient(i) for i in range(1, L + 1)]
+    # highest tap first, so that step j reads the window out[j - L:j]
+    taps = [feedback.coefficient(i) for i in range(L, 0, -1)]
     out = list(fill.terms)
     for j in range(L, length):
-        acc = sum(taps[i] * out[j - 1 - i] for i in range(L))
-        v = dom.neg(dom.normalize(acc))
+        v = dom.neg(dom.normalize(_window_sum(taps, out, j - L)))
         if scale is not None:
             v = dom.mul(v, scale)
         out.append(v)

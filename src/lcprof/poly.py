@@ -16,7 +16,9 @@ convolutions.  ``part_coeffs``, the kernel behind ``polynomial_part``,
 computes the polynomial part, over F_p as one Kronecker-substituted
 integer product; ``discrepancy`` computes a single coefficient.
 ``product_slice`` is the one Kronecker kernel: ``part_coeffs`` and the
-engine's blocked step loop both call it.
+engine's blocked step loop both call it, and it sizes its own slots.
+``_window_sum`` is the one window sum: ``discrepancy`` and the engine's
+``annihilates`` and ``lfsr_generate`` call it.
 
 ``ListRing`` binds the list kernels to one p, with the functions of the
 packed rings gf2 and gf3; ``field_ring`` picks the ring of rows of F_p.
@@ -110,7 +112,7 @@ class ListRing:
             return []
         size, p = len(a) + len(b) - 1, self.p
         if p:  # one Kronecker product
-            return product_slice(((a, b),), p, 0, size, _slot_bytes(p, min(len(a), len(b))))
+            return product_slice(((a, b),), p, 0, size)
         out = [0] * size
         for i, ai in enumerate(a):
             if ai:
@@ -432,16 +434,18 @@ def _unpack_mod(raw: bytes, w: int, p: int) -> list[int]:
             for v, h in zip(_gather(raw, w, 0, 8), _gather(raw, w, 8, w - 8))]
 
 
-def product_slice(pairs, p: int, lo: int, hi: int, w: int) -> list[int]:
+def product_slice(pairs, p: int, lo: int, hi: int) -> list[int]:
     """Coefficients lo..hi-1 of the sum of the products a*b over pairs, mod p.
 
-    Every value is in [0, p), and w is a slot size (_slot_bytes) that
-    holds every coefficient of the unreduced sum, at most 16 bytes: any p
-    below 2^32 with fewer than 2^64 products a sum.  Each list is packed
-    into w-byte slots of one int (Kronecker substitution), the products
-    are summed as ints, and the slots are read back: none carries into
-    the next.  Coefficients past the end of every product are omitted.
+    Every value is in [0, p).  The w-byte slots (_slot_bytes) hold sums of
+    sum min(len a, len b) products, the most a coefficient adds, at most
+    16 bytes: any p below 2^32 with fewer than 2^64 products a sum.  Each
+    list is packed into slots of one int (Kronecker substitution), the
+    products are summed as ints, and the slots are read back: none
+    carries into the next.  Coefficients past the end of every product
+    are omitted.
     """
+    w = _slot_bytes(p, sum(min(len(a), len(b)) for a, b in pairs))
     # the bytes of an array item that holds every value: 1, 2, 4 or 8
     u = 1 << (((p - 1).bit_length() - 1) // 8).bit_length()
     prod = sum(_pack(a, w, u) * _pack(b, w, u) for a, b in pairs)
@@ -471,7 +475,7 @@ def part_coeffs(f, terms, p: int) -> list[int]:
         window = terms[d - 1::-1]
         if len(window) < d:
             window = [0] * (d - len(window)) + list(window)
-        out = product_slice(((f, window),), p, d, 2 * d, _slot_bytes(p, d))
+        out = product_slice(((f, window),), p, d, 2 * d)
     return _trim(out)
 
 
@@ -482,6 +486,11 @@ def polynomial_part(f: Poly, s: Seq) -> Poly:
     contribute (d = deg f), so the value is stable under extending s.
     """
     return Poly(f.domain, part_coeffs(f.coeffs, s.terms, f.domain.p))
+
+
+def _window_sum(fc, terms, base: int) -> int:
+    """sum_k fc[k] terms[base + k], unreduced: fc against the window at base."""
+    return sum(map(operator.mul, fc, terms[base:base + len(fc)]))
 
 
 def discrepancy(f: Poly, s: Seq, n: int) -> int:
@@ -498,11 +507,9 @@ def discrepancy(f: Poly, s: Seq, n: int) -> int:
         raise IndexError(f"discrepancy at {n + 1} needs a sequence of that length")
     fc = f.coeffs
     d = len(fc) - 1
-    terms = s.terms
-    acc = 0
-    for k in range(max(0, d - n), d + 1):
-        acc += fc[k] * terms[n - d + k]  # s_{n+1-d+k}
-    return f.domain.normalize(acc)
+    lo = max(0, d - n)
+    # fc[k] meets s_{n+1-d+k}, the term at index n - d + k
+    return f.domain.normalize(_window_sum(fc[lo:], s.terms, n - d + lo))
 
 
 def reciprocal(f: Poly) -> Poly:

@@ -200,8 +200,7 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
     for s in _oracle_sequences(fields, exhaustive_n, trials, max_n):
         _, rep = mp_run(s)
         d, _ = brute_force_minpoly(s)
-        deg = rep.minpoly.degree
-        ok = (int(deg) if deg >= 0 else 0) == d and annihilates(rep.minpoly, s)
+        ok = rep.minpoly.degree == d and annihilates(rep.minpoly, s)
         yield 1, "" if ok else f"F_{s.domain.p} {list(s.terms)}"
 
 

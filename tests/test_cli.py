@@ -337,12 +337,13 @@ def test_profile_table_bytes_are_pinned(tmp_path, flags, field, n, seed, want):
     assert (code, out.hash.hexdigest()) == (0, want)
 
 
-# The full stdout sha256 of every --json output, and of plcp-enum's text:
-# (argv, field, line lengths, seed), each line of the --in file being that
-# many draws of random.Random(seed).randrange(field); no lengths, no --in.
-# The 9001-term F_2 lists and the 7776 sequences of F_3^10 are written in
-# several chunks.  An intended change of these bytes edits a hash here and
-# says so in CHANGES.md.
+# The full stdout sha256 of every --json output, and of plcp-enum's and
+# verify all's text: (argv, field, line lengths, seed), each line of the
+# --in file being that many draws of random.Random(seed).randrange(field);
+# no lengths, no --in.  The 9001-term F_2 lists and the 7776 sequences of
+# F_3^10 are written in several chunks; the F_5 to F_(2^31-1) profiles of
+# 1500 terms and more run blocked, in slots of up to 9 bytes.  An intended
+# change of these bytes edits a hash here and says so in CHANGES.md.
 JSON_SHA256 = [
     (("profile", "--json", "--field", "2"), 2, (9001,), 11,
      "70276eea5e07fe4cff57485c57ff838ba1b16f2cec550617bb229f0fc48bda29"),
@@ -380,6 +381,24 @@ JSON_SHA256 = [
      "8d70c80abdfd6eb39c92c21e6579dc67598f36a014a3726e45a5ab39db448757"),
     (("verify", "bezout", "--json"), None, (), None,
      "e65d33af97b64663f06e6f69feacc766cb0303546db2caa2a2af15458b40360d"),
+    (("verify", "all"), None, (), None,
+     "9c9d746a27a22ed8ef50cbc679635ebed315590d656903a547129d032f83ba00"),
+    (("verify", "all", "--json"), None, (), None,
+     "30ec0fc891263f11eba3db886c8e0ecf91b8a0bb3441d04e9a93559df40929e5"),
+    (("verify", "all", "--field", "3", "--max-n", "6", "--trials", "20"), None, (), None,
+     "46a323a56401d163aab12ea05b45c34dc7db58b8c6761324ca17fec22f49cfa3"),
+    (("verify", "all", "--field", "5", "--max-n", "6", "--trials", "20"), None, (), None,
+     "738defde8ec6bcb884f8131d1dc3dc3ffcb9a79a922c2eed20d479ecb4a02624"),
+    (("profile", "--json", "--field", "5"), 5, (4096,), 18,
+     "2e5fc6b685a22d7e2fb213590c3fe8fb17944eb08b2e7d62e5f6f23ff8dc95d7"),
+    (("profile", "--json", "--field", "11"), 11, (2048,), 19,
+     "37007614d5cb8692fc6f9ec786b2653c3c366b6250e438cee31c93216231df0d"),
+    (("profile", "--json", "--field", str(2**31 - 1)), 2**31 - 1, (1500,), 20,
+     "0c4d43c112f49bcc0317bf5bf02e7be399769e6f84dca5af44ab941170f77e1b"),
+    (("profile", "--json", "--field", "65521"), 65521, (4096,), 21,
+     "f10fb71eff81701603f365e3eb8016c49dcbb113dcda9cd5b46930ff8303b000"),
+    (("minpoly", "--json", "--field", "7"), 7, (3000,), 22,
+     "77aefb601d56a6c9c71aac39ac83512b080d2a068e4e6040b68f484de6413d7a"),
 ]
 
 
@@ -395,9 +414,9 @@ def test_chunked_json_equals_json_dumps(capsys, monkeypatch, chunk):
             items = [_JSON_ITEMS[(start + i) % len(_JSON_ITEMS)] for i in range(n)]
             cli._write_list(iter(items))
             assert capsys.readouterr().out == json.dumps(items)
-            for obj in (items, {"a": items, "b": 1, "c": items[::-1], "d": "x"}):
-                cli._emit(obj)
-                assert capsys.readouterr().out == json.dumps(obj) + "\n"
+            obj = {"a": items, "b": 1, "c": items[::-1], "d": "x"}
+            cli._emit(obj)
+            assert capsys.readouterr().out == json.dumps(obj) + "\n"
     for obj in ({}, {"x": 1, "y": "z\u00e9", "n": None, "d": {"e": [1, 2, 3, 4]}}):
         cli._emit(obj)
         assert capsys.readouterr().out == json.dumps(obj) + "\n"

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcprof import cli, engine, gf3
+from lcprof import cli, engine, gf3, poly
 from lcprof.analysis import height as analysis_height
 from lcprof.engine import (
     Mat2,
@@ -880,6 +880,24 @@ def test_feedback_palindromic_and_zero():
     assert feedback_polynomial(st0) == (p(GF2, "1"), 0)
 
 
+@pytest.mark.parametrize("dom, n", [(GF2, 300), (F3, 300), (F5, 200),
+                                    (PrimeField(65521), 300), (ZZ, 12)])
+@pytest.mark.parametrize("generic", [False, True])
+def test_minpoly_degree_is_the_last_lc(dom, n, generic):
+    # mu starts at 1 and its degree is LC_j at every step, so it is never
+    # negative: on every core, the blocked one too (F_65521 past deg 64)
+    rng = random.Random(n)
+    configs = [MPConfig(), MPConfig(epsilon=1)]
+    if dom.is_field:
+        configs.append(MPConfig(normalize_each_step=True))
+    for terms in ([], [0] * 5, *([rng.randrange(dom.p or 10) for _ in range(k)]
+                                  for k in (1, 7, n))):
+        for config in configs:
+            _, rep = mp_run(Seq(dom, terms), config, force_generic=generic)
+            assert rep.minpoly.degree == (rep.lc[-1] if rep.lc else 0)
+            assert feedback_polynomial(rep)[1] == rep.minpoly.degree
+
+
 def test_lfsr_basic_contracts():
     fb = p(GF2, "x+1")
     assert list(lfsr_generate(fb, GF2.seq([1]), 4)) == [1, 1, 1, 1]
@@ -1209,23 +1227,25 @@ def test_blocked_run_equals_the_per_step_core(monkeypatch, p, block):
 
 @pytest.mark.parametrize("p", [P28, 2**31 - 1])
 def test_blocked_run_packs_slots_past_8_bytes(monkeypatch, p):
-    blocks = []  # (len(mu), slot bytes) at the start of every block
-    real = engine._slot_bytes  # each block sizes its slots once, for 2 len(mu)
-    monkeypatch.setattr(engine, "_slot_bytes",
-                        lambda p, m: blocks.append((m // 2, real(p, m))) or blocks[-1][1])
     dom = PrimeField(p)
     rng = random.Random(28)
-    terms = [rng.randrange(p) for _ in range(400)]
+    terms = [rng.randrange(p) for _ in range(800)]
     monkeypatch.setattr(engine, "_BLOCK", 3)
     monkeypatch.setattr(engine, "_BLOCK_MIN_DEG", 0)
     core = _GenericCore(dom)
     ref, deltas, _, _ = _stepped(dom, terms)
-    assert engine._consume(core, terms) == deltas
+    starts = _record_blocks(monkeypatch)
+    widths = []  # (blocks begun, slot bytes) of every product the run takes
+    real = poly._slot_bytes  # product_slice sizes the slots of each product
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "_slot_bytes",
+                      lambda q, k: widths.append((len(starts), real(q, k))) or widths[-1][1])
+        assert engine._consume(core, terms) == deltas
     _assert_same_core(core, ref, "9-byte slots")
-    # blocks run to the end of the terms: the last ones start past
-    # deg 128 and pack 9 bytes a slot, the first 8
-    assert len(blocks) == 400 // 3
-    assert blocks[0] == (1, 8) and blocks[-1][0] > 128 and blocks[-1][1] == 9
+    # blocks run to the end of the terms; the first packs 8 bytes a slot,
+    # and the windows of the late ones, past deg 255 at P28, pack 9
+    assert len(starts) == 800 // 3
+    assert {w for b, w in widths if b == 1} == {8} and max(w for _, w in widths) == 9
 
 
 def test_blocked_run_refills_its_windows(monkeypatch):

@@ -1,5 +1,6 @@
 """Source hygiene in lcprof: no unused imports, no dead private helpers,
-and no core built or stepped outside engine.py.
+no core built or stepped outside engine.py, and no Kronecker slot sized
+outside poly.py.
 
 Only the stdlib ast module is used.  The package __init__ is exempt: its
 imports are the public re-exports.
@@ -106,6 +107,14 @@ def test_only_the_engine_names_a_core_class():
              for path in ALL_MODULES if path.name != "engine.py"}
     named = {name: classes for name, classes in named.items() if classes}
     assert not named, f"core classes named outside engine.py: {named}"
+
+
+def test_only_poly_names_the_slot_rule():
+    # product_slice sizes its own slots; a caller that passed a width
+    # could pass one too narrow for its product's sums
+    named = sorted(path.name for path in ALL_MODULES
+                   if path.name != "poly.py" and "_slot_bytes" in _uses(_tree(path)))
+    assert not named, f"_slot_bytes named outside poly.py: {named}"
 
 
 def test_only_the_engine_steps_a_core():

@@ -203,10 +203,9 @@ def test_product_slice_matches_the_schoolbook_sum(p):
             full = [sum(x[i] * y[k - i] for x, y in pairs
                         for i in range(len(x)) if 0 <= k - i < len(y)) % p
                     for k in range(size)]
-            w = _slot_bytes(p, sum(min(len(x), len(y)) for x, y in pairs))
             for lo, hi in [(0, size), (0, size + 3), (size // 3, size // 2),
                            (size // 2, size + 1)]:
-                assert product_slice(pairs, p, lo, hi, w) == full[lo:hi]
+                assert product_slice(pairs, p, lo, hi) == full[lo:hi]
 
 
 @pytest.mark.parametrize("w, p, m", [
@@ -229,7 +228,7 @@ def test_product_slice_fills_each_slot_width_to_its_bound(w, p, m):
         ref = full(lens)
         size = len(ref)
         for lo, hi in [(0, size), (m - 2, m + 1), (size - 2, size + 2)]:
-            assert product_slice(pairs, p, lo, hi, w) == ref[lo:hi], (lens, lo, hi)
+            assert product_slice(pairs, p, lo, hi) == ref[lo:hi], (lens, lo, hi)
 
 
 def test_part_coeffs_over_the_integers():
