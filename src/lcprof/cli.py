@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -289,18 +290,17 @@ def cmd_verify(args) -> int:
     if name != "all" and name not in suites:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(suites))} or all")
+    # each flag's dest and Suite field, in the order an unread one is named
+    flags = {"--max-n": "max_n", "--field": "field", "--trials": "trials"}
     if name != "all":
-        suite = suites[name]
-        unread = ("--max-n" if args.max_n is not None and suite.max_n is None else
-                  "--field" if args.field != 2 and not suite.field else
-                  "--trials" if args.trials is not None and suite.trials is None else "")
-        if unread:
-            raise ValueError(f"verify {name} does not read {unread}")
+        for flag, key in flags.items():
+            if getattr(args, key) is not None and getattr(suites[name], key) is None:
+                raise ValueError(f"verify {name} does not read {flag}")
     all_ok = True
     for suite in suites.values() if name == "all" else [suites[name]]:
-        result = suite.run(args.max_n if args.max_n is not None else suite.max_n,
-                           args.trials if args.trials is not None else suite.trials,
-                           args.field)
+        n, q, t = (getattr(suite, key) if getattr(args, key) is None
+                   else getattr(args, key) for key in flags.values())
+        result = suite.run(n, t, q)
         _emit(dataclasses.asdict(result)) if args.json else print(result.line())
         all_ok &= result.ok
     return EXIT_OK if all_ok else EXIT_FAIL
@@ -317,7 +317,10 @@ def _size(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: set_defaults binds each
+    cmd_* then, so a cmd_* patched on this module later never runs."""
     parser = argparse.ArgumentParser(
         prog="lcprof",
         description="Minimal polynomials and linear-complexity profiles "
@@ -365,6 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="suite name or all (default all)")
     v.add_argument("--max-n", dest="max_n", type=_size, default=None)
     v.add_argument("--trials", type=_size, default=None)
+    v.set_defaults(field=None)  # each suite's own default (verify.SUITES)
     return parser
 
 

@@ -17,7 +17,7 @@ from them alone after the run (_profile): e_0 = 1, e_j = e_{j-1} + 1,
 negated first when delta_j != 0 and e_{j-1} > 0, and
 LC_j = (j + 1 - e_j)/2.  MPState carries its chain's discrepancies
 only, and reads the shift p_shift (steps since the last jump) off the
-LC values derived from them: LC rises exactly at a jump.
+core's degrees and e.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
@@ -647,10 +647,10 @@ class MPState:
 
     A view over a private core: the rows are converted on access.  The
     state also carries its chain's discrepancies delta_1..delta_j,
-    extended by one in mp_step; log and p_shift (the steps since the last
-    jump, counting the jump step itself; j before any jump) derive the
-    profile from them (_profile).  mp_step steps a copy of the core, so
-    a state never changes once made.
+    extended by one in mp_step; log derives the profile from them
+    (_profile).  p_shift (the steps since the last jump, counting the
+    jump step itself; j before any jump) reads the core.  mp_step steps
+    a copy of the core, so a state never changes once made.
     """
 
     domain: CoeffDomain
@@ -706,13 +706,12 @@ class MPState:
 
     @property
     def p_shift(self) -> int:
-        # a jump raises deg mu by e > 0 and no other step changes it, so
-        # the last rise of LC is the last jump (step i + 1 for LC at index i)
-        lc = _profile(self.domain, self._deltas)[0]
-        for i in range(len(lc) - 1, -1, -1):
-            if lc[i] > (lc[i - 1] if i else 0):
-                return self.j - i
-        return self.j
+        # from the last jump J on, deg mu - deg mu' = e_{J-1} and
+        # e_j = 1 - e_{J-1} + (j - J), so j - J + 1 = deg mu - deg mu' + e;
+        # before the first jump deg mu = 0
+        core = self._core
+        lc = core.cur_lc()
+        return lc - core.ring.degree(core.mup) + core.e if lc else core.j
 
     @property
     def lc(self) -> int:

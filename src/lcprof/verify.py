@@ -9,14 +9,15 @@ once for the CLI's ``verify`` command: its default sizes, the flags it
 reads and how they map onto its parameters.  The acceptance tests call
 the suites with pinned parameters.
 
-The exhaustive binary sweeps (wang-massey, plcp-equiv, height) share one
-function, _tree_sweep, which walks the prefix tree once: the engine is
-online, so every sequence that extends a prefix resumes a copy of the
-prefix's engine core, and each node folds its parent's verdicts with the
-checks at its own step.  One walk covers every length of a sweep.  The
-reported counterexample is the one a length-by-length scan would report
-first: the least length, then the least value in _bits_to_terms order,
-with the sequences of the shorter checked lengths counted as checked.
+The exhaustive binary sweeps (oracle over F_2, wang-massey, plcp-equiv,
+height) share one function, _tree_sweep, which walks the prefix tree
+once: the engine is online, so every sequence that extends a prefix
+resumes a copy of the prefix's engine core, and each node folds its
+parent's verdicts with the checks at its own step.  One walk covers
+every length of a sweep.  The reported counterexample is the one a
+length-by-length scan would report first: the least length, then the
+least value (first term the low bit), with the sequences of the shorter
+checked lengths counted as checked.  The seeded suites draw by _draw.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import gf2
 from .analysis import (
     ENUM_GUARD,
     WITNESSES,
@@ -53,7 +55,7 @@ from .engine import (
 )
 from .errors import ResourceLimitError
 from .fields import GF2, PrimeField
-from .poly import Seq
+from .poly import Poly, Seq
 from .rueppel import (
     COLUMN_CHECK_BOUND,
     GAMMA_GUARD,
@@ -102,8 +104,10 @@ def _suite(name: str):
     return driver
 
 
-def _bits_to_terms(value: int, n: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(n))
+def _draw(rng: random.Random, q: int, max_n: int) -> list[int]:
+    """A seeded length in 1..max_n, then that many terms in [0, q)."""
+    n = rng.randrange(1, max_n + 1)
+    return [rng.randrange(q) for _ in range(n)]
 
 
 # ---------------------------------------------------------- prefix tree
@@ -175,33 +179,30 @@ def _char_verdicts(st: _Profile, n: int) -> tuple[bool, bool, bool]:
 
 # ---------------------------------------------------------------- oracle
 
-def _oracle_sequences(fields, exhaustive_n, trials, max_n):
-    """Every F_2 sequence of 1..exhaustive_n terms, then the seeded random ones."""
-    if 2 in fields:
-        for n in range(1, exhaustive_n + 1):
-            for v in range(1 << n):
-                yield Seq(GF2, _bits_to_terms(v, n))
-    rng = random.Random(DEFAULT_SEED)
-    for q in fields:
-        if q == 2:
-            continue
-        dom = PrimeField(q)
-        for _ in range(trials):
-            n = rng.randrange(1, max_n + 1)
-            yield Seq(dom, [rng.randrange(q) for _ in range(n)])
+def _oracle_check(mu: Poly, terms) -> str:
+    """"" when mu has brute force's least degree and annihilates the terms."""
+    s = Seq._canonical(mu.domain, terms)
+    ok = mu.degree == brute_force_minpoly(s)[0] and annihilates(mu, s)
+    return "" if ok else f"F_{mu.domain.p} {list(terms)}"
+
+
+def _packed_mu(st, core, delta: int, j: int) -> Poly:
+    return Poly._canonical(GF2, gf2.to_coeffs(core.mu))
 
 
 @_suite("oracle")
 def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
                   trials: int = 500, max_n: int = 8) -> VerifyResult:
     """Engine degree == brute-force least degree, and the output annihilates."""
-    if 2 in fields:
-        _guard_binary_sweep(exhaustive_n)
-    for s in _oracle_sequences(fields, exhaustive_n, trials, max_n):
-        _, rep = mp_run(s)
-        d, _ = brute_force_minpoly(s)
-        ok = rep.minpoly.degree == d and annihilates(rep.minpoly, s)
-        yield 1, "" if ok else f"F_{s.domain.p} {list(s.terms)}"
+    if 2 in fields:  # every sequence of 1..exhaustive_n terms
+        yield _tree_sweep(None, _packed_mu, _oracle_check, range(1, exhaustive_n + 1))
+    rng = random.Random(DEFAULT_SEED)
+    for q in fields:
+        if q == 2:
+            continue
+        for _ in range(trials):
+            s = Seq(PrimeField(q), _draw(rng, q, max_n))
+            yield 1, _oracle_check(mp_run(s)[1].minpoly, s.terms)
 
 
 # ---------------------------------------------------------------- bezout
@@ -224,8 +225,7 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> Verify
     dom = PrimeField(field)
     rng = random.Random(DEFAULT_SEED)
     for _ in range(trials):
-        n = rng.randrange(1, max_n + 1)
-        terms = [rng.randrange(field) for _ in range(n)]
+        terms = _draw(rng, field, max_n)
         core = _make_core(dom, MPConfig())
         last = None
         for j, _ in enumerate(_each_step(core, terms), start=1):
@@ -403,9 +403,7 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
     rng = random.Random(DEFAULT_SEED)
     for _ in range(bound_trials):
         q = rng.choice((2, 3))
-        dom = PrimeField(q)
-        n = rng.randrange(1, 129)
-        s = Seq(dom, [rng.randrange(q) for _ in range(n)])
+        s = Seq(PrimeField(q), _draw(rng, q, 128))
         h = height(s)
         ok = all(h.height >= e >= 1 - h.height for e in h.exponents[1:])
         yield 1, "" if ok else f"bounds F_{q} {list(s.terms)}"
@@ -444,9 +442,7 @@ def verify_lcsum(max_n: int = 12, sum_k: int = 20, sum_l: int = 20,
     rng = random.Random(DEFAULT_SEED)
     for _ in range(trials):
         q = rng.choice((2, 3, 5))
-        dom = PrimeField(q)
-        n = rng.randrange(1, 65)
-        s = Seq(dom, [rng.randrange(q) for _ in range(n)])
+        s = Seq(PrimeField(q), _draw(rng, q, 64))
         sigma, bound = lc_sum(s)
         yield 1, "" if sigma <= bound else f"F_{q} {list(s.terms)}"
     # the two worked examples count as two checks before either runs
@@ -468,25 +464,25 @@ class Suite(NamedTuple):
 
     max_n: int | None    # default --max-n; None: the suite takes no --max-n
     trials: int | None   # default --trials; None: the suite takes no --trials
-    field: bool          # whether the suite reads --field
+    field: int | None    # default --field; None: the suite takes no --field
     run: Callable        # (max_n, trials, field) -> VerifyResult
 
 
 SUITES = {
     # over F_2 an exhaustive sweep to n terms, otherwise t random sequences
-    "oracle": Suite(10, 500, True, lambda n, t, q: verify_oracle(
+    "oracle": Suite(10, 500, 2, lambda n, t, q: verify_oracle(
         fields=(q,), exhaustive_n=n, trials=t, max_n=n)),
-    "bezout": Suite(32, 1000, True, lambda n, t, q: verify_bezout(
+    "bezout": Suite(32, 1000, 2, lambda n, t, q: verify_bezout(
         field=q, trials=t, max_n=n)),
-    "wang-massey": Suite(15, None, False, lambda n, t, q: verify_wang_massey(max_n=n)),
-    "plcp-count": Suite(14, None, True, lambda n, t, q: verify_plcp_count(
+    "wang-massey": Suite(15, None, None, lambda n, t, q: verify_wang_massey(max_n=n)),
+    "plcp-count": Suite(14, None, 2, lambda n, t, q: verify_plcp_count(
         cases=((q, n),))),
-    "plcp-equiv": Suite(12, None, False,
+    "plcp-equiv": Suite(12, None, None,
                         lambda n, t, q: verify_plcp_equivalence(max_n=n)),
-    "rueppel": Suite(512, None, False, lambda n, t, q: verify_rueppel(
+    "rueppel": Suite(512, None, None, lambda n, t, q: verify_rueppel(
         profile_n=8 * n, matrix_n=n, closed_n=2 * n + 1, gamma_n=2 * n,
         r0_k=max(1, (2 * n).bit_length() - 1))),
-    "height": Suite(14, 1000, False, lambda n, t, q: verify_height(
+    "height": Suite(14, 1000, None, lambda n, t, q: verify_height(
         exhaustive_n=min(n, 14), bound_trials=t, cf_trials=max(1, t // 5))),
-    "lcsum": Suite(None, 500, False, lambda n, t, q: verify_lcsum(trials=t)),
+    "lcsum": Suite(None, 500, None, lambda n, t, q: verify_lcsum(trials=t)),
 }

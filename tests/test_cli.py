@@ -402,6 +402,41 @@ JSON_SHA256 = [
 ]
 
 
+# The full stdout sha256 of the text outputs, in JSON_SHA256's shape and
+# with its inputs: the table-free subcommands and the single verify
+# suites, seeded ones at their defaults and with every flag they read.
+# tools/pin_hashes.py prints each case's fresh hash; an intended change
+# of these bytes edits a hash here and says so in CHANGES.md.
+TEXT_SHA256 = [
+    (("minpoly", "--field", "7"), 7, (300,), 20,
+     "331f20554983c97720385a54e7036155eb4bfbcf2ee9f4401408e154c066dc88"),
+    (("plcp-check", "--field", "3"), 3, (60,), 21,
+     "9219c4c13b0aa068ab3a2a08118922ab278c814f59571184b75177698bda0322"),
+    (("stable",), 2, (64,), 22,
+     "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    (("height",), 2, (200,), 18,
+     "020cabd47a23082b8733378849b5c32dff31a628a80b129d93acb8e030ff8ca0"),
+    (("lcsum", "--field", "3"), 3, (500,), 19,
+     "4390ed3fa2696290ce566e6e6f15a70a033e956d4b05ec975d09d53c40d84d2c"),
+    (("rueppel", "--n", "10000"), None, (), None,
+     "5998d24c3e58d45c89964fdfe4c9a9222711966fb25bde76b0e997f3e46be548"),
+    (("gamma", "--n", "1000"), None, (), None,
+     "deb9f7e03b1369fda1f6861ef3ac1214e29bfbc87f7fede19432d0e464a2051f"),
+    (("plcp-count", "--field", "5", "--n", "40"), None, (), None,
+     "d841dacec1387820fae5515b1db23106a3df9200a7f8c40edd523a915d3d3d79"),
+    (("verify", "oracle"), None, (), None,
+     "18773440a05761d595721026476fc9c3d7ccd05d7c7fa32184baef41ccd7ad17"),
+    (("verify", "oracle", "--field", "3", "--max-n", "6", "--trials", "20"), None, (), None,
+     "06c148f2717cf9dd2a3a888d1802899dbb47a0c70d4e40319d1a769a339ba407"),
+    (("verify", "bezout", "--field", "5", "--trials", "200"), None, (), None,
+     "89e0584a4fea3cd6a90ecc217216ed3cee020b9ac572d6cd246b3bbd7f30437a"),
+    (("verify", "height", "--trials", "50"), None, (), None,
+     "406344115c55ba25f6f6b67da27ba13a1bfddb07596a7588e3fff5be4813bd2b"),
+    (("verify", "lcsum", "--trials", "100"), None, (), None,
+     "3dc7bf7149f88ee6b3b22eeb2a0d3ef64386b73202afebc27b83289140d5cf97"),
+]
+
+
 _JSON_ITEMS = [0, 1, -7, 2**70, True, False, None, 'say "hi"\\',
                "caf\u00e9 \u2028 \U0001f600", [1, [2, None]], [], {"k": [1]}]
 
@@ -422,8 +457,9 @@ def test_chunked_json_equals_json_dumps(capsys, monkeypatch, chunk):
         assert capsys.readouterr().out == json.dumps(obj) + "\n"
 
 
-@pytest.mark.parametrize("argv, field, lengths, seed, want", JSON_SHA256,
-                         ids=[" ".join(c[0]) + f" n={c[2]}" for c in JSON_SHA256])
+@pytest.mark.parametrize("argv, field, lengths, seed, want", JSON_SHA256 + TEXT_SHA256,
+                         ids=[" ".join(c[0]) + f" n={c[2]}"
+                              for c in JSON_SHA256 + TEXT_SHA256])
 def test_json_bytes_are_pinned(tmp_path, argv, field, lengths, seed, want):
     if lengths:
         rng = random.Random(seed)
@@ -659,8 +695,11 @@ NO_TRIALS = ("wang-massey", "plcp-count", "plcp-equiv", "rueppel")
 
 @pytest.mark.parametrize("suite, flag", [(s, ("--max-n", "6")) for s in NO_MAX_N]
                          + [(s, ("--field", "3")) for s in NO_FIELD]
-                         + [(s, ("--trials", "5")) for s in NO_TRIALS],
-                         ids=lambda x: x if isinstance(x, str) else x[0])
+                         + [(s, ("--trials", "5")) for s in NO_TRIALS]
+                         # 2, the default of the suites that read --field
+                         + [(s, ("--field", "2")) for s in NO_FIELD],
+                         ids=lambda x: x if isinstance(x, str) else
+                         x[0] if x[1] != "2" else "=".join(x))
 def test_verify_suite_refuses_a_flag_it_does_not_read(capsys, monkeypatch,
                                                       suite, flag):
     def no_work(**kwargs):
@@ -748,6 +787,14 @@ def test_readme_command_lines_parse():
     parser = cli._build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "rueppel", "--n", "4")[0] == 0
+    assert run(capsys, "verify", "nonsense")[0] == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_readme_verify_table_matches_the_registry():
@@ -1101,7 +1148,7 @@ def _refused_verify_argv(rng):
                   for flag, read in (("--max-n", suite.max_n is not None),
                                      ("--field", suite.field),
                                      ("--trials", suite.trials is not None)) if not read]
-        values = {"--max-n": ["1", "6", str(10**18)], "--field": ["3"],
+        values = {"--max-n": ["1", "6", str(10**18)], "--field": ["2", "3"],
                   "--trials": ["1", "20", str(10**9)]}
         name, flag = rng.choice(unread)
         return ["verify", name, flag, rng.choice(values[flag])]

@@ -833,12 +833,16 @@ def test_p_shift_matches_the_log_at_every_f2_node(eps):
 def test_p_shift_matches_the_log_on_random_chains(dom, eps):
     rng = random.Random(eps)
     top, longest = (dom.p, 40) if dom.p else (10, 12)
-    for _ in range(20):
-        state = mp_init(dom, MPConfig(epsilon=eps))
-        for _ in range(rng.randrange(1, longest)):
-            # many zero terms give long stretches without a jump
-            state = mp_step(state, rng.randrange(top) if rng.random() < 0.5 else 0)
-            assert state.p_shift == _p_shift_from_log(state), state.consumed
+    configs = [MPConfig(epsilon=eps)]
+    if dom.is_field:  # per-step normalization rescales mu, not its degree
+        configs.append(MPConfig(epsilon=eps, normalize_each_step=True))
+    for config in configs:
+        for _ in range(20):
+            state = mp_init(dom, config)
+            for _ in range(rng.randrange(1, longest)):
+                # many zero terms give long stretches without a jump
+                state = mp_step(state, rng.randrange(top) if rng.random() < 0.5 else 0)
+                assert state.p_shift == _p_shift_from_log(state), state.consumed
 
 
 def test_packed_terms_match_the_bits_at_every_prefix():

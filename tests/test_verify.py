@@ -1,6 +1,7 @@
 """Prefix-tree sweeps: per-node verdicts and counterexample order."""
 
 import dataclasses
+import hashlib
 import random
 from itertools import product
 
@@ -16,6 +17,7 @@ from lcprof.analysis import (
     plcp_witnesses,
     t_transform,
 )
+from lcprof.cli import main
 from lcprof.errors import ResourceLimitError
 from lcprof.fields import GF2
 
@@ -46,7 +48,7 @@ def _scan_wang_massey(max_n, transform=t_transform):
     checked = 0
     for n in range(1, max_n + 1, 2):
         for v in range(1 << n):
-            s = GF2.seq(verify_mod._bits_to_terms(v, n))
+            s = GF2.seq([v >> i & 1 for i in range(n)])
             plcp, stable = is_plcp(s), verify_mod.is_stable(s)
             if plcp != stable:
                 return checked, f"n={n} {list(s.terms)} plcp={plcp} stable={stable}"
@@ -196,9 +198,9 @@ def _one_degree_too_many(monkeypatch, q, pick):
 
 
 @pytest.mark.parametrize("q, pick, kwargs, checked, detail", [
-    (2, (0, 1, 1), dict(fields=(2,), exhaustive_n=6), 13, "F_2 [0, 1, 1]"),
+    (2, (0, 1, 1), dict(fields=(2,), exhaustive_n=6), 6, "F_2 [0, 1, 1]"),
     (2, (1, 0, 1, 1, 0), dict(fields=(2, 3), exhaustive_n=6, trials=20, max_n=6),
-     44, "F_2 [1, 0, 1, 1, 0]"),
+     30, "F_2 [1, 0, 1, 1, 0]"),
     (3, 7, dict(fields=(3,), exhaustive_n=0, trials=40, max_n=6),
      7, "F_3 [2, 1, 1, 0, 2]"),
     (3, 7, dict(fields=(2, 3), exhaustive_n=4, trials=20, max_n=6),
@@ -209,10 +211,56 @@ def _one_degree_too_many(monkeypatch, q, pick):
 def test_oracle_reports_a_wrong_degree(monkeypatch, q, pick, kwargs, checked,
                                        detail):
     # the exhaustive F_2 sweep comes first, then the random sequences of
-    # each other field, all drawn from one seeded generator
+    # each other field, all drawn from one seeded generator.  The sweep
+    # counts as the other tree sweeps do: a failure at n terms reports the
+    # sequences of fewer terms as checked
     _one_degree_too_many(monkeypatch, q, pick)
     result = verify_mod.verify_oracle(**kwargs)
     assert (result.ok, result.checked, result.detail) == (False, checked, detail)
+
+
+def test_oracle_sweeps_f2_without_a_run_per_sequence(monkeypatch):
+    # the binary half reads mu off the prefix walk's packed cores
+    def no_run(*args, **kwargs):
+        raise AssertionError("mp_run called")
+
+    monkeypatch.setattr(verify_mod, "mp_run", no_run)
+    assert verify_mod.verify_oracle(fields=(2,), exhaustive_n=8) == (
+        verify_mod.VerifyResult("oracle", True, 2**9 - 2))
+
+
+# The sha256 of the terms each seeded suite hands on at its CLI defaults:
+# (verify argv, the verify global that receives them, their position
+# among its arguments, sha256 of the repr of the list of term tuples).
+# Passing counts do not show the drawn values; these pin them.
+# tools/pin_hashes.py prints each case's fresh hash; an intended change
+# of the draws edits a hash here and says so in CHANGES.md.
+DRAW_SHA256 = [
+    (("oracle", "--field", "3"), "mp_run", 0,
+     "e5f6ba75799da9fcdd434b3eae3de1dd4d84f3627650474f1da916ff7185d305"),
+    (("bezout",), "_each_step", 1,
+     "e238310a741e54066dee628d00c96de202262675605ec1b72417318cdb62b39d"),
+    (("height",), "height", 0,
+     "02b0c447bdf8f92d976918aa0eee4d199e2bf2f0e80ce6453dbf57b8f36d78fa"),
+    (("lcsum",), "lc_sum", 0,
+     "6297439de06a62e61887cf1da9dd9a02280127221bab501b19a76d94cbce9613"),
+]
+
+
+@pytest.mark.parametrize("argv, name, at, want", DRAW_SHA256,
+                         ids=[" ".join(c[0]) for c in DRAW_SHA256])
+def test_seeded_draws_are_pinned(monkeypatch, argv, name, at, want):
+    real = getattr(verify_mod, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        terms = args[at]
+        seen.append(tuple(getattr(terms, "terms", terms)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, name, recording)
+    assert main(["verify", *argv]) == 0
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == want
 
 
 # -------------------------------------------------------------- height
