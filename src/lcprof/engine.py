@@ -59,18 +59,22 @@ _run serves the runs that read no per-step rows (mp_run, and the profile
 behind height, lc_sum and char_equivalence) through _consume.  On a generic
 core over F_p (p >= 5 unless forced: the F_2 and F_3 cores step term by
 term, which beats a block there) without per-step normalization it
-advances _BLOCK steps at a time once deg mu >= _BLOCK_MIN_DEG: a block
-is the product of its jump matrices, the transition (A, B; C, D) with
-mu = A mu0 + B mu0', carried by the same update rule on the interleaved
-rows (A, B) and (C, D), one vector-coefficient polynomial each (Thome
-2002), with each discrepancy one dot product with the interleaved
-correlation windows, and mu, mu' rebuilt by Kronecker products at the
-block's end (Berlekamp-Massey read as Euclid, as in Dornstetter 1987, at
-a fixed block size as in the half-gcd of Brent-Gustavson-Yun 1980).
-poly.product_slice sizes its Kronecker slots to the sums, at any p.  The
-core it leaves equals the per-step core slot for slot, and the
-discrepancies it returns are the per-step ones.  Every other run steps
-term by term.
+steps term by term until deg mu >= _BLOCK_MIN_DEG and then advances
+through all the remaining terms in one block.  A block is the product of
+its jump matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0'
+(Berlekamp-Massey read as Euclid, as in Dornstetter 1987), and it is
+computed recursively, as the half-gcd of Brent-Gustavson-Yun 1980: a
+leaf of up to _LEAF steps carries the transition by the same update rule
+on the interleaved rows (A, B) and (C, D), one vector-coefficient
+polynomial each (Thome 2002), with each discrepancy one dot product with
+the interleaved correlation windows of its base rows; a longer run
+steps its first half, derives the second half's windows from the first
+half's transition (a middle product), steps the second half, and
+composes the two transitions.  The block applies its own two halves'
+transitions to mu and mu' by Kronecker products.  poly.product_slice
+sizes its Kronecker slots to the sums, at any p.  The core the block
+leaves equals the per-step core slot for slot, and the discrepancies it
+returns are the per-step ones.  Every other run steps term by term.
 """
 
 from __future__ import annotations
@@ -101,10 +105,14 @@ BRUTE_FORCE_GUARD = 10**7
 # recursion grows its coefficients exponentially there (nabla has about
 # 10^5 bits after 24 random digits), and a run reaches this well within 1 s
 ZZ_NABLA_BITS = 2**18
-# steps per block of _consume, and the degree of mu at which blocks start
-# (below it, blocks cost more than they save)
-_BLOCK = 64
+# the degree of mu at which _consume's block starts (below it, the block
+# costs more than it saves), and the steps of its leaves (_GenericCore._leaf):
+# 32, or 64 where ring.lin runs in one-byte slots (ListRing.residues), whose
+# row updates stay cheap for longer
 _BLOCK_MIN_DEG = 64
+_LEAF = (32, 64)
+# how far past the read that ran out a window refill reaches
+_REFILL = 8
 
 
 @dataclass(frozen=True)
@@ -299,53 +307,90 @@ class _GenericCore:
     def _block(self, terms, deltas: list[int]) -> None:
         """Advance len(terms) steps at once, as step would one at a time.
 
-        From the rows mu0, mu0' at the start, the block carries the
-        transition rows mu = A mu0 + B mu0' and mu' = C mu0 + D mu0'
-        through step's update rule, each pair as one interleaved row:
-        AB[2i] = A_i and AB[2i+1] = B_i, so x^k (A, B) is AB shifted by 2k
-        and one row update (ring.lin's rule) advances both columns.  Step j's
-        discrepancy is sum_t AB[t] W[2(j-d)+t] (d = deg mu = (j - e)/2)
-        over the interleaved correlation windows W[2t] = sum_m mu0_m
-        s_{t+m} and W[2t+1], the same of mu0', one product_slice each;
-        terms past the block count as zero, since the coefficients that
-        reach them cancel above deg mu.  Four products at the end give mu
-        and mu'.  Every value is reduced mod p, so all slots are equal to
-        step's; product_slice sizes its own Kronecker slots.  The block's
+        From the rows mu0, mu0' at the start, a run of steps is one
+        transition, mu = A mu0 + B mu0' and mu' = C mu0 + D mu0', carried
+        as the interleaved rows AB (AB[2i] = A_i, AB[2i+1] = B_i) and CD
+        (_leaf).  Step j's discrepancy is sum_t AB[t] W[2(j-d)+t] (d = deg
+        mu = (j - e)/2) over the interleaved correlation windows of the
+        run's base rows (_Windows); terms past the block count as zero,
+        since the coefficients that reach them cancel above deg mu.  The
+        block runs its two halves (_steps) and applies their transitions
+        to the rows in turn, one product a row each: cheaper than
+        composing them first, whose rows are as long as the block.  Every
+        value is reduced mod p, so all slots are equal to step's;
+        product_slice sizes its own Kronecker slots.  The block's
         discrepancies are appended to deltas.
         """
-        p, s, j0, lin = self.p, self.s, self.j, self.ring.lin
-        e, c1, nabla = self.e, self.dprime, self.nabla
-        mu0, mup0 = self.mu, self.mup
-        d0 = len(mu0) - 1
+        p, s, j0 = self.p, self.s, self.j
+        d0 = len(self.mu) - 1
         s.extend(terms)
-        # the windows take mu0' padded to deg mu0, so both start at slot d0
-        rev0 = mu0[::-1], [*mup0, *[0] * (d0 + 1 - len(mup0))][::-1]
+        end = j0 + len(terms)
+        leaf = _LEAF[self.ring.residues is not None]
         # j - deg mu rises by one a step, and after a jump it is the old
         # degree plus one, so no step of the block reads below lo
-        lo = min(j0 + 1 - d0, d0 + 1)
+        win = _Windows(((self.mu,), (self.mup,)), s, min(j0 + 1 - d0, d0 + 1), end - d0, p)
+        m = end - j0
+        stops = (j0 + m // 2, end) if m > leaf else (end,)
+        for stop in stops:
+            AB, CD = self._steps(win, stop, deltas, leaf)
+            if stop < end:
+                win = self._derive(win, AB, CD, end)
+            mu, mup = self.mu, self.mup
+            if AB != [1]:  # a nonzero step
+                self.mu = _times_rows(AB, mu, mup, p)
+            if CD != [0, 1]:  # a jump
+                self.mup = _times_rows(CD, mu, mup, p)
 
-        def windows(hi):  # W at lo..hi, the two windows interleaved
-            u = s[lo - 1:hi + d0]
-            u += [0] * (hi + d0 - lo + 1 - len(u))
-            W = [0] * (2 * (len(u) - d0))
-            W[0::2], W[1::2] = (product_slice(((f, u),), p, d0, len(u)) for f in rev0)
-            return W
+    def _steps(self, win: "_Windows", end: int, deltas: list[int], leaf: int):
+        """Steps self.j + 1..end over the windows win, and their transition.
 
-        def times_rows(xy):  # x mu0 + y mu0' for xy = (x, y) interleaved, canonical
-            x, y = _trim(xy[0::2]), _trim(xy[1::2])
-            top = len(mu0) + max(len(x), len(y))
-            return _trim(product_slice(((x, mu0), (y, mup0)), p, 0, top))
+        Returns the interleaved rows (A, B) and (C, D) relative to the rows
+        at the start.  Up to leaf steps run one by one (_leaf).  More run
+        as two halves, as in the half-gcd (Brent-Gustavson-Yun 1980): the
+        first on win, the second on the windows the first half's
+        transition derives from win (_derive); one product a row composes
+        the two transitions.
+        """
+        m = end - self.j
+        if m <= leaf:
+            return self._leaf(win, end, deltas)
+        AB1, CD1 = self._steps(win, self.j + m // 2, deltas, leaf)
+        AB2, CD2 = self._steps(self._derive(win, AB1, CD1, end), end, deltas, leaf)
+        # (X2, Y2) applied to the first half's rows: X2(x^2) AB1 + Y2(x^2) CD1,
+        # with X2(x^2) the even entries of the interleaved row, odd ones zero
+        out = []
+        for xy in (AB2, CD2):
+            x2, y2 = xy[:], xy[1:]
+            x2[1::2] = [0] * (len(xy) // 2)
+            y2[1::2] = [0] * (len(y2) // 2)
+            out.append(_trim(product_slice(((x2, AB1), (y2, CD1)), self.p, 0,
+                                           len(xy) + max(len(AB1), len(CD1)))))
+        return out
 
-        end = j0 + len(terms)
-        W = windows(end - d0)
-        ab0 = AB = [1]     # (A, B) = (1, 0)
-        cd0 = CD = [0, 1]  # (C, D) = (0, 1)
-        for j in range(j0 + 1, end + 1):
+    def _derive(self, win: "_Windows", AB, CD, end: int) -> "_Windows":
+        """The windows of the rows that the transition (AB, CD) takes win's to.
+
+        They serve steps self.j + 1..end, whose reads start at min(j + 1 -
+        d, d + 1) (d = deg mu now, as at the top of _block) and end at
+        end - d while no top terms cancel.
+        """
+        j = self.j
+        d = (j + 1 - self.e) // 2
+        rows = tuple((_trim(xy[0::2]), _trim(xy[1::2])) for xy in (AB, CD))
+        return _Windows(rows, win, min(j + 1 - d, d + 1), end - d, self.p)
+
+    def _leaf(self, win: "_Windows", end: int, deltas: list[int]):
+        """Steps self.j + 1..end one by one on the transition rows (see _block)."""
+        p, lin, lo, W = self.p, self.ring.lin, win.lo, win.W
+        e, c1, nabla = self.e, self.dprime, self.nabla
+        AB = [1]     # (A, B) = (1, 0)
+        CD = [0, 1]  # (C, D) = (0, 1)
+        for j in range(self.j + 1, end + 1):
             k = 2 * (j - (j - e) // 2 - lo)
             if k + len(AB) > len(W):
                 # A or B grew past deg mu - deg mu0, through cancelling top
                 # terms (common over small fields) or a run of zero terms
-                W = windows(end + (len(AB) + 1) // 2)
+                W = win.cover(lo + (k + len(AB)) // 2 + _REFILL, p)
             delta = sum(map(operator.mul, AB, W[k:k + len(AB)])) % p
             if delta:  # step's update rule, on both transition columns
                 if e <= 0:
@@ -359,10 +404,7 @@ class _GenericCore:
             e += 1
             deltas.append(delta)
         self.j, self.e, self.dprime, self.nabla = end, e, c1, nabla
-        if AB is not ab0:  # a nonzero step
-            self.mu = times_rows(AB)
-        if CD is not cd0:  # a jump
-            self.mup = times_rows(CD)
+        return AB, CD
 
     def cur_lc(self) -> int:
         return len(self.mu) - 1
@@ -387,6 +429,59 @@ class _GenericCore:
         new.dprime, new.nabla = self.dprime, self.nabla
         new.parts, new.ring = self.parts, self.ring
         return new
+
+
+def _times_rows(xy, f, g, p):
+    """x f + y g for xy = (x, y) interleaved, canonical."""
+    x, y = _trim(xy[0::2]), _trim(xy[1::2])
+    return _trim(product_slice(((x, f), (y, g)), p, 0, len(f) + max(len(x), len(y))))
+
+
+class _Windows:
+    """The interleaved correlation windows of a block's two base rows.
+
+    W[2i] = sum_m f_m s_{t+m} and W[2i+1] = sum_m g_m s_{t+m}, at t = lo + i
+    for lo <= t <= hi, over the terms zero-padded past their end.  At the
+    top of a block the rows are (f, g) = (mu0, mu0') and the source is the
+    terms.  Below it they are f = A f0 + B g0 and g = C f0 + D g0 for the
+    parent's rows (f0, g0) and a transition rows = ((A, B), (C, D)), so
+    the source is the parent's windows W0, W1: W[2i] = sum_a A_a W0(t+a)
+    + B_a W1(t+a), a middle product.  Either way a row is one
+    product_slice of the reversed rows by the source's slices.  cover
+    extends W in place, the parent's first when the slice passes its end.
+    """
+
+    __slots__ = ("rows", "source", "lo", "hi", "W")
+
+    def __init__(self, rows, source, lo: int, hi: int, p: int):
+        self.rows, self.source, self.lo = rows, source, lo
+        self.hi, self.W = lo - 1, []
+        self.cover(hi, p)
+
+    def cover(self, hi: int, p: int) -> list[int]:
+        """W extended to t = hi (if it ends below), returned."""
+        lo, W = self.hi + 1, self.W
+        if hi < lo:
+            return W
+        n = hi - lo + 1
+        L = max(len(f) for row in self.rows for f in row)
+        source = self.source
+        if isinstance(source, _Windows):
+            P = source.cover(hi + L - 1, p)
+            u = P[2 * (lo - source.lo):2 * (hi + L - source.lo)]
+            seqs = u[0::2], u[1::2]
+        else:  # the terms s_1, s_2, ...
+            u = source[lo - 1:hi + L - 1]
+            seqs = u + [0] * (n + L - 1 - len(u)),
+        new = [0] * (2 * n)
+        for r, row in enumerate(self.rows):
+            # coefficient L - 1 + i of rev(f) times the slice v is sum_a f_a v[i+a]
+            pairs = [([0] * (L - len(f)) + f[::-1], v) for f, v in zip(row, seqs) if f]
+            if pairs:
+                new[r::2] = product_slice(pairs, p, L - 1, L - 1 + n)
+        W += new
+        self.hi = hi
+        return W
 
 
 class _PackedCore:
@@ -539,28 +634,25 @@ def _make_core(domain: CoeffDomain, config: MPConfig, *, force_generic: bool = F
 
 
 def _consume(core, terms) -> list[int]:
-    """Step core through terms, in blocks where that leaves the same core.
+    """Step core through terms, in one block where that leaves the same core.
 
     Returns the discrepancies delta_1..delta_n.  A generic core over F_p
     (the packed F_2 and the bit-sliced F_3 cores are never blocked)
     without per-step normalization steps term by term until deg mu >=
-    _BLOCK_MIN_DEG, then advances _BLOCK steps at a time
-    (_GenericCore._block) while a full block of terms remains; the rest
-    steps term by term.  Every slot of the core ends as step alone would
-    leave it, but no per-step row exists in between, so only callers that
-    read the core after the run use this.
+    _BLOCK_MIN_DEG, then advances through all the remaining terms in one
+    recursive block (_GenericCore._block).  Every slot of the core ends
+    as step alone would leave it, but no per-step row exists in between,
+    so only callers that read the core after the run use this.
     """
-    step = core.step
+    if not (isinstance(core, _GenericCore) and core.p and not core.normalize):
+        return list(map(core.step, terms))
     deltas: list[int] = []
-    i, n, b = 0, len(terms), _BLOCK
-    if isinstance(core, _GenericCore) and core.p and not core.normalize:
-        while n - i >= b and len(core.mu) <= _BLOCK_MIN_DEG:
-            deltas.append(step(terms[i]))
-            i += 1
-        while n - i >= b:
-            core._block(terms[i:i + b], deltas)
-            i += b
-    deltas += map(step, terms[i:])
+    i, n = 0, len(terms)
+    while i < n and len(core.mu) <= _BLOCK_MIN_DEG:
+        deltas.append(core.step(terms[i]))
+        i += 1
+    if i < n:
+        core._block(terms[i:], deltas)
     return deltas
 
 

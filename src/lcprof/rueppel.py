@@ -104,14 +104,18 @@ def _adjugate_packed(m):
     return (d, b, c, a)
 
 
-def u_power_packed(k: int) -> tuple[int, int, int, int]:
-    """U^k = [[gamma(k+1), gamma(k)], [gamma(k), gamma(k-1)]], packed; U^0 = I."""
+def u_power_packed(k: int, member=gamma_packed) -> tuple[int, int, int, int]:
+    """U^k = [[gamma(k+1), gamma(k)], [gamma(k), gamma(k-1)]], packed; U^0 = I.
+
+    member(i) gives gamma(i) packed: gamma_packed, or a cache of it shared
+    by a sweep over consecutive k.
+    """
     if k == 0:
         return (1, 0, 0, 1)
     if k < 0:
         raise ValueError("negative power; invert via adjugate instead")
-    g = gamma_packed(k)
-    return (gamma_packed(k + 1), g, g, gamma_packed(k - 1))
+    g = member(k)
+    return (member(k + 1), g, g, member(k - 1))
 
 
 def u_power(k: int) -> Mat2:
@@ -160,17 +164,17 @@ def gamma_identities(m: int, n: int, g: list[int]) -> bool:
     return True
 
 
-def rueppel_mp_packed(n: int) -> tuple[int, int]:
+def rueppel_mp_packed(n: int, member=gamma_packed) -> tuple[int, int]:
     """Closed-form engine row (mu, [mu]) for an odd-length prefix, packed.
 
     For odd n >= 3 the row is (gamma(p) + gamma(p-1), gamma(p-1)) with
     p = (n+3)/2; even lengths keep the previous row, so ask the engine
-    for those.
+    for those.  member is as in u_power_packed.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("closed form applies to odd n >= 3")
     p = (n + 3) // 2
-    gp, gp1 = gamma_packed(p), gamma_packed(p - 1)
+    gp, gp1 = member(p), member(p - 1)
     return gp ^ gp1, gp1
 
 
@@ -180,12 +184,13 @@ def rueppel_mp(n: int) -> tuple[Poly, Poly]:
     return _poly(mu), _poly(mu_part)
 
 
-def rueppel_matrix_pattern(n: int, rows, prev) -> bool:
+def rueppel_matrix_pattern(n: int, rows, prev, member=gamma_packed) -> bool:
     """Whether the packed engine rows after n terms (prev: after n - 1) fit.
 
     rows and prev are (mu, [mu], mu', [mu']) as the packed F_2 core's
     rows() gives them.  The pattern is M at n = 2, the previous matrix
-    repeated at even n, and U^((n-1)/2) M at odd n.
+    repeated at even n, and U^((n-1)/2) M at odd n (member as in
+    u_power_packed).
     """
     if n < 2:
         raise ValueError("pattern starts at n = 2")
@@ -193,7 +198,7 @@ def rueppel_matrix_pattern(n: int, rows, prev) -> bool:
         return rows == _STEP2_PACKED
     if n % 2 == 0:
         return rows == prev
-    return rows == _mat_mul_packed(u_power_packed((n - 1) // 2), _STEP2_PACKED)
+    return rows == _mat_mul_packed(u_power_packed((n - 1) // 2, member), _STEP2_PACKED)
 
 
 def rueppel_matrix_check(n: int) -> bool:
@@ -207,13 +212,14 @@ def rueppel_matrix_check(n: int) -> bool:
     return rueppel_matrix_pattern(n, rows, prev)
 
 
-def power_column_identity(k: int) -> bool:
+def power_column_identity(k: int, member=gamma_packed) -> bool:
     """Exact closed form of the power-of-two prefix column.
 
     Verifies that the inverse step-2 matrix times the inverse jump
     power applied to the column (1, x+1) reproduces, after clearing the
     x^{-2^k} scale, the pair (sum of x^{2^k - 2^i} for i = 0..k,
     x^{2^k}).  Both sides are polynomials, so the comparison is exact.
+    member is as in u_power_packed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -222,7 +228,7 @@ def power_column_identity(k: int) -> bool:
         raise ResourceLimitError(f"2^{k} exceeds the size bound")
     p = 2**k
     # U^{2-2^k} = (U^(2^k - 2))^{-1}; powers via the gamma closed form
-    u_inv = _adjugate_packed(u_power_packed(p - 2))
+    u_inv = _adjugate_packed(u_power_packed(p - 2, member))
     m_inv = _adjugate_packed(_STEP2_PACKED)
     col = _mat_col_packed(m_inv, _mat_col_packed(u_inv, (0b1, 0b11)))
     want_top = 0

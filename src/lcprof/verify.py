@@ -368,22 +368,26 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
         lc = lcs[j - 1]
         yield 1, "" if lc == (j + 1) // 2 else f"LC_{j} = {lc}"
         yield 0, "" if exps[j] in (0, 1) else f"e_{j} = {exps[j]}"
+    # the checks below read consecutive members, most of them two or three
+    # times: each is computed from Lucas's theorem once, for this call only
+    member = functools.cache(gamma_packed)
     for n in range(2, matrix_n + 1):
-        ok = rueppel_matrix_pattern(n, rows[n], rows[n - 1])
+        ok = rueppel_matrix_pattern(n, rows[n], rows[n - 1], member)
         yield 1, "" if ok else f"matrix pattern at n={n}"
     for n in range(3, closed_n + 1, 2):
-        ok = rows[n][:2] == rueppel_mp_packed(n)
+        ok = rows[n][:2] == rueppel_mp_packed(n, member)
         yield 1, "" if ok else f"closed form at n={n}"
         ok = rows[n + 1][:2] == rows[n][:2]
         yield 1, "" if ok else f"even repeat at n={n + 1}"
     for i in range(12):
         k = g_top * i // 11
-        ok = g[k] == gamma_packed(k)
+        ok = g[k] == member(k)
         yield 0, "" if ok else f"gamma({k}) by recurrence and by Lucas differ"
     for k in range(1, gamma_n + 1):
         yield 1, "" if gamma_identities(k, k // 2, g) else f"gamma identities at {k}"
     for k in range(1, r0_k + 1):
-        yield 1, "" if power_column_identity(k) else f"column closed form at k={k}"
+        ok = power_column_identity(k, member)
+        yield 1, "" if ok else f"column closed form at k={k}"
 
 
 # ------------------------------------------------------------- height

@@ -342,7 +342,8 @@ def test_profile_table_bytes_are_pinned(tmp_path, flags, field, n, seed, want):
 # --in file being that many draws of random.Random(seed).randrange(field);
 # no lengths, no --in.  The 9001-term F_2 lists and the 7776 sequences of
 # F_3^10 are written in several chunks; the F_5 to F_(2^31-1) profiles of
-# 1500 terms and more run blocked, in slots of up to 9 bytes.  An intended
+# 1500 terms and more run blocked, in slots of up to 9 bytes, and those of
+# 8192 terms through several levels of the block's recursion.  An intended
 # change of these bytes edits a hash here and says so in CHANGES.md.
 JSON_SHA256 = [
     (("profile", "--json", "--field", "2"), 2, (9001,), 11,
@@ -397,6 +398,10 @@ JSON_SHA256 = [
      "0c4d43c112f49bcc0317bf5bf02e7be399769e6f84dca5af44ab941170f77e1b"),
     (("profile", "--json", "--field", "65521"), 65521, (4096,), 21,
      "f10fb71eff81701603f365e3eb8016c49dcbb113dcda9cd5b46930ff8303b000"),
+    (("profile", "--json", "--field", "65521"), 65521, (8192,), 23,
+     "d66d07d96206906fedfd3e5d9cb1e18b62ee6337e77686b14d07c6ac34eeffe4"),
+    (("profile", "--json", "--field", "5"), 5, (8192,), 24,
+     "166b58d8a6e97a5e3d710bfca0e1e56254ba1f9a450018c8f0b2d77a9df78e15"),
     (("minpoly", "--json", "--field", "7"), 7, (3000,), 22,
      "77aefb601d56a6c9c71aac39ac83512b080d2a068e4e6040b68f484de6413d7a"),
 ]

@@ -1,6 +1,7 @@
 """Engine: worked examples, step laws, certificates, and the two code paths."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import random
@@ -1166,8 +1167,8 @@ def test_report_json_round_trip_integers():
 # -------------------------------------------------------- blocked runner
 
 CORE_SLOTS = ("s", "mu", "mup", "e", "dprime", "nabla", "j")
-# the largest prime below 2^28: a block packs into 8-byte slots while
-# len(mu) < 128 and into 9-byte slots from there, past n = 250
+# the largest prime below 2^28: a product whose coefficients sum fewer
+# than 256 terms packs into 8-byte slots, and one past that into 9
 P28 = 268435399
 
 
@@ -1207,12 +1208,13 @@ def _runner_inputs(p, rng):
 
 
 @pytest.mark.parametrize("p", [3, 5, 65521, P28, 2**31 - 1])
-@pytest.mark.parametrize("block", [1, 2, 3, 64, 1000])
-def test_blocked_run_equals_the_per_step_core(monkeypatch, p, block):
+@pytest.mark.parametrize("leaf", [1, 2, 3, 32, 64, 1000])
+def test_blocked_run_equals_the_per_step_core(monkeypatch, p, leaf):
+    # leaf 1000 runs every block as a single leaf
     starts = _record_blocks(monkeypatch)
-    monkeypatch.setattr(engine, "_BLOCK", block)
+    monkeypatch.setattr(engine, "_LEAF", (leaf, leaf))
     dom = PrimeField(p)
-    rng = random.Random(p * block)
+    rng = random.Random(p * leaf)
     for terms in _runner_inputs(p, rng):
         for eps in (0, 1, p - 1):
             ref, deltas, _, _ = _stepped(dom, terms, eps)
@@ -1222,11 +1224,8 @@ def test_blocked_run_equals_the_per_step_core(monkeypatch, p, block):
                 core = _GenericCore(dom, eps)
                 assert engine._consume(core, terms) == deltas, (terms, eps, min_deg)
                 _assert_same_core(core, ref, (terms, eps, min_deg))
-    if block > 220:
-        assert not starts  # no full block ever remains
-    else:
-        # every field blocks past deg 64, P28 and 2^31 - 1 in 9-byte slots
-        assert max(starts) > 64
+    # every field blocks past deg 64, P28 and 2^31 - 1 in 9-byte slots
+    assert max(starts) > 64
 
 
 @pytest.mark.parametrize("p", [P28, 2**31 - 1])
@@ -1234,32 +1233,32 @@ def test_blocked_run_packs_slots_past_8_bytes(monkeypatch, p):
     dom = PrimeField(p)
     rng = random.Random(28)
     terms = [rng.randrange(p) for _ in range(800)]
-    monkeypatch.setattr(engine, "_BLOCK", 3)
+    monkeypatch.setattr(engine, "_LEAF", (3, 3))
     monkeypatch.setattr(engine, "_BLOCK_MIN_DEG", 0)
     core = _GenericCore(dom)
     ref, deltas, _, _ = _stepped(dom, terms)
     starts = _record_blocks(monkeypatch)
-    widths = []  # (blocks begun, slot bytes) of every product the run takes
+    widths = []  # slot bytes of every product the run takes, in order
     real = poly._slot_bytes  # product_slice sizes the slots of each product
     with monkeypatch.context() as patch:
-        patch.setattr(poly, "_slot_bytes",
-                      lambda q, k: widths.append((len(starts), real(q, k))) or widths[-1][1])
+        patch.setattr(poly, "_slot_bytes", lambda q, k: widths.append(real(q, k)) or widths[-1])
         assert engine._consume(core, terms) == deltas
     _assert_same_core(core, ref, "9-byte slots")
-    # blocks run to the end of the terms; the first packs 8 bytes a slot,
-    # and the windows of the late ones, past deg 255 at P28, pack 9
-    assert len(starts) == 800 // 3
-    assert {w for b, w in widths if b == 1} == {8} and max(w for _, w in widths) == 9
+    # one block runs every term; its first product, the window of the seed
+    # row, packs 8 bytes a slot, and later ones, whose sums pass 255 terms,
+    # pack 9
+    assert len(starts) == 1
+    assert widths[0] == 8 and max(widths) == 9
 
 
 def test_blocked_run_refills_its_windows(monkeypatch):
     # a run of zero terms leaves the transition rows long, so a block can
-    # read past the windows it started with and must recompute them
-    windows = []
-    real = engine.product_slice
-    monkeypatch.setattr(engine, "product_slice",
-                        lambda pairs, *args: windows.append(len(pairs) == 1)
-                        or real(pairs, *args))
+    # read past the windows it started with and must extend them
+    refills = []
+    real = engine._Windows.cover
+    monkeypatch.setattr(engine._Windows, "cover",
+                        lambda win, hi, p: refills.append(bool(win.W) and hi > win.hi)
+                        or real(win, hi, p))
     starts = _record_blocks(monkeypatch)
     rng = random.Random(3)
     terms = [1 if rng.random() < 0.02 else 0 for _ in range(600)]
@@ -1267,7 +1266,7 @@ def test_blocked_run_refills_its_windows(monkeypatch):
     ref, deltas, _, _ = _stepped(F3, terms)
     assert engine._consume(core, terms) == deltas
     _assert_same_core(core, ref, "refill")
-    assert sum(windows) > 2 * len(starts) > 0
+    assert len(starts) == 1 and sum(refills) > 0
 
 
 def test_blocked_run_is_used_by_mp_run_and_the_profile_log(monkeypatch):
@@ -1275,15 +1274,29 @@ def test_blocked_run_is_used_by_mp_run_and_the_profile_log(monkeypatch):
     rng = random.Random(65521)
     s = PrimeField(65521).seq([rng.randrange(65521) for _ in range(400)])
     _, rep = mp_run(s)
-    assert len(starts) == 4
+    assert len(starts) == 1
     ref, deltas, lc, exps = _stepped(s.domain, s.terms)
     assert (rep.lc, rep.deltas, rep.exponents, rep.nabla) == (lc, deltas, exps, ref.nabla)
     assert analysis_height(s).exponents == exps
-    assert len(starts) == 8
+    assert len(starts) == 2
     # per-step readers never block
     profile_steps(s)
     mp_run(s, MPConfig(normalize_each_step=True))
-    assert len(starts) == 8
+    assert len(starts) == 2
+
+
+def test_blocked_run_leaves_no_reference_cycle():
+    # reference counting frees everything a run builds: the recursive block
+    # holds no cycle, as a nested function calling itself would
+    rng = random.Random(2048)
+    s = PrimeField(65521).seq([rng.randrange(65521) for _ in range(2048)])
+    gc.collect()
+    gc.disable()
+    try:
+        mp_run(s)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1303,9 +1316,9 @@ def test_blocked_commands_print_the_per_step_bytes(monkeypatch, capsys, argv):
             ",".join(["0"] * 700 + [str(rng.randrange(p)) for _ in range(1300)])]
     starts = _record_blocks(monkeypatch)
     outs = []
-    for block in (None, 10**9):  # the default, then never a full block
-        if block:
-            monkeypatch.setattr(engine, "_BLOCK", block)
+    for min_deg in (None, 10**9):  # the default, then a warm-up that never ends
+        if min_deg:
+            monkeypatch.setattr(engine, "_BLOCK_MIN_DEG", min_deg)
         for seq in seqs:
             assert cli.main([*argv, "--seq", seq]) == 0
         outs.append(capsys.readouterr().out)

@@ -358,6 +358,23 @@ def test_verify_rueppel_builds_no_poly(monkeypatch):
     assert result.checked == 256 + 63 + 2 * 64 + 128 + 10
 
 
+def test_verify_rueppel_computes_each_member_once(monkeypatch):
+    # the sweeps ask for consecutive members, most of them more than once;
+    # every member gamma_packed computes, and the member list, pass the
+    # index guard once
+    calls = []
+    real = rueppel._check_gamma_index
+    monkeypatch.setattr(rueppel, "_check_gamma_index", lambda k: calls.append(k) or real(k))
+    result = verify_mod.verify_rueppel(**RUEPPEL_SMALL)
+    assert result.ok, result.detail
+    # the member list (up to 192) is built first; the closed forms up to
+    # n = 129 read members 0..66, and the column check up to k = 10
+    # members 1021..1023
+    members = calls[1:]
+    assert calls[0] == 192 and len(members) == len(set(members))
+    assert set(range(67)) | {1021, 1022, 1023} <= set(members)
+
+
 @pytest.mark.parametrize("step,checked,detail", [
     (9, 256 + 8, "matrix pattern at n=9"),
     (10, 256 + 9, "matrix pattern at n=10"),
