@@ -43,11 +43,13 @@ from .analysis import (
     plcp_count,
 )
 from .engine import (
+    BRUTE_FORCE_GUARD,
     MPConfig,
     _bezout_ok,
     _each_step,
     _make_core,
     _profile,
+    _run,
     _walk_prefixes,
     annihilates,
     brute_force_minpoly,
@@ -70,10 +72,10 @@ from .rueppel import (
 
 # every seeded-random suite draws from random.Random(DEFAULT_SEED)
 DEFAULT_SEED = 0x5EED
-# the most terms a bezout trial may draw: a trial checks a certificate at
-# every step, on rows up to half its length, so its work grows as n^3
-# and the sizes that finish lie far below this
-BEZOUT_N_GUARD = 4096
+# the most terms a bezout trial or an oracle draw may hold: a bezout trial
+# checks a certificate at every step, on rows up to half its length, so
+# its work grows as n^3 and the sizes that finish lie far below this
+DRAW_N_GUARD = 4096
 
 
 @dataclass
@@ -108,6 +110,14 @@ def _draw(rng: random.Random, q: int, max_n: int) -> list[int]:
     """A seeded length in 1..max_n, then that many terms in [0, q)."""
     n = rng.randrange(1, max_n + 1)
     return [rng.randrange(q) for _ in range(n)]
+
+
+def _guard_draws(suite: str, max_n: int) -> None:
+    """Refuse a suite's draws of up to max_n terms past DRAW_N_GUARD."""
+    if max_n > DRAW_N_GUARD:
+        raise ResourceLimitError(
+            f"{suite} draws of up to {max_n} terms exceed the guard of "
+            f"{DRAW_N_GUARD} terms")
 
 
 # ---------------------------------------------------------- prefix tree
@@ -190,16 +200,41 @@ def _packed_mu(st, core, delta: int, j: int) -> Poly:
     return Poly._canonical(GF2, gf2.to_coeffs(core.mu))
 
 
+def _guard_brute_force(fields, trials: int, max_n: int) -> None:
+    """Refuse the oracle's draws over fields before any brute force.
+
+    brute_force_minpoly refuses at the least degree d with
+    q^(d+1) > BRUTE_FORCE_GUARD, and it reaches degree d exactly when
+    the sequence's LC is at least d.  So one engine-only pass over the
+    same seeded draws refuses at the first draw whose LC reaches it.
+    """
+    _guard_draws("oracle", max_n)
+    rng = random.Random(DEFAULT_SEED)
+    for q in fields:
+        dom, refused = PrimeField(q), 1
+        while q ** (refused + 1) <= BRUTE_FORCE_GUARD:
+            refused += 1
+        for _ in range(trials):
+            if _run(dom, _draw(rng, q, max_n))[2][-1] >= refused:
+                raise ResourceLimitError(
+                    f"brute force bound exceeded at degree {refused}")
+
+
 @_suite("oracle")
 def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
                   trials: int = 500, max_n: int = 8) -> VerifyResult:
-    """Engine degree == brute-force least degree, and the output annihilates."""
+    """Engine degree == brute-force least degree, and the output annihilates.
+
+    The drawn half (every field but F_2) is guarded before any work,
+    and then drawn again from the seed: the draws are not stored.
+    """
+    drawn = [q for q in fields if q != 2]
+    if drawn:
+        _guard_brute_force(drawn, trials, max_n)
     if 2 in fields:  # every sequence of 1..exhaustive_n terms
         yield _tree_sweep(None, _packed_mu, _oracle_check, range(1, exhaustive_n + 1))
     rng = random.Random(DEFAULT_SEED)
-    for q in fields:
-        if q == 2:
-            continue
+    for q in drawn:
         for _ in range(trials):
             s = Seq(PrimeField(q), _draw(rng, q, max_n))
             yield 1, _oracle_check(mp_run(s)[1].minpoly, s.terms)
@@ -215,13 +250,10 @@ def verify_bezout(field: int = 3, trials: int = 1000, max_n: int = 32) -> Verify
     native rows (core.rows()) and nabla, so a step that leaves all four
     rows the same objects and nabla equal (a zero discrepancy, on every
     core) gives it the same inputs: the verdict of the last check stands
-    for it, and it still counts as checked.  A max_n past BEZOUT_N_GUARD
+    for it, and it still counts as checked.  A max_n past DRAW_N_GUARD
     is refused before any term is drawn.
     """
-    if max_n > BEZOUT_N_GUARD:
-        raise ResourceLimitError(
-            f"bezout trials of up to {max_n} terms exceed the guard of "
-            f"{BEZOUT_N_GUARD} terms")
+    _guard_draws("bezout", max_n)
     dom = PrimeField(field)
     rng = random.Random(DEFAULT_SEED)
     for _ in range(trials):

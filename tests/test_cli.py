@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcprof import analysis, cli, engine, fields
+from lcprof import analysis, cli, engine, fields, rueppel
 from lcprof import verify as verify_mod
 from lcprof.cli import (
     TABLE_GUARD,
@@ -600,13 +600,19 @@ def test_plcp_enum_and_rueppel_json(capsys):
     assert code == 0 and json.loads(out) == {"terms": [1, 1, 0, 1, 0, 0, 0, 1]}
 
 
-def test_enum_guard_exit_4(capsys):
+def test_enum_guard_exit_4(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the walk started past the guard")
+
+    monkeypatch.setattr(analysis, "_walk_prefixes", no_work)
     code, _, err = run(capsys, "plcp-enum", "--field", "2", "--n", "40")
     assert code == 4 and "guard" in err
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "plcp-enum", "--field", "3", "--n", str(10**18))
-    assert code == 4 and out == "" and "guard" in err
-    assert time.perf_counter() - t0 < 1.0
+    # 2^24 and 3^15 are the least powers of 2 and 3 past ENUM_GUARD = 10^7
+    for field, n in ((2, 24), (3, 15), (3, 10**18)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "plcp-enum", "--field", str(field), "--n", str(n))
+        assert code == 4 and out == "" and "guard" in err
+        assert time.perf_counter() - t0 < 1.0
     for json_flag in ((), ("--json",)):  # the stream is refused before its first byte
         code, out, err = run(capsys, "plcp-enum", "--field", "13", "--n", "6", *json_flag)
         assert (code, out) == (4, "") and "guard" in err
@@ -909,25 +915,34 @@ def test_verify_loads_no_process_pool():
 
 # ------------------------------------------------------------ entry point
 
-def test_console_entry_point():
+@pytest.mark.parametrize("module", ["lcprof.cli", "lcprof"])
+def test_console_entry_point(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "lcprof.cli", "minpoly", "--seq", "1,1,0,1,0,0"],
+        [sys.executable, "-m", module, "minpoly", "--seq", "1,1,0,1,0,0"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "mu = x^3+x^2+1" in proc.stdout
     proc = subprocess.run(
-        [sys.executable, "-m", "lcprof.cli", "profile", "--seq", "3,1",
+        [sys.executable, "-m", module, "profile", "--seq", "3,1",
          "--field", "2"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
 
 
-def test_size_guards_exit_4(capsys):
-    for command in ("gamma", "rueppel"):
-        code, out, err = run(capsys, command, "--n", str(10**9))
+def test_size_guards_exit_4(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the guard")
+
+    monkeypatch.setattr(rueppel, "Seq", no_work)
+    monkeypatch.setattr(rueppel, "_poly", no_work)
+    # 4194305 = RUEPPEL_GUARD + 1, the least length refused
+    for command, n in (("gamma", 10**9), ("rueppel", 10**9), ("rueppel", 4194305)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", str(n))
         assert code == 4 and out == "" and "guard" in err
+        assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("suite", ["plcp-equiv", "wang-massey", "oracle", "all"])
@@ -937,7 +952,8 @@ def test_verify_max_n_guard_exit_4(capsys, monkeypatch, suite):
 
     monkeypatch.setattr(verify_mod, "_walk_prefixes", no_work)
     monkeypatch.setattr(verify_mod, "mp_run", no_work)
-    for max_n in (40, 10**18):
+    # 23 is the least length whose binary sequences pass ENUM_GUARD = 10^7
+    for max_n in (23, 40, 10**18):
         t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", suite, "--max-n", str(max_n))
         assert code == 4 and out == "" and "guard" in err
@@ -972,18 +988,22 @@ def test_ternary_core_outputs_equal_the_generic_core(capsys, monkeypatch, argv):
 
 
 def test_verify_bezout_max_n_guard_exit_4(capsys, monkeypatch):
-    # 40 is a valid bezout size, so the guard has its own test: a sweep
-    # that started would draw from the rng or build a core, and fail here
+    # DRAW_N_GUARD bounds the bezout trials and the oracle's draws over
+    # F_q, q > 2, and 4097 is the least length it refuses.  40 is a valid
+    # size for both, so this guard has its own test: a sweep that started
+    # would draw from the rng or build a core, and fail here
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep started past the guard")
 
     monkeypatch.setattr(verify_mod, "_make_core", no_work)
     monkeypatch.setattr(verify_mod.random, "Random", no_work)
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "verify", "bezout", "--max-n", str(10**18))
-    assert code == 4 and out == "" and "guard" in err
-    assert time.perf_counter() - t0 < 1.0
-    assert verify_mod.BEZOUT_N_GUARD >= max(verify_mod.SUITES["bezout"].max_n, 64)
+    for argv in (("bezout", "--max-n", str(10**18)), ("bezout", "--max-n", "4097"),
+                 ("oracle", "--field", "7", "--max-n", "4097")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 4 and out == "" and "guard" in err
+        assert time.perf_counter() - t0 < 1.0
+    assert verify_mod.DRAW_N_GUARD >= max(verify_mod.SUITES["bezout"].max_n, 64)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -1066,9 +1086,30 @@ def test_verify_rueppel_guard_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_make_core", no_work)
     monkeypatch.setattr(verify_mod, "gamma_identities", no_work)
+    # at --max-n n the closed forms read gamma members up to 3n, so 10923
+    # is the least n past GAMMA_GUARD = 2^15
+    for max_n in (10923, 30000):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "rueppel", "--max-n", str(max_n))
+        assert code == 4 and out == "" and "guard" in err
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_oracle_refuses_a_draw_past_brute_force_before_any_check(
+        capsys, monkeypatch):
+    # the 50th draw of up to 14 terms over F_7 has LC 8, the degree at
+    # which brute force refuses (7^9 > BRUTE_FORCE_GUARD); the engine-only
+    # pass over the draws finds it before any draw is checked
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check started past the guard")
+
+    monkeypatch.setattr(verify_mod, "brute_force_minpoly", no_work)
+    monkeypatch.setattr(verify_mod, "mp_run", no_work)
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "verify", "rueppel", "--max-n", "30000")
-    assert code == 4 and out == "" and "guard" in err
+    code, out, err = run(capsys, "verify", "oracle", "--field", "7",
+                         "--max-n", "14", "--trials", "50")
+    assert (code, out) == (4, "")
+    assert "brute force bound exceeded at degree 8" in err
     assert time.perf_counter() - t0 < 1.0
 
 

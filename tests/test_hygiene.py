@@ -1,12 +1,15 @@
 """Source hygiene in lcprof: no unused imports, no dead private helpers,
-no core built or stepped outside engine.py, and no Kronecker slot sized
-outside poly.py.
+no core built or stepped outside engine.py, no Kronecker slot sized
+outside poly.py, and CI checks that stay runnable code.
 
-Only the stdlib ast module is used.  The package __init__ is exempt: its
-imports are the public re-exports.
+The stdlib ast module reads the sources; the CI checks file is also
+collected by pytest in a child process.  The package __init__ is exempt:
+its imports are the public re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +132,45 @@ def test_the_prefix_walk_is_defined_in_the_engine_alone():
     homes = [path.name for path in ALL_MODULES
              if "_walk_prefixes" in _private_defs(_tree(path))]
     assert homes == ["engine.py"]
+
+
+# tools/ci_checks.py holds the checks too slow for tier-1, one case for
+# each workflow step it replaced, or for each command of a step that ran
+# several; the workflow runs the file and holds no inline code of its own
+CI_CHECKS = ROOT / "tools" / "ci_checks.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+CI_CASES = """
+test_gamma_at_the_guard_under_40_mib
+test_plcp_enum_streams_under_64_mib[json]
+test_plcp_enum_streams_under_64_mib[text]
+test_size_guard_exits_4_at_10_18[plcp-enum]
+test_size_guard_exits_4_at_10_18[wang-massey]
+test_size_guard_exits_4_at_10_18[bezout]
+test_benchmark_self_test
+test_workload_against_the_benchmark_oracle[p65521-json]
+test_workload_against_the_benchmark_oracle[f3-table]
+test_workload_against_the_benchmark_oracle[f2-json]
+test_workload_against_the_benchmark_oracle[verify-all]
+test_traced_run_of_every_workload
+test_profile_table_against_the_json[p2^31-1]
+test_profile_table_against_the_json[p2]
+test_profile_table_against_the_json[p3]
+test_profile_table_against_the_json[p5]
+test_recursive_block_against_the_per_step_core_at_8192_terms
+""".split()
+
+
+def test_the_ci_checks_stay_runnable():
+    # 3.10 is the oldest Python in the workflow's matrix
+    ast.parse(CI_CHECKS.read_text(), filename=str(CI_CHECKS), feature_version=(3, 10))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", str(CI_CHECKS)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = {line.rpartition("::")[2] for line in proc.stdout.splitlines()}
+    missing = [case for case in CI_CASES if case not in collected]
+    assert not missing, f"cases missing from {CI_CHECKS.name}: {missing}"
+    workflow = WORKFLOW.read_text()
+    assert "<<" not in workflow and "python -c" not in workflow
+    assert "tools/ci_checks.py" in workflow
