@@ -718,7 +718,8 @@ def _profile(domain: CoeffDomain, deltas) -> tuple[list[int], list[int]]:
     """
     if not domain.p:
         # over F_p a delta is a residue, so truthiness is the zero test;
-        # over the integers the domain's is_zero decides, as in step
+        # over the integers the domain's is_zero decides, as in step: a
+        # domain may override it (the division-free lift tests zero mod q)
         deltas = [not domain.is_zero(d) for d in deltas]
     e, L = 1, 0
     lc, exps = [], [1]

@@ -32,6 +32,7 @@ from lcprof.errors import ResourceLimitError, UnsupportedDomainError
 from lcprof.fields import GF2, ZZ, PrimeField
 from lcprof.poly import Poly, Seq, poly_divmod
 from lcprof.rueppel import rueppel_terms
+from ring_reference import lin
 
 F3 = PrimeField(3)
 
@@ -94,18 +95,6 @@ def test_witnesses_with_epsilon():
         assert plcp_witnesses(s, epsilon=1).agree()
 
 
-def _lin_ref(c1, a, shift, c2, b, p):
-    out = [0] * max(shift + len(a), len(b))
-    for i, v in enumerate(a):
-        out[shift + i] += c1 * v
-    for i, v in enumerate(b):
-        out[i] -= c2 * v
-    out = [v % p for v in out] if p else out
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 # reference pair recursion on whole rows (mu, [mu]), [mu] read from the core
 _REF_START = ((([1], []),), (1, None))
 
@@ -119,12 +108,12 @@ def _ref_recursion_step(ref, j, core, delta, eps, p):
     row = tuple(map(core.ring.to_coeffs, core.rows()[:2]))
     odd = j & 1
     if j == 1:
-        want = (_lin_ref(1, [1], 1, delta * eps, [1], p), _lin_ref(delta, [1], 0, 0, [], p))
+        want = (lin(p, 1, [1], 1, delta * eps, [1]), lin(p, delta, [1], 0, 0, []))
     elif not odd and delta == 0:
         want = rows[0]
     else:
         c1, r2 = (deltas[1], rows[2]) if odd else (deltas[0], rows[1])
-        want = tuple(_lin_ref(c1, a, odd, delta, b, p) for a, b in zip(rows[0], r2))
+        want = tuple(lin(p, c1, a, odd, delta, b) for a, b in zip(rows[0], r2))
     return ((row,) + rows[:2], (delta, deltas[0])), tuple(map(operator.ne, row, want))
 
 

@@ -291,60 +291,16 @@ def test_plcp_enum_streams(tmp_path, json_flag, bound):
     assert peak < bound * size  # every sequence held at once reads 7x
 
 
-# The full stdout sha256 of seeded tables, one a row representation and
-# renderer path: (profile flags, field, n, seed), the input being n draws
-# of random.Random(seed).randrange(field).  An intended change of the
-# table's bytes edits a hash here and says so in CHANGES.md.
-TABLE_SHA256 = [
-    (("--field", "2"), 2, 3001, 1,
-     "44a4af871f35705f1da72fe363760917ff42d5fbb96a236f930d9a01ba59ef94"),
-    (("--field", "2", "--epsilon", "1"), 2, 3002, 2,
-     "12ed689f4d9ba6fb66ad682061f035c6c7b0e0870921a1ecc4a39754acc0b997"),
-    (("--field", "3"), 3, 2048, 3,
-     "54b94ff64fac4827ce7c0a2641180f7bc2c08ba5fbaa254e58825f45407e643d"),
-    (("--field", "3", "--epsilon", "2"), 3, 2001, 4,
-     "a679654595d7c8e2123ea97e110860e42a0f6f69fb3d20fdc84619b3e5544c84"),
-    (("--field", "5", "--epsilon", "4"), 5, 1001, 5,
-     "14545b403f6f67bd00c15a65ad5ec0fbd298918d75ba9917639c652820c7dd8b"),
-    (("--field", "11"), 11, 300, 6,
-     "b9440d88a100d48a6e68515ae171c8605108a5b72deba7e8a2a508e9be5210dc"),
-    (("--field", "13"), 13, 200, 7,
-     "dd5af0e821098e07ea3951b0f6c54b014a1f4555a1bb91a1baff8d5928f77455"),
-]
-
-
-class _Sha256Writer:
-    """A text stream that keeps only the sha256 of what is written to it."""
-
-    def __init__(self):
-        self.hash = hashlib.sha256()
-
-    def write(self, text):
-        self.hash.update(text.encode())
-        return len(text)
-
-
-@pytest.mark.parametrize("flags, field, n, seed, want", TABLE_SHA256,
-                         ids=[" ".join(c[0]) + f" n={c[2]}" for c in TABLE_SHA256])
-def test_profile_table_bytes_are_pinned(tmp_path, flags, field, n, seed, want):
-    rng = random.Random(seed)
-    path = tmp_path / "terms.txt"
-    path.write_text(",".join(str(rng.randrange(field)) for _ in range(n)),
-                    encoding="utf-8")
-    out = _Sha256Writer()
-    with contextlib.redirect_stdout(out):
-        code = main(["profile", *flags, "--in", str(path)])
-    assert (code, out.hash.hexdigest()) == (0, want)
-
-
 # The full stdout sha256 of every --json output, and of plcp-enum's and
 # verify all's text: (argv, field, line lengths, seed), each line of the
 # --in file being that many draws of random.Random(seed).randrange(field);
 # no lengths, no --in.  The 9001-term F_2 lists and the 7776 sequences of
 # F_3^10 are written in several chunks; the F_5 to F_(2^31-1) profiles of
 # 1500 terms and more run blocked, in slots of up to 9 bytes, and those of
-# 8192 terms through several levels of the block's recursion.  An intended
-# change of these bytes edits a hash here and says so in CHANGES.md.
+# 8192 terms through several levels of the block's recursion.  Each case
+# that differs fails and prints its fresh hash (`pytest -k pinned` runs
+# every pin); an intended change of these bytes edits that hash here and
+# says so in CHANGES.md.
 JSON_SHA256 = [
     (("profile", "--json", "--field", "2"), 2, (9001,), 11,
      "70276eea5e07fe4cff57485c57ff838ba1b16f2cec550617bb229f0fc48bda29"),
@@ -408,10 +364,10 @@ JSON_SHA256 = [
 
 
 # The full stdout sha256 of the text outputs, in JSON_SHA256's shape and
-# with its inputs: the table-free subcommands and the single verify
-# suites, seeded ones at their defaults and with every flag they read.
-# tools/pin_hashes.py prints each case's fresh hash; an intended change
-# of these bytes edits a hash here and says so in CHANGES.md.
+# re-pinned the same way: the table-free subcommands on the JSON pins'
+# inputs, the single verify suites, seeded ones at their defaults and
+# with every flag they read, and the profile tables, one a row
+# representation and renderer path.
 TEXT_SHA256 = [
     (("minpoly", "--field", "7"), 7, (300,), 20,
      "331f20554983c97720385a54e7036155eb4bfbcf2ee9f4401408e154c066dc88"),
@@ -439,6 +395,20 @@ TEXT_SHA256 = [
      "406344115c55ba25f6f6b67da27ba13a1bfddb07596a7588e3fff5be4813bd2b"),
     (("verify", "lcsum", "--trials", "100"), None, (), None,
      "3dc7bf7149f88ee6b3b22eeb2a0d3ef64386b73202afebc27b83289140d5cf97"),
+    (("profile", "--field", "2"), 2, (3001,), 1,
+     "44a4af871f35705f1da72fe363760917ff42d5fbb96a236f930d9a01ba59ef94"),
+    (("profile", "--field", "2", "--epsilon", "1"), 2, (3002,), 2,
+     "12ed689f4d9ba6fb66ad682061f035c6c7b0e0870921a1ecc4a39754acc0b997"),
+    (("profile", "--field", "3"), 3, (2048,), 3,
+     "54b94ff64fac4827ce7c0a2641180f7bc2c08ba5fbaa254e58825f45407e643d"),
+    (("profile", "--field", "3", "--epsilon", "2"), 3, (2001,), 4,
+     "a679654595d7c8e2123ea97e110860e42a0f6f69fb3d20fdc84619b3e5544c84"),
+    (("profile", "--field", "5", "--epsilon", "4"), 5, (1001,), 5,
+     "14545b403f6f67bd00c15a65ad5ec0fbd298918d75ba9917639c652820c7dd8b"),
+    (("profile", "--field", "11"), 11, (300,), 6,
+     "b9440d88a100d48a6e68515ae171c8605108a5b72deba7e8a2a508e9be5210dc"),
+    (("profile", "--field", "13"), 13, (200,), 7,
+     "dd5af0e821098e07ea3951b0f6c54b014a1f4555a1bb91a1baff8d5928f77455"),
 ]
 
 
@@ -462,6 +432,18 @@ def test_chunked_json_equals_json_dumps(capsys, monkeypatch, chunk):
         assert capsys.readouterr().out == json.dumps(obj) + "\n"
 
 
+class _Sha256Writer:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+
+# every stdout pin, the text outputs and the profile tables as well as the JSON
 @pytest.mark.parametrize("argv, field, lengths, seed, want", JSON_SHA256 + TEXT_SHA256,
                          ids=[" ".join(c[0]) + f" n={c[2]}"
                               for c in JSON_SHA256 + TEXT_SHA256])

@@ -43,6 +43,7 @@ from lcprof.poly import (
     poly_gcd,
     polynomial_part,
 )
+from ring_reference import lin, planes
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -302,20 +303,6 @@ def test_bezout_check_rejects_a_tampered_nabla(s):
 
 # ------------------------------------------------- the derived second column
 
-def _lin_ref(p, c1, a, ashift, c2, b, bshift):
-    """c1 * x^ashift * a - c2 * x^bshift * b over F_p (ZZ for p = 0), canonical."""
-    out = [0] * max(ashift + len(a), bshift + len(b))
-    for i, v in enumerate(a):
-        out[ashift + i] += c1 * v
-    for i, v in enumerate(b):
-        out[bshift + i] -= c2 * v
-    if p:
-        out = [v % p for v in out]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 class TwoColumnCore:
     """Reference engine that carries both columns of M through every step."""
 
@@ -340,7 +327,7 @@ class TwoColumnCore:
         e = self.e
         if not dom.is_zero(delta):
             ashift, bshift = max(e, 0), max(-e, 0)
-            new = [_lin_ref(p, self.dprime, a, ashift, delta, b, bshift)
+            new = [lin(p, self.dprime, a, ashift, delta, b, bshift)
                    for a, b in ((mu, mup), (part, mup_part))]
             factor = delta if e > 0 else self.dprime
             if e > 0:
@@ -396,20 +383,6 @@ def test_generic_step_updates_one_row(monkeypatch):
     assert len(calls) == nonzero > 50
 
 
-def _lin_reference(p, c1, a, ashift, c2, b, bshift):
-    """c1 x^ashift a - c2 x^bshift b, coefficient by coefficient, canonical."""
-    out = [0] * max(ashift + len(a), bshift + len(b))
-    for i, x in enumerate(a):
-        out[ashift + i] += c1 * x
-    for i, x in enumerate(b):
-        out[bshift + i] -= c2 * x
-    if p:
-        out = [v % p for v in out]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521, 0])
 def test_byte_slot_lin_matches_a_list_reference(p):
     dom = PrimeField(p) if p else ZZ
@@ -438,7 +411,7 @@ def test_byte_slot_lin_matches_a_list_reference(p):
         cases.append((c2, a, shifts[0], c2, a, shifts[0]))  # cancels mod p
     for c1, a, ashift, c2, b, bshift in cases:
         got = core.ring.lin(c1, a, ashift, c2, b, bshift)
-        assert got == _lin_reference(p, c1, a, ashift, c2, b, bshift)
+        assert got == lin(p, c1, a, ashift, c2, b, bshift)
         assert type(got) is list and all(type(v) is int for v in got)
         assert not p or all(0 <= v < p for v in got)
     assert core.ring.lin(2, [1, 1], 2, 2, [1, 1], 2) == []  # full cancellation
@@ -555,10 +528,6 @@ def test_ternary_pairs_match_a_core_that_carries_both_columns(eps, normalize):
                TwoColumnCore(F3, eps, normalize), 3, 7)
 
 
-def _planes(coeffs):
-    return gf3.from_bytes(bytes(coeffs[::-1]))
-
-
 def test_ternary_lin_matches_a_list_reference():
     # zero scalars included: the witness passes delta * eps, 0 at eps = 0,
     # and unreduced, up to 4
@@ -575,9 +544,9 @@ def test_ternary_lin_matches_a_list_reference():
         cases.append((rng.randrange(5), a, rng.randrange(10),
                       rng.randrange(5), b, rng.randrange(10)))
     for c1, a, ashift, c2, b, bshift in cases:
-        got = _TernaryCore.ring.lin(c1, _planes(a), ashift, c2, _planes(b), bshift)
+        got = _TernaryCore.ring.lin(c1, planes(a), ashift, c2, planes(b), bshift)
         assert not got[0] & got[1]
-        assert gf3.to_coeffs(got) == _lin_reference(3, c1, a, ashift, c2, b, bshift)
+        assert gf3.to_coeffs(got) == lin(3, c1, a, ashift, c2, b, bshift)
 
 
 def test_ternary_core_is_made_for_f3_only():

@@ -1,6 +1,7 @@
 """Source hygiene in lcprof: no unused imports, no dead private helpers,
 no core built or stepped outside engine.py, no Kronecker slot sized
-outside poly.py, and CI checks that stay runnable code.
+outside poly.py, CI checks that stay runnable code, and no tool that
+nothing runs.
 
 The stdlib ast module reads the sources; the CI checks file is also
 collected by pytest in a child process.  The package __init__ is exempt:
@@ -174,3 +175,14 @@ def test_the_ci_checks_stay_runnable():
     workflow = WORKFLOW.read_text()
     assert "<<" not in workflow and "python -c" not in workflow
     assert "tools/ci_checks.py" in workflow
+
+
+def test_every_tool_is_run_by_the_workflow_or_the_readme():
+    # a script that no CI step and no documented command names rots unrun
+    named = WORKFLOW.read_text() + (ROOT / "README.md").read_text()
+    tools = sorted(path.relative_to(ROOT).as_posix()
+                   for path in (ROOT / "tools").rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    assert tools
+    unnamed = [tool for tool in tools if tool not in named]
+    assert not unnamed, f"tools that neither tier1.yml nor README names: {unnamed}"

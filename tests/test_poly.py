@@ -25,6 +25,7 @@ from lcprof.poly import (
     reciprocal,
 )
 from lcprof.rueppel import gamma_packed
+from ring_reference import lin, planes
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -374,10 +375,6 @@ def test_gf2_gcd_of_consecutive_gammas():
 
 # ------------------------------------------------ bit-sliced F_3 kernels
 
-def _planes(coeffs):
-    return gf3.from_bytes(bytes(coeffs[::-1]))
-
-
 def test_gf3_sum_of_every_coefficient_pair():
     pairs = list(itertools.product(range(3), repeat=2))
     for x, y in pairs:
@@ -385,7 +382,7 @@ def test_gf3_sum_of_every_coefficient_pair():
         assert gf3.add((x == 1, x == 2), (y == 1, y == 2)) == one
     # the nine pairs side by side, one a coefficient
     xs, ys = zip(*pairs)
-    got = gf3.add(_planes(xs), _planes(ys))
+    got = gf3.add(planes(xs), planes(ys))
     assert gf3.row_bytes(got, 9)[::-1] == bytes((x + y) % 3 for x, y in pairs)
 
 
@@ -405,16 +402,6 @@ def _ring_case(draw):
     scalars = st.integers(-2 * ring.p, 2 * ring.p)
     return (ring, dom, draw(rows), draw(rows), draw(scalars), draw(scalars),
             draw(st.integers(0, 20)), draw(st.integers(0, 20)))
-
-
-def _combination(dom, c1, a, s1, c2, b, s2):
-    """c1 x^s1 a - c2 x^s2 b, coefficient by coefficient, as a Poly."""
-    out = [0] * max(s1 + len(a), s2 + len(b))
-    for i, x in enumerate(a):
-        out[s1 + i] += c1 * x
-    for i, x in enumerate(b):
-        out[s2 + i] -= c2 * x
-    return Poly(dom, out)
 
 
 def _schoolbook(dom, a, b):
@@ -441,10 +428,10 @@ def test_every_ring_matches_the_list_kernels(case):
     if ring.p < 256:
         assert ring.row_bytes(A).lstrip(b"\0") == bytes(a[::-1])
         assert ring.from_bytes(ring.row_bytes(A)) == A
-    want = _combination(dom, c1, a, s1, c2, b, s2)
+    want = Poly(dom, lin(dom.p, c1, a, s1, c2, b, s2))
     assert want == Pa.scale(c1).shift(s1) - Pb.scale(c2).shift(s2)
     assert coeffs(ring.lin(c1, A, s1, c2, B, s2)) == list(want.coeffs)
-    assert _combination(dom, 1, a, 0, -1, b, 0) == Pa + Pb
+    assert Poly(dom, lin(dom.p, 1, a, 0, -1, b)) == Pa + Pb
     assert coeffs(ring.lin(1, A, 0, -1, B, 0)) == list((Pa + Pb).coeffs)
     assert _schoolbook(dom, a, b) == Pa * Pb
     assert coeffs(ring.mul(A, B)) == list((Pa * Pb).coeffs)

@@ -233,8 +233,8 @@ def test_oracle_sweeps_f2_without_a_run_per_sequence(monkeypatch):
 # (verify argv, the verify global that receives them, their position
 # among its arguments, sha256 of the repr of the list of term tuples).
 # Passing counts do not show the drawn values; these pin them.
-# tools/pin_hashes.py prints each case's fresh hash; an intended change
-# of the draws edits a hash here and says so in CHANGES.md.
+# Each case that differs fails and prints its fresh hash; an intended
+# change of the draws edits that hash here and says so in CHANGES.md.
 DRAW_SHA256 = [
     (("oracle", "--field", "3"), "mp_run", 0,
      "e5f6ba75799da9fcdd434b3eae3de1dd4d84f3627650474f1da916ff7185d305"),
@@ -259,8 +259,9 @@ def test_seeded_draws_are_pinned(monkeypatch, argv, name, at, want):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify_mod, name, recording)
-    assert main(["verify", *argv]) == 0
-    assert hashlib.sha256(repr(seen).encode()).hexdigest() == want
+    code = main(["verify", *argv])
+    # as a pair, pytest prints both hashes in full when they differ
+    assert (code, hashlib.sha256(repr(seen).encode()).hexdigest()) == (0, want)
 
 
 # -------------------------------------------------------------- height
