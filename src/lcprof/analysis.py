@@ -368,6 +368,15 @@ def _guard_enumeration(q: int, n: int) -> None:
             f"the enumeration guard {ENUM_GUARD}")
 
 
+def _guard_binary_sweep(max_n: int) -> None:
+    """Refuse to sweep the binary sequences of up to max_n terms past ENUM_GUARD."""
+    # 2^(max_n + 1) > ENUM_GUARD, compared by bit length: no power is built
+    if max_n + 1 >= ENUM_GUARD.bit_length():
+        raise ResourceLimitError(
+            f"the binary sequences of up to {max_n} terms exceed the "
+            "enumeration guard")
+
+
 def _perfect_step(state, core, delta, j):
     return True if core.cur_lc() == (j + 1) // 2 else None
 

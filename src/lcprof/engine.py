@@ -863,14 +863,14 @@ class ProfileReport:
         return [self.exponents[j - 1] for j in self.jumps]
 
     def to_json_dict(self) -> dict:
-        m = self.final_matrix
-        rows = m.text_rows()  # each entry rendered once; mu and mu' reuse them
+        """The report as JSON-ready values; the dict shares the report's lists."""
+        rows = self.final_matrix.text_rows()  # rendered once; mu, mu' reuse them
         return {
             "field": self.domain.p,
             "epsilon": self.epsilon,
-            "lc": list(self.lc),
-            "deltas": list(self.deltas),
-            "exponents": list(self.exponents),
+            "lc": self.lc,
+            "deltas": self.deltas,
+            "exponents": self.exponents,
             "mu": rows[0][0],
             "mu_prime": rows[1][0],
             "nabla": self.nabla,
@@ -1110,12 +1110,21 @@ def minpoly_coset(state: MPState) -> list[Poly]:
     return [mu + mup.scale(c) for c in dom.elements()]
 
 
-def brute_force_minpoly(s: Seq, guard: int = BRUTE_FORCE_GUARD) -> tuple[int, Poly]:
+def _check_brute_force_degree(q: int, d: int) -> None:
+    """Refuse degree d >= 1 over F_q once q^(d+1) passes BRUTE_FORCE_GUARD,
+    naming the first refused degree: 23, 14, 10 and 8 for q = 2, 3, 5, 7."""
+    if d >= 1 and q ** (d + 1) > BRUTE_FORCE_GUARD:
+        while d > 1 and q ** d > BRUTE_FORCE_GUARD:
+            d -= 1
+        raise ResourceLimitError(f"brute force bound exceeded at degree {d}")
+
+
+def brute_force_minpoly(s: Seq) -> tuple[int, Poly]:
     """Least annihilator degree by monic enumeration, with one witness.
 
     Independent of the engine: tries every monic polynomial degree by
-    degree and returns the first annihilator found.  Raises
-    ResourceLimitError once q^(d+1) would exceed the guard.
+    degree and returns the first annihilator found.  Each degree passes
+    _check_brute_force_degree first.
     """
     dom = s.domain
     if not isinstance(dom, PrimeField):
@@ -1124,16 +1133,15 @@ def brute_force_minpoly(s: Seq, guard: int = BRUTE_FORCE_GUARD) -> tuple[int, Po
         return 0, Poly(dom, (1,))
     q = dom.p
     n = len(s)
-    if q == 2:
-        # f = x^d + low annihilates when the window bits d..n-1 of
-        # rev(f) * S vanish, and that product is the XOR of S (the x^d
-        # term) and S << (d - i) for each bit i of low.  So the candidates
-        # are visited in Gray-code order, each one XOR from the last, and
-        # the least annihilating low is kept.
-        S = sum(1 << i for i, t in enumerate(s.terms) if t)
-        for d in range(1, n + 1):
-            if q ** (d + 1) > guard:
-                raise ResourceLimitError(f"brute force bound exceeded at degree {d}")
+    # Over F_2, f = x^d + low annihilates when the window bits d..n-1 of
+    # rev(f) * S vanish, and that product is the XOR of S (the x^d term)
+    # and S << (d - i) for each bit i of low.  So the candidates are
+    # visited in Gray-code order, each one XOR from the last, and the
+    # least annihilating low is kept.
+    S = sum(1 << i for i, t in enumerate(s.terms) if t) if q == 2 else 0
+    for d in range(1, n + 1):
+        _check_brute_force_degree(q, d)
+        if q == 2:
             mask = ((1 << (n - d)) - 1) << d
             v = S & mask
             least = None if v else 0
@@ -1146,10 +1154,7 @@ def brute_force_minpoly(s: Seq, guard: int = BRUTE_FORCE_GUARD) -> tuple[int, Po
                         least = k ^ k >> 1
             if least is not None:
                 return d, Poly._canonical(dom, gf2.to_coeffs(least | 1 << d))
-    else:
-        for d in range(1, n + 1):
-            if q ** (d + 1) > guard:
-                raise ResourceLimitError(f"brute force bound exceeded at degree {d}")
+        else:
             for low in itertools.product(range(q), repeat=d):
                 f = Poly(dom, low + (1,))
                 if annihilates(f, s):

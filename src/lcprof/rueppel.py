@@ -23,20 +23,23 @@ from .errors import ResourceLimitError
 from .fields import GF2
 from .poly import Poly, Seq
 
-COLUMN_CHECK_BOUND = 2**16
-# Size guards, checked before anything is allocated.  GAMMA_GUARD bounds
-# the index of a member (k bits packed) and the length of a member list
-# (about k^2/16 bytes up to member k: 64 MiB here).
+# Size guards, each read at call time by one _check_* function run before
+# anything is allocated.  GAMMA_GUARD bounds a member's index (k bits packed)
+# and a member list's length (about k^2/16 bytes up to member k: 64 MiB here).
 GAMMA_GUARD = 2**15
 RUEPPEL_GUARD = 2**22
 
 
-def rueppel_terms(n: int) -> Seq:
-    """First n terms: 1 at indices 1, 2, 4, 8, ..., 0 elsewhere."""
+def _check_terms(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > RUEPPEL_GUARD:
         raise ResourceLimitError(f"{n} terms exceed the guard {RUEPPEL_GUARD}")
+
+
+def rueppel_terms(n: int) -> Seq:
+    """First n terms: 1 at indices 1, 2, 4, 8, ..., 0 elsewhere."""
+    _check_terms(n)
     return Seq(GF2, [1 if j & (j - 1) == 0 else 0 for j in range(1, n + 1)])
 
 
@@ -49,6 +52,13 @@ def _check_gamma_index(k: int) -> None:
         raise ValueError("gamma index must be nonnegative")
     if k > GAMMA_GUARD:
         raise ResourceLimitError(f"gamma index {k} exceeds the guard {GAMMA_GUARD}")
+
+
+def _check_column(k: int) -> None:
+    """Refuse k once gamma(2^k - 1) passes GAMMA_GUARD; a huge 2^k is never built."""
+    if k > GAMMA_GUARD.bit_length() or 2**k - 1 > GAMMA_GUARD:
+        raise ResourceLimitError(
+            f"column check k={k} reads gamma(2^{k} - 1) past the guard {GAMMA_GUARD}")
 
 
 def gamma_packed(k: int) -> int:
@@ -203,10 +213,8 @@ def rueppel_matrix_pattern(n: int, rows, prev, member=gamma_packed) -> bool:
 
 def rueppel_matrix_check(n: int) -> bool:
     """Engine matrix pattern: M at 2, repeat at even n, U-power at odd n."""
-    if n < 2:
-        raise ValueError("pattern starts at n = 2")
     core = _make_core(GF2, MPConfig())
-    rows = core.rows()
+    prev = rows = core.rows()  # the pattern refuses n < 2
     for _ in _each_step(core, rueppel_terms(n).terms):
         prev, rows = rows, core.rows()
     return rueppel_matrix_pattern(n, rows, prev)
@@ -219,13 +227,11 @@ def power_column_identity(k: int, member=gamma_packed) -> bool:
     power applied to the column (1, x+1) reproduces, after clearing the
     x^{-2^k} scale, the pair (sum of x^{2^k - 2^i} for i = 0..k,
     x^{2^k}).  Both sides are polynomials, so the comparison is exact.
-    member is as in u_power_packed.
+    member is as in u_power_packed.  _check_column refuses k first.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    # 2^k > COLUMN_CHECK_BOUND, compared by bit length: no power is built
-    if k >= COLUMN_CHECK_BOUND.bit_length():
-        raise ResourceLimitError(f"2^{k} exceeds the size bound")
+    _check_column(k)
     p = 2**k
     # U^{2-2^k} = (U^(2^k - 2))^{-1}; powers via the gamma closed form
     u_inv = _adjugate_packed(u_power_packed(p - 2, member))

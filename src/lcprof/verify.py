@@ -30,10 +30,10 @@ from typing import Callable, NamedTuple
 
 from . import gf2
 from .analysis import (
-    ENUM_GUARD,
     WITNESSES,
     _WITNESS_START,
     _cf_quotients,
+    _guard_binary_sweep,
     _guard_enumeration,
     _witness_step,
     enumerate_plcp,
@@ -43,9 +43,9 @@ from .analysis import (
     plcp_count,
 )
 from .engine import (
-    BRUTE_FORCE_GUARD,
     MPConfig,
     _bezout_ok,
+    _check_brute_force_degree,
     _each_step,
     _make_core,
     _profile,
@@ -59,8 +59,9 @@ from .errors import ResourceLimitError
 from .fields import GF2, PrimeField
 from .poly import Poly, Seq
 from .rueppel import (
-    COLUMN_CHECK_BOUND,
-    GAMMA_GUARD,
+    _check_column,
+    _check_gamma_index,
+    _check_terms,
     gamma_identities,
     gamma_members,
     gamma_packed,
@@ -121,15 +122,6 @@ def _guard_draws(suite: str, max_n: int) -> None:
 
 
 # ---------------------------------------------------------- prefix tree
-
-def _guard_binary_sweep(max_n: int) -> None:
-    """Refuse to sweep the binary sequences of up to max_n terms past the guard."""
-    # 2^(max_n + 1) > ENUM_GUARD, compared by bit length: no power is built
-    if max_n + 1 >= ENUM_GUARD.bit_length():
-        raise ResourceLimitError(
-            f"the binary sequences of up to {max_n} terms exceed the "
-            "enumeration guard")
-
 
 def _tree_sweep(start, fold, check, lengths: range) -> tuple[int, str]:
     """(checked, detail) over every binary sequence whose length is in lengths.
@@ -201,23 +193,14 @@ def _packed_mu(st, core, delta: int, j: int) -> Poly:
 
 
 def _guard_brute_force(fields, trials: int, max_n: int) -> None:
-    """Refuse the oracle's draws over fields before any brute force.
-
-    brute_force_minpoly refuses at the least degree d with
-    q^(d+1) > BRUTE_FORCE_GUARD, and it reaches degree d exactly when
-    the sequence's LC is at least d.  So one engine-only pass over the
-    same seeded draws refuses at the first draw whose LC reaches it.
-    """
+    """Refuse the oracle's draws over fields before any brute force, which
+    checks each degree up to a draw's LC: an engine-only pass gives it each LC."""
     _guard_draws("oracle", max_n)
     rng = random.Random(DEFAULT_SEED)
     for q in fields:
-        dom, refused = PrimeField(q), 1
-        while q ** (refused + 1) <= BRUTE_FORCE_GUARD:
-            refused += 1
+        dom = PrimeField(q)
         for _ in range(trials):
-            if _run(dom, _draw(rng, q, max_n))[2][-1] >= refused:
-                raise ResourceLimitError(
-                    f"brute force bound exceeded at degree {refused}")
+            _check_brute_force_degree(q, _run(dom, _draw(rng, q, max_n))[0].cur_lc())
 
 
 @_suite("oracle")
@@ -375,19 +358,15 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
     closed form, whose gamma members come from Lucas's theorem.  The
     identity checks read one member list built by the recurrence, which
     is compared with Lucas's theorem at a dozen indices up to its top.
-    The sizes are checked against the gamma and column guards first.
+    The sizes pass rueppel's column, gamma and terms checks first.
     """
-    if r0_k >= COLUMN_CHECK_BOUND.bit_length():
-        raise ResourceLimitError(
-            f"2^{r0_k} exceeds the column check guard {COLUMN_CHECK_BOUND}")
-    # the largest gamma index each check reads (2^r0_k - 1: the column form)
+    _check_column(r0_k)
+    # the largest gamma index each other check reads
     g_top = max(gamma_n + gamma_n // 2, gamma_n + 1)
-    top = max(g_top, (closed_n + 3) // 2, (matrix_n + 1) // 2, 2**r0_k - 1)
-    if top > GAMMA_GUARD:
-        raise ResourceLimitError(
-            f"gamma index {top} exceeds the guard {GAMMA_GUARD}")
-    g = gamma_members(g_top)
+    _check_gamma_index(max(g_top, (closed_n + 3) // 2, (matrix_n + 1) // 2))
     snap_n = max(matrix_n, closed_n + 1)
+    _check_terms(max(profile_n, snap_n))
+    g = gamma_members(g_top)
     core = _make_core(GF2, MPConfig())
     rows = [core.rows()]  # rows[j]: the packed rows after j terms
     deltas = []

@@ -2,7 +2,9 @@
 
 import contextlib
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lcprof
 from lcprof import analysis, cli, engine, fields, rueppel
 from lcprof import verify as verify_mod
 from lcprof.cli import (
@@ -807,6 +810,32 @@ def test_readme_verify_table_matches_the_registry():
     assert table == [[name, cell(suite.max_n), cell(suite.trials),
                       "yes" if suite.field else "no"]
                      for name, suite in verify_mod.SUITES.items()]
+
+
+def test_readme_guard_table_names_every_guard_with_its_value():
+    # each row names a constant as module.NAME and prints its value (2^14,
+    # 10^7, 4300); every *_GUARD constant of the package has a row, and so
+    # does the one other refusal bound, engine.ZZ_NABLA_BITS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = ("| Guard | Value | What it bounds | Smallest refused input |\n"
+              "|---|---|---|---|\n")
+    assert readme.count(header) == 1
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    named = set()
+    for row in rows:
+        cells = row.strip("|").split("|")
+        guard, value = (cell.strip().strip("`") for cell in cells[:2])
+        module, _, name = guard.partition(".")
+        base, _, power = value.partition("^")
+        want = int(base) ** int(power) if power else int(base)
+        assert getattr(importlib.import_module(f"lcprof.{module}"), name) == want, row
+        named.add(guard)
+    modules = [info.name for info in pkgutil.iter_modules(lcprof.__path__)
+               if info.name != "__main__"]  # importing __main__ runs the CLI
+    guards = {f"{module}.{name}" for module in modules
+              for name in vars(importlib.import_module(f"lcprof.{module}"))
+              if name.endswith("_GUARD")}
+    assert guards | {"engine.ZZ_NABLA_BITS"} <= named, sorted(guards - named)
 
 
 def test_verify_size_not_an_integer_exit_2(capsys):

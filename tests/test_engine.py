@@ -927,9 +927,21 @@ def test_brute_force_examples():
     assert d == 0 and str(w) == "1"
 
 
-def test_brute_force_guard():
+def test_brute_force_guard(monkeypatch):
+    monkeypatch.setattr(engine, "BRUTE_FORCE_GUARD", 1000)
     with pytest.raises(ResourceLimitError):
-        brute_force_minpoly(F5.seq([0] * 29 + [1]), guard=1000)
+        brute_force_minpoly(F5.seq([0] * 29 + [1]))
+
+
+@pytest.mark.parametrize("q, first", [(2, 23), (3, 14), (5, 10), (7, 8)])
+def test_brute_force_refuses_from_its_first_degree_past_the_guard(q, first):
+    # one rule for brute force and the oracle's pre-pass: degrees below the
+    # first refused one pass, and every degree from it on names it
+    for d in (0, 1, first - 1):
+        engine._check_brute_force_degree(q, d)
+    for d in (first, first + 1, 4096):
+        with pytest.raises(ResourceLimitError, match=f"at degree {first}$"):
+            engine._check_brute_force_degree(q, d)
 
 
 def test_brute_force_needs_field():
@@ -1352,8 +1364,10 @@ def test_minpoly_coset_needs_a_finite_field():
         minpoly_coset(mp_init(ZZ))
 
 
-def test_brute_force_guard_over_f2():
+def test_brute_force_guard_over_f2(monkeypatch):
     # no x + c annihilates 0,0,0,1; degree 2 would try 2^3 > 4 candidates
+    monkeypatch.setattr(engine, "BRUTE_FORCE_GUARD", 4)
     with pytest.raises(ResourceLimitError, match="degree 2"):
-        brute_force_minpoly(GF2.seq([0, 0, 0, 1]), guard=4)
-    assert brute_force_minpoly(GF2.seq([0, 0, 0, 1]), guard=32)[0] == 4
+        brute_force_minpoly(GF2.seq([0, 0, 0, 1]))
+    monkeypatch.setattr(engine, "BRUTE_FORCE_GUARD", 32)
+    assert brute_force_minpoly(GF2.seq([0, 0, 0, 1]))[0] == 4

@@ -1,7 +1,7 @@
 """Source hygiene in lcprof: no unused imports, no dead private helpers,
 no core built or stepped outside engine.py, no Kronecker slot sized
-outside poly.py, CI checks that stay runnable code, and no tool that
-nothing runs.
+outside poly.py, no guard constant read outside its module, CI checks
+that stay runnable code, and no tool that nothing runs.
 
 The stdlib ast module reads the sources; the CI checks file is also
 collected by pytest in a child process.  The package __init__ is exempt:
@@ -56,6 +56,12 @@ def _imported(tree) -> dict[str, int]:
 
 def _private_defs(tree) -> dict[str, int]:
     """Module-level private names (not dunders) with their line numbers."""
+    return {name: line for name, line in _defs(tree).items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _defs(tree) -> dict[str, int]:
+    """Module-level names the module defines, with their line numbers."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -66,8 +72,7 @@ def _private_defs(tree) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                out[name] = node.lineno
+            out[name] = node.lineno
     return out
 
 
@@ -135,6 +140,16 @@ def test_the_prefix_walk_is_defined_in_the_engine_alone():
     assert homes == ["engine.py"]
 
 
+def test_only_its_own_module_reads_a_guard_constant():
+    # a size guard's rule is one check function in the module that owns
+    # its constant; the work it bounds and every pre-check call that, so
+    # no second module knows the rule (tests may patch any guard)
+    stray = sorted(f"{path.name}: {name}" for path in ALL_MODULES
+                   for name in _uses(_tree(path))
+                   if name.endswith("_GUARD") and name not in _defs(_tree(path)))
+    assert not stray, f"guard constants read outside their module: {stray}"
+
+
 # tools/ci_checks.py holds the checks too slow for tier-1, one case for
 # each workflow step it replaced, or for each command of a step that ran
 # several; the workflow runs the file and holds no inline code of its own
@@ -147,6 +162,7 @@ test_plcp_enum_streams_under_64_mib[text]
 test_size_guard_exits_4_at_10_18[plcp-enum]
 test_size_guard_exits_4_at_10_18[wang-massey]
 test_size_guard_exits_4_at_10_18[bezout]
+test_size_guard_exits_4_at_10_18[rueppel]
 test_benchmark_self_test
 test_workload_against_the_benchmark_oracle[p65521-json]
 test_workload_against_the_benchmark_oracle[f3-table]

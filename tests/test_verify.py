@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -434,7 +435,6 @@ def test_verify_rueppel_guard_is_exact(monkeypatch, past):
     # With the gamma guard at 64, the sizes at the limit read gamma(64)
     # and pass; one size past it is refused before the engine runs.
     monkeypatch.setattr(rueppel, "GAMMA_GUARD", 64)
-    monkeypatch.setattr(verify_mod, "GAMMA_GUARD", 64)
     limit = dict(profile_n=16, matrix_n=128, closed_n=126, gamma_n=43, r0_k=6)
     assert verify_mod.verify_rueppel(**limit).ok
 
@@ -446,6 +446,20 @@ def test_verify_rueppel_guard_is_exact(monkeypatch, past):
         verify_mod.verify_rueppel(**{**limit, **past})
     with pytest.raises(ResourceLimitError, match="column"):
         verify_mod.verify_rueppel(**{**limit, "r0_k": 17})
+
+
+def test_verify_rueppel_refuses_its_terms_before_any_work(monkeypatch):
+    # the terms guard is checked with the gamma and column guards, before
+    # the member list, the core or the terms are built
+    def no_work(*args, **kwargs):
+        raise AssertionError("the rueppel suite started past the terms guard")
+
+    for name in ("gamma_members", "_make_core", "rueppel_terms"):
+        monkeypatch.setattr(verify_mod, name, no_work)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="terms exceed the guard"):
+        verify_mod.verify_rueppel(profile_n=rueppel.RUEPPEL_GUARD + 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -------------------------------------------------------------- bezout

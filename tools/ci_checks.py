@@ -82,7 +82,8 @@ def test_plcp_enum_streams_under_64_mib(tmp_path, flags):
     ["plcp-enum", "--field", "3", "--n", str(10**18)],
     ["verify", "wang-massey", "--max-n", str(10**18)],
     ["verify", "bezout", "--max-n", str(10**18)],
-], ids=["plcp-enum", "wang-massey", "bezout"])
+    ["verify", "rueppel", "--max-n", str(10**18)],
+], ids=["plcp-enum", "wang-massey", "bezout", "rueppel"])
 def test_size_guard_exits_4_at_10_18(args):
     # the guards compare sizes and never build the power
     proc = subprocess.run([*LCPROF, *args], timeout=20)
