@@ -36,7 +36,7 @@ def _require_binary(s: Seq, what: str) -> None:
 
 def _run_profile(s: Seq) -> tuple[list[int], list[int]]:
     """LC_1..LC_n and e_0..e_n of one engine._run, blocked where it can be."""
-    return _run(s.domain, s.terms)[2:]
+    return _profile(s.domain, _run(s.domain, s.terms)[1])
 
 
 # Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] of

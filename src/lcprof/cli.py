@@ -8,13 +8,15 @@ digits must already lie in [0, p), out-of-range values are rejected
 rather than reduced, and so is an --epsilon outside [0, p).
 --json swaps the table output for one JSON object per input sequence
 (per suite for verify), with the bytes of json.dumps but each long list
-written in chunks, so no report's list is ever one string; plcp-enum
-writes its sequences as the prefix walk yields them, text or JSON, and
-never holds the list.  Each subcommand takes only the flags it reads:
-all but stable (always over F_2), rueppel and gamma take --field, and
-only profile, minpoly and plcp-check take --epsilon.  verify takes its
-defaults from verify.SUITES, and a single suite refuses a --max-n,
---field or --trials it does not read.
+written in chunks, so no report's list is ever one string.  profile
+--json (engine.profile_json) writes lc and exponents as they are
+derived from the discrepancies and never holds either list, and
+plcp-enum writes its sequences as the prefix walk yields them, text or
+JSON, and never holds the list.  Each subcommand takes only the flags
+it reads: all but stable (always over F_2), rueppel and gamma take
+--field, and only profile, minpoly and plcp-check take --epsilon.
+verify takes its defaults from verify.SUITES, and a single suite
+refuses a --max-n, --field or --trials it does not read.
 
 Exit codes: 0 success, 2 input/usage error, 3 a failed verify suite (or
 an engine error that no input is known to reach), 4 resource guard
@@ -30,6 +32,7 @@ import functools
 import json
 import re
 import sys
+from collections.abc import Iterator
 from itertools import islice
 
 from . import verify as verify_mod
@@ -41,7 +44,13 @@ from .analysis import (
     lc_sum,
     plcp_count,
 )
-from .engine import MPConfig, feedback_polynomial, mp_run, profile_text_rows
+from .engine import (
+    MPConfig,
+    feedback_polynomial,
+    mp_run,
+    profile_json,
+    profile_text_rows,
+)
 from .errors import (
     LcprofError,
     ResourceLimitError,
@@ -74,20 +83,24 @@ def parse_sequence(text: str, dom: PrimeField) -> Seq:
     if not text:
         return Seq(dom, ())
     tokens = text.split(",") if _COMMA_TEXT.fullmatch(text) else _FIELD_SPLIT.split(text)
-    terms = []
-    for tok in tokens:
-        if not (tok.isascii() and tok.isdigit()):
-            if _NEGATIVE.fullmatch(tok):
-                raise SequenceParseError(f"value {tok} outside [0, {p})")
-            raise SequenceParseError(f"not an integer: {tok!r}")
-        try:
-            v = int(tok)
-        except ValueError:  # more digits than int() converts
-            raise SequenceParseError(f"not an integer: {tok!r}") from None
-        if v >= p:
-            raise SequenceParseError(f"value {v} outside [0, {p})")
-        terms.append(v)
-    return Seq._canonical(dom, tuple(terms))  # every term checked in [0, p)
+
+    def terms():
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                if _NEGATIVE.fullmatch(tok):
+                    raise SequenceParseError(f"value {tok} outside [0, {p})")
+                raise SequenceParseError(f"not an integer: {tok!r}")
+            try:
+                v = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise SequenceParseError(f"not an integer: {tok!r}") from None
+            if v >= p:
+                raise SequenceParseError(f"value {v} outside [0, {p})")
+            yield v
+
+    # the terms go straight into the one tuple the engine reads, with
+    # every term checked in [0, p)
+    return Seq._canonical(dom, tuple(terms()))
 
 
 def _input_sequences(args) -> list[Seq]:
@@ -130,12 +143,13 @@ def _write_list(items) -> None:
 
 def _emit(obj: dict) -> None:
     """Print json.dumps(obj) for a report dict of str keys, written key by
-    key, each list value through _write_list."""
+    key, each list value through _write_list; an iterator value is
+    written as the list it yields, drawn as it is written."""
     out = sys.stdout
     out.write("{")
     for i, (key, value) in enumerate(obj.items()):
         out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if isinstance(value, list):
+        if isinstance(value, (list, Iterator)):
             _write_list(value)
         else:
             out.write(json.dumps(value))
@@ -183,8 +197,7 @@ def cmd_profile(args) -> int:
             f"guard of {TABLE_GUARD} terms at one digit per coefficient; use --json")
     for s in seqs:
         if args.json:
-            _, rep = mp_run(s, config)
-            _emit(rep.to_json_dict())
+            _emit(profile_json(s, config))
         else:
             for line in profile_table_lines(s, config):
                 print(line)

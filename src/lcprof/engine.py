@@ -13,11 +13,13 @@ is nonzero, replaces the top row by a cross-combination of the two rows;
 the recursion is division-free, so it runs unchanged over the integers.
 A core keeps no log: step returns delta_j, the driver of a run collects
 the discrepancies (_consume returns them), and the profile is derived
-from them alone after the run (_profile): e_0 = 1, e_j = e_{j-1} + 1,
-negated first when delta_j != 0 and e_{j-1} > 0, and
-LC_j = (j + 1 - e_j)/2.  MPState carries its chain's discrepancies
-only, and reads the shift p_shift (steps since the last jump) off the
-core's degrees and e.
+from them alone after the run, by one generator (_exponents): e_0 = 1,
+e_j = e_{j-1} + 1, negated first when delta_j != 0 and e_{j-1} > 0, and
+LC_j = (j + 1 - e_j)/2 (_lcs).  _profile lists them; profile_json, the
+CLI's JSON report, hands both on as iterators, so its writer draws lc
+and exponents as they are derived and never holds either list.  MPState
+carries its chain's discrepancies only, and reads the shift p_shift
+(steps since the last jump) off the core's degrees and e.
 
 Seeding follows the fixed initial matrix [[1, 0], [eps, -1]] with
 delta_0 = 1 and e_0 = 1; the -1 entry is what makes the second column
@@ -55,12 +57,13 @@ _walk_prefixes for the prefix tree; mp_step takes one step.  Elsewhere
 only analysis.deltas_to_sequence steps a core: its two trial steps a
 term choose that term.
 
-_run serves the runs that read no per-step rows (mp_run, and the profile
-behind height, lc_sum and char_equivalence) through _consume.  On a generic
-core over F_p (p >= 5 unless forced: the F_2 and F_3 cores step term by
-term, which beats a block there) without per-step normalization it
-steps term by term until deg mu >= _BLOCK_MIN_DEG and then advances
-through all the remaining terms in one block.  A block is the product of
+_run serves the runs that read no per-step rows (mp_run, profile_json,
+and the profile behind height, lc_sum and char_equivalence) through
+_consume.  On a generic core over F_p (p >= 5 unless forced: the F_2
+and F_3 cores step term by term, which beats a block there) without
+per-step normalization it steps term by term until deg mu >=
+_BLOCK_MIN_DEG and then advances through all the remaining terms in one
+block.  A block is the product of
 its jump matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0'
 (Berlekamp-Massey read as Euclid, as in Dornstetter 1987), and it is
 computed recursively, as the half-gcd of Brent-Gustavson-Yun 1980: a
@@ -658,10 +661,13 @@ def _consume(core, terms) -> list[int]:
 
 def _run(domain: CoeffDomain, terms, config: MPConfig = MPConfig(), *,
          force_generic: bool = False):
-    """A fresh core stepped through terms (_consume), its deltas, LC and e (_profile)."""
+    """A fresh core stepped through terms (_consume), and its deltas.
+
+    The profile is the caller's to derive from the deltas: _profile for
+    lists, _exponents for a stream.
+    """
     core = _make_core(domain, config, force_generic=force_generic)
-    deltas = _consume(core, terms)
-    return core, deltas, *_profile(domain, deltas)
+    return core, _consume(core, terms)
 
 
 def _each_step(core, terms):
@@ -708,30 +714,54 @@ def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
     return [Poly._canonical(domain, to_coeffs(r)) for r in core.rows()]
 
 
-def _profile(domain: CoeffDomain, deltas) -> tuple[list[int], list[int]]:
-    """LC_1..LC_n and e_0..e_n from the discrepancies delta_1..delta_n.
+def _exponents(domain: CoeffDomain, deltas):
+    """e_0..e_n from the discrepancies delta_1..delta_n, yielded as derived.
 
-    e_0 = 1 and e_j = e_{j-1} + 1, negated first when delta_j != 0 and
-    e_{j-1} > 0 (a jump); LC_j = (j + 1 - e_j)/2, so a jump raises LC by
-    e_{j-1} and no other step changes it.  This is the engine's own
-    exponent rule, so the profile is the one its run went through.
+    The engine's exponent rule: e_0 = 1 and e_j = e_{j-1} + 1, negated
+    first when delta_j != 0 and e_{j-1} > 0 (a jump), so the exponents
+    are the ones its run went through.  It is the one derivation of the
+    profile: _profile lists it, and the CLI's JSON report writes it (and
+    _lcs of it) as it is drawn.
     """
     if not domain.p:
         # over F_p a delta is a residue, so truthiness is the zero test;
         # over the integers the domain's is_zero decides, as in step: a
         # domain may override it (the division-free lift tests zero mod q)
         deltas = [not domain.is_zero(d) for d in deltas]
-    e, L = 1, 0
-    lc, exps = [], [1]
-    lc_append, e_append = lc.append, exps.append
+    e = 1
+    yield e
     for d in deltas:
         if d and e > 0:
-            L += e
             e = -e
         e += 1
-        lc_append(L)
-        e_append(e)
-    return lc, exps
+        yield e
+
+
+def _lcs(exponents):
+    """LC_1..LC_n from e_0..e_n, yielded as drawn: LC_j = (j + 1 - e_j)/2.
+
+    So a jump, the one step whose exponent is not e_{j-1} + 1, raises LC
+    by e_{j-1}, and no other step changes it; LC is carried that way,
+    so a step that keeps it yields the same int.
+    """
+    exponents = iter(exponents)
+    L, prev = 0, next(exponents)
+    for e in exponents:
+        if e != prev + 1:
+            L += prev
+        prev = e
+        yield L
+
+
+def _profile(domain: CoeffDomain, deltas) -> tuple[list[int], list[int]]:
+    """LC_1..LC_n and e_0..e_n from the discrepancies, as lists (_exponents)."""
+    exps = list(_exponents(domain, deltas))
+    return list(_lcs(exps)), exps
+
+
+def _jumps(deltas, exponents) -> dict[int, int]:
+    """{j: e_{j-1}} over the jump steps j: delta_j != 0 and e_{j-1} > 0."""
+    return {j: e for j, (d, e) in enumerate(zip(deltas, exponents), 1) if d and e > 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -852,30 +882,16 @@ class ProfileReport:
 
     @property
     def jumps(self) -> list[int]:
-        return [
-            j
-            for j in range(1, len(self.deltas) + 1)
-            if self.deltas[j - 1] != 0 and self.exponents[j - 1] > 0
-        ]
+        return list(_jumps(self.deltas, self.exponents))
 
     @property
     def jump_exponents(self) -> list[int]:
-        return [self.exponents[j - 1] for j in self.jumps]
+        return list(_jumps(self.deltas, self.exponents).values())
 
     def to_json_dict(self) -> dict:
         """The report as JSON-ready values; the dict shares the report's lists."""
-        rows = self.final_matrix.text_rows()  # rendered once; mu, mu' reuse them
-        return {
-            "field": self.domain.p,
-            "epsilon": self.epsilon,
-            "lc": self.lc,
-            "deltas": self.deltas,
-            "exponents": self.exponents,
-            "mu": rows[0][0],
-            "mu_prime": rows[1][0],
-            "nabla": self.nabla,
-            "matrix": rows,
-        }
+        return _json_layout(self.domain.p, self.epsilon, self.lc, self.deltas,
+                            self.exponents, self.final_matrix.text_rows(), self.nabla)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProfileReport":
@@ -912,8 +928,8 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     """
     domain = s.domain
     # the deltas are reduced already: a residue, or 0/1 packed
-    core, deltas, lc, exponents = _run(domain, s.terms, config,
-                                       force_generic=force_generic)
+    core, deltas = _run(domain, s.terms, config, force_generic=force_generic)
+    lc, exponents = _profile(domain, deltas)
     matrix = Mat2(*_poly_rows(domain, core))
     report = ProfileReport(
         domain=domain,
@@ -925,6 +941,45 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
         nabla=domain.normalize(core.nabla),
     )
     return matrix, report
+
+
+def _json_layout(field, epsilon, lc, deltas, exponents, rows, nabla) -> dict:
+    """The profile report's JSON keys, in order, and their values.
+
+    rows holds the texts of the final matrix, [[mu, [mu]], [mu', [mu']]];
+    lc, deltas and exponents are lists (ProfileReport.to_json_dict) or
+    iterators that derive them as they are drawn (profile_json).
+    """
+    return {
+        "field": field,
+        "epsilon": epsilon,
+        "lc": lc,
+        "deltas": deltas,
+        "exponents": exponents,
+        "mu": rows[0][0],
+        "mu_prime": rows[1][0],
+        "nabla": nabla,
+        "matrix": rows,
+    }
+
+
+def profile_json(s: Seq, config: MPConfig = MPConfig()) -> dict:
+    """mp_run(s, config)[1].to_json_dict(), holding the deltas alone per step.
+
+    lc and exponents are iterators that derive them from the deltas as
+    they are drawn (_exponents, _lcs), so a writer that draws them in
+    chunks never holds either list.  The four matrix texts are rendered
+    from the core's own rows, with no Poly built; the run is mp_run's
+    (_run), blocked where it can be.
+    """
+    domain = s.domain
+    core, deltas = _run(domain, s.terms, config)
+    to_coeffs = core.ring.to_coeffs
+    mu, mu_part, mup, mup_part = (coeffs_to_text(to_coeffs(r)) for r in core.rows())
+    return _json_layout(domain.p, domain.normalize(config.epsilon),
+                        _lcs(_exponents(domain, deltas)), deltas,
+                        _exponents(domain, deltas), [[mu, mu_part], [mup, mup_part]],
+                        domain.normalize(core.nabla))
 
 
 def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:

@@ -169,12 +169,26 @@ def field_ring(p: int):
     return {2: gf2, 3: gf3}.get(p) or ListRing(p)
 
 
+# Degrees whose terms coeffs_to_text renders as one list before joining it.
+_TEXT_SLICE = 1024
+
+
 def coeffs_to_text(coeffs) -> str:
-    """Render ascending canonical coefficients in the text format."""
+    """Render ascending canonical coefficients in the text format.
+
+    The terms of degree 2 and up are rendered _TEXT_SLICE degrees at a
+    time, highest first, and each slice is joined before the next is
+    rendered, so a long row never has a list of one str per term; a
+    short row is one slice.
+    """
     if not coeffs:
         return "0"
-    parts = [f"x^{k}" if c == 1 else f"{c}x^{k}"
-             for k in range(len(coeffs) - 1, 1, -1) if (c := coeffs[k])]
+    parts = []
+    for top in range(len(coeffs) - 1, 1, -_TEXT_SLICE):
+        terms = [f"x^{k}" if c == 1 else f"{c}x^{k}"
+                 for k in range(top, max(top - _TEXT_SLICE, 1), -1) if (c := coeffs[k])]
+        if terms:
+            parts.append("+".join(terms))
     if len(coeffs) > 1 and (c := coeffs[1]):
         parts.append("x" if c == 1 else f"{c}x")
     if c := coeffs[0]:

@@ -47,6 +47,8 @@ from .engine import (
     _bezout_ok,
     _check_brute_force_degree,
     _each_step,
+    _exponents,
+    _jumps,
     _make_core,
     _profile,
     _run,
@@ -428,8 +430,8 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
             terms = [rng.randrange(q) for _ in range(64)]
             terms[0] = rng.randrange(1, q)
             s = Seq(dom, terms)
-            _, rep = mp_run(s)
-            jexp = rep.jump_exponents
+            _, deltas = _run(dom, terms)
+            jexp = list(_jumps(deltas, _exponents(dom, deltas)).values())
             ring, quotients = _cf_quotients(s)
             degs = list(map(ring.degree, quotients))
             yield 1, "" if len(degs) >= len(jexp) else f"cf too short F_{q} {terms}"

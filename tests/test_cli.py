@@ -286,6 +286,38 @@ def test_profile_json_writes_its_lists_in_chunks(tmp_path):
     assert peak < 6 * size  # a str held per item of each whole list reads 9.7x
 
 
+def test_profile_json_holds_only_the_terms_and_the_deltas_per_term(tmp_path):
+    # lc and exponents are written as they are derived from the deltas,
+    # and the matrix texts come from the core's rows a slice at a time;
+    # holding lc, exponents and Poly rows as well reads 3.71x
+    rng = random.Random(2**15 + 1)
+    path = tmp_path / "f2.txt"
+    path.write_text(",".join(str(rng.randrange(2)) for _ in range(2**15)),
+                    encoding="utf-8")
+    peak, size = _traced_peak(tmp_path, ["profile", "--json", "--field", "2",
+                                         "--in", str(path)])
+    assert size > 0.7 * 2**20
+    assert peak < 2.5 * size
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_profile_json_stream_equals_the_report(tmp_path, capsys, p):
+    # 5000 terms pass one _CHUNK of a list and one render slice of a row
+    rng = random.Random(p)
+    seqs = [PrimeField(p).seq([rng.randrange(p) for _ in range(n)])
+            for n in (0, 1, 7, 300, 5000)]
+    path = tmp_path / "terms.txt"
+    path.write_text("".join(",".join(map(str, s.terms)) + "\n" for s in seqs),
+                    encoding="utf-8")
+    for eps in sorted({0, p - 1}):
+        code, out, _ = run(capsys, "profile", "--json", "--field", str(p),
+                           "--epsilon", str(eps), "--in", str(path))
+        assert code == 0
+        config = MPConfig(epsilon=eps)
+        assert out.splitlines() == [
+            json.dumps(engine.mp_run(s, config)[1].to_json_dict()) for s in seqs]
+
+
 @pytest.mark.parametrize("json_flag, bound", [((), 0.25), (("--json",), 4)])
 def test_plcp_enum_streams(tmp_path, json_flag, bound):
     peak, size = _traced_peak(tmp_path, ["plcp-enum", "--field", "3", "--n", "12",

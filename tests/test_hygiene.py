@@ -159,6 +159,7 @@ CI_CASES = """
 test_gamma_at_the_guard_under_40_mib
 test_plcp_enum_streams_under_64_mib[json]
 test_plcp_enum_streams_under_64_mib[text]
+test_profile_json_at_2_18_terms_under_36_mib
 test_size_guard_exits_4_at_10_18[plcp-enum]
 test_size_guard_exits_4_at_10_18[wang-massey]
 test_size_guard_exits_4_at_10_18[bezout]

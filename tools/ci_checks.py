@@ -1,14 +1,15 @@
 """The checks too slow for the tier-1 tests, as one pytest file.
 
-They run lcprof at sizes the tier-1 tests do not reach: gamma and
-plcp-enum under a memory bound, the size guards at n = 10^18, every
-benchmark workload against the benchmark's oracle, the profile table
-against the JSON's mu and mu', and the recursive block against the
-per-step core at 8192 terms.  From a checkout:
+They run lcprof at sizes the tier-1 tests do not reach: gamma,
+plcp-enum and `profile --json` over 2^18 F_2 terms under a memory
+bound, the size guards at n = 10^18, every benchmark workload against
+the benchmark's oracle, the profile table against the JSON's mu and
+mu', and the recursive block against the per-step core at 8192 terms.
+From a checkout:
 
     PYTHONPATH=src python -m pytest -q tools/ci_checks.py
 
-takes about 105 s on a 2-CPU machine; `--collect-only -q` lists the
+takes about 110 s on a 2-CPU machine; `--collect-only -q` lists the
 cases and `-k` picks some.  Its name is not test_*.py, so the tier-1 run
 does not collect it.
 
@@ -76,6 +77,20 @@ def test_plcp_enum_streams_under_64_mib(tmp_path, flags):
     code, rss = _peak_kib(args, tmp_path / "enum.out")
     assert code == 0, (args, code)
     assert rss < 64 * MIB, f"lcprof {' '.join(args)} peaked at {rss} KiB"
+
+
+def test_profile_json_at_2_18_terms_under_36_mib(tmp_path):
+    # per term the report holds the terms and the deltas alone; one that
+    # also held lc, exponents and Poly rows peaked at 41.4-41.8 MiB
+    r = random.Random(2**18)
+    terms, out = tmp_path / "terms", tmp_path / "report.json"
+    terms.write_text(",".join(str(r.randrange(2)) for _ in range(2**18)) + "\n")
+    code, rss = _peak_kib(["profile", "--json", "--field", "2", "--in", str(terms)], out)
+    assert code == 0, code
+    report = json.loads(out.read_text())
+    # mu is monic over F_2, so its text starts with its leading term
+    assert report["mu"].split("+", 1)[0] == f"x^{report['lc'][-1]}"
+    assert rss < 36 * MIB, f"profile --json over 2^18 terms peaked at {rss} KiB"
 
 
 @pytest.mark.parametrize("args", [
