@@ -284,7 +284,7 @@ def cf_partial_quotients(s: Seq) -> list[Poly]:
     truncation.
     """
     ring, quotients = _cf_quotients(s)
-    return [Poly._canonical(s.domain, ring.to_coeffs(q)) for q in quotients]
+    return [Poly(s.domain, ring.to_coeffs(q)) for q in quotients]
 
 
 def _cf_quotients(s: Seq):

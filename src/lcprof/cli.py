@@ -283,11 +283,17 @@ def cmd_lcsum(args) -> int:
 
 
 def cmd_rueppel(args) -> int:
-    terms = list(rueppel_terms(args.n).terms)
+    # the sequence's own tuple, _CHUNK terms at a time: a list copy or one
+    # join over the guard's 2^22 terms would hold a new object per term
+    terms = iter(rueppel_terms(args.n).terms)
     if args.json:
         _emit({"terms": terms})
     else:
-        print(",".join(map(str, terms)))
+        out = sys.stdout
+        out.write(",".join(map(str, islice(terms, _CHUNK))))
+        while chunk := ",".join(map(str, islice(terms, _CHUNK))):
+            out.write("," + chunk)
+        out.write("\n")
     return EXIT_OK
 
 

@@ -42,13 +42,15 @@ one bit per coefficient (_PackedCore); for p = 3 two bit planes each
 force_generic, coefficient lists (_GenericCore).  Each returns its
 native rows mu, [mu], mu', [mu'] from rows(), so what reads rows
 (_bezout_ok, _poly_rows, the table) is one body over core.ring; the
-step loops stay one per core.  A core is the only holder of engine
-state: MPState is a read-only view over one, and mp_step resumes a copy
-of it.  The profile table needs only text, so profile_text_rows renders
-it from the core's own rows without Poly rows: over p = 2, 3, 5, 7 and
-11 from one per-call table of the texts of groups of adjacent terms
-(_term_table_text), whose pattern of coefficients one lookup reads, three
-at a time over F_2 and two over F_3.
+step loops stay one per core.  The rows stay canonical, reduced and
+trimmed, at every step: cur_lc reads mu's length, and _bezout_ok,
+verify_bezout's skip and profile_text_rows compare rows.  A core is the
+only holder of engine state: MPState is a read-only view over one, and
+mp_step resumes a copy of it.  The profile table needs only text, so
+profile_text_rows renders it from the core's own rows without Poly rows:
+over p = 2, 3, 5, 7 and 11 from one per-call table of the texts of
+groups of adjacent terms (_term_table_text), whose pattern of
+coefficients one lookup reads, three at a time over F_2 and two over F_3.
 
 This module alone builds and steps cores.  _make_core is the one
 factory, and three drivers step them: _run for a whole run, _each_step
@@ -704,14 +706,9 @@ def _walk_prefixes(core, q: int, max_n: int, fold, state):
 
 
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
-    """The core's native rows (core.rows()) as Poly values, by ring.to_coeffs.
-
-    Every core keeps its rows canonical (reduced and trimmed: the seed,
-    every ring.lin update, the per-step scaling by a unit, part_coeffs,
-    the packed bits and the planes), so no Poly is renormalized.
-    """
+    """The core's native rows (core.rows()) as Poly values, by ring.to_coeffs."""
     to_coeffs = core.ring.to_coeffs
-    return [Poly._canonical(domain, to_coeffs(r)) for r in core.rows()]
+    return [Poly(domain, to_coeffs(r)) for r in core.rows()]
 
 
 def _exponents(domain: CoeffDomain, deltas):
@@ -1208,7 +1205,7 @@ def brute_force_minpoly(s: Seq) -> tuple[int, Poly]:
                     if not v and (least is None or k ^ k >> 1 < least):
                         least = k ^ k >> 1
             if least is not None:
-                return d, Poly._canonical(dom, gf2.to_coeffs(least | 1 << d))
+                return d, Poly(dom, gf2.to_coeffs(least | 1 << d))
         else:
             for low in itertools.product(range(q), repeat=d):
                 f = Poly(dom, low + (1,))

@@ -227,19 +227,6 @@ class Poly:
         self.coeffs = tuple(_trim([domain.normalize(c) for c in coeffs]))
 
     @classmethod
-    def _canonical(cls, domain: CoeffDomain, coeffs: Iterable[int]) -> "Poly":
-        """A Poly over coefficients already canonical; no renormalizing.
-
-        The caller guarantees the invariant __init__ establishes: every
-        value is already reduced into the domain (domain.normalize(c) == c)
-        and the last one, if any, is nonzero.
-        """
-        f = cls.__new__(cls)
-        f.domain = domain
-        f.coeffs = tuple(coeffs)
-        return f
-
-    @classmethod
     def from_text(cls, domain: CoeffDomain, text: str) -> "Poly":
         return cls(domain, text_to_coeffs(text))
 
@@ -272,7 +259,7 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         d = self.domain
-        return Poly._canonical(d, ListRing(d.p).lin(1, self.coeffs, 0, 1, other.coeffs, 0))
+        return Poly(d, ListRing(d.p).lin(1, self.coeffs, 0, 1, other.coeffs, 0))
 
     def __neg__(self) -> "Poly":
         d = self.domain
@@ -281,7 +268,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         d = self.domain
-        return Poly._canonical(d, ListRing(d.p).mul(self.coeffs, other.coeffs))
+        return Poly(d, ListRing(d.p).mul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         """Multiply by the domain element c."""
@@ -540,10 +527,8 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    # both are reduced mod p and trimmed: rem by quo_rem, and quot
-    # tops out at lead(a) / lead(b) != 0
     quot, rem = ListRing(a.domain.p).quo_rem(a.coeffs, b.coeffs)
-    return Poly._canonical(a.domain, quot), Poly._canonical(a.domain, rem)
+    return Poly(a.domain, quot), Poly(a.domain, rem)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -40,11 +40,11 @@ def _check_terms(n: int) -> None:
 def rueppel_terms(n: int) -> Seq:
     """First n terms: 1 at indices 1, 2, 4, 8, ..., 0 elsewhere."""
     _check_terms(n)
-    return Seq(GF2, [1 if j & (j - 1) == 0 else 0 for j in range(1, n + 1)])
+    return Seq(GF2, (1 if j & (j - 1) == 0 else 0 for j in range(1, n + 1)))
 
 
 def _poly(r: int) -> Poly:
-    return Poly._canonical(GF2, gf2.to_coeffs(r))
+    return Poly(GF2, gf2.to_coeffs(r))
 
 
 def _check_gamma_index(k: int) -> None:

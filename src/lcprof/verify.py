@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import gf2
 from .analysis import (
     WITNESSES,
     _WITNESS_START,
@@ -191,7 +190,7 @@ def _oracle_check(mu: Poly, terms) -> str:
 
 
 def _packed_mu(st, core, delta: int, j: int) -> Poly:
-    return Poly._canonical(GF2, gf2.to_coeffs(core.mu))
+    return Poly(GF2, core.ring.to_coeffs(core.mu))
 
 
 def _guard_brute_force(fields, trials: int, max_n: int) -> None:

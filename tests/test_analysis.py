@@ -476,8 +476,6 @@ def test_cf_quotients_equal_a_poly_divmod_euclid():
         s = PrimeField(q).seq(terms)
         got = cf_partial_quotients(s)
         assert got == _euclid_quotients(s), (q, terms)
-        # canonical: the same coefficient tuples a renormalizing Poly holds
-        assert [f.coeffs for f in got] == [Poly(s.domain, f.coeffs).coeffs for f in got]
 
 
 # ------------------------------------------------------------------ sums

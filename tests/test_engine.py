@@ -569,17 +569,26 @@ def test_generic_f3_throughput_floor():
     assert rep3 == mp_run(s3)[1]
 
 
-# ------------------------------------------------ canonical Poly rows
+# ------------------------------------------------ canonical core rows
 
-def _walk_poly_rows(dom, core, depth):
-    """Every extension of up to depth terms: _poly_rows equals renormalized rows."""
-    rows = engine._poly_rows(dom, core)
-    assert rows == [Poly(dom, c) for c in _coeff_rows(core)], core.terms()
+def _assert_rows_canonical(dom, core):
+    """Each row reduced into dom and trimmed, as a renormalizing Poly holds it.
+
+    cur_lc reads mu's length, and _bezout_ok, verify_bezout's skip and
+    profile_text_rows compare rows: none of them renormalizes.
+    """
+    rows = [tuple(c) for c in _coeff_rows(core)]
+    assert rows == [Poly(dom, c).coeffs for c in rows], core.terms()
+
+
+def _walk_rows_canonical(dom, core, depth):
+    """Every extension of up to depth terms: the rows stay canonical."""
+    _assert_rows_canonical(dom, core)
     if depth:
         for t in range(dom.p):
             child = core.copy()
             child.step(t)
-            _walk_poly_rows(dom, child, depth - 1)
+            _walk_rows_canonical(dom, child, depth - 1)
 
 
 @pytest.mark.parametrize("q, generic", [(2, False), (2, True), (3, True)])
@@ -591,7 +600,7 @@ def test_poly_rows_need_no_renormalizing(q, generic, normalize, eps):
     config = MPConfig(epsilon=eps, normalize_each_step=normalize)
     core = engine._make_core(dom, config, force_generic=generic)
     assert isinstance(core, _PackedCore) == (not generic)
-    _walk_poly_rows(dom, core, 7)
+    _walk_rows_canonical(dom, core, 7)
 
 
 @pytest.mark.parametrize("eps", [0, 2, -5])
@@ -599,7 +608,7 @@ def test_poly_rows_need_no_renormalizing_over_zz(eps):
     core = _GenericCore(ZZ, eps)
     for t in [3, 1, 4, 1, 5, 9, 2, 6]:
         core.step(t)
-        assert engine._poly_rows(ZZ, core) == [Poly(ZZ, c) for c in core.rows()]
+        _assert_rows_canonical(ZZ, core)
 
 
 @pytest.mark.parametrize("q", [2, 3, 65521, 0])

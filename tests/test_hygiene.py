@@ -1,6 +1,7 @@
 """Source hygiene in lcprof: no unused imports, no dead private helpers,
 no core built or stepped outside engine.py, no Kronecker slot sized
-outside poly.py, no guard constant read outside its module, CI checks
+outside poly.py, no guard constant read outside its module, one Poly
+constructor and Seq._canonical read by its three readers alone, CI checks
 that stay runnable code, and no tool that nothing runs.
 
 The stdlib ast module reads the sources; the CI checks file is also
@@ -150,6 +151,34 @@ def test_only_its_own_module_reads_a_guard_constant():
     assert not stray, f"guard constants read outside their module: {stray}"
 
 
+# Poly has one constructor, which normalizes.  Seq._canonical skips that
+# only where checking would cost a workload: the parser, which holds each
+# term in [0, p) as it reads it, and two verify checks over terms that the
+# engine consumed; poly.py's own Seq.prefix slices a canonical tuple.
+CANONICAL_READERS = {("cli.py", "parse_sequence"), ("verify.py", "_oracle_check"),
+                     ("verify.py", "_wm_check")}
+
+
+def _canonical_reads(tree):
+    """(top-level definition, owner, line) of every read of ._canonical."""
+    return [(getattr(top, "name", None), getattr(node.value, "id", None), node.lineno)
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "_canonical"]
+
+
+def test_poly_keeps_one_constructor():
+    poly = _tree(PACKAGE / "poly.py")
+    (cls,) = [node for node in poly.body
+              if isinstance(node, ast.ClassDef) and node.name == "Poly"]
+    assert "_canonical" not in {getattr(node, "name", None) for node in cls.body}
+    stray = sorted(f"{path.name}:{line} {owner}._canonical in {where}"
+                   for path in ALL_MODULES
+                   for where, owner, line in _canonical_reads(_tree(path))
+                   if owner != "Seq" or path.name != "poly.py"
+                   and (path.name, where) not in CANONICAL_READERS)
+    assert not stray, f"unchecked constructors read outside their readers: {stray}"
+
+
 # tools/ci_checks.py holds the checks too slow for tier-1, one case for
 # each workflow step it replaced, or for each command of a step that ran
 # several; the workflow runs the file and holds no inline code of its own
@@ -160,6 +189,8 @@ test_gamma_at_the_guard_under_40_mib
 test_plcp_enum_streams_under_64_mib[json]
 test_plcp_enum_streams_under_64_mib[text]
 test_profile_json_at_2_18_terms_under_36_mib
+test_rueppel_at_the_guard_under_96_mib[json]
+test_rueppel_at_the_guard_under_96_mib[text]
 test_size_guard_exits_4_at_10_18[plcp-enum]
 test_size_guard_exits_4_at_10_18[wang-massey]
 test_size_guard_exits_4_at_10_18[bezout]

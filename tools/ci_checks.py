@@ -1,8 +1,8 @@
 """The checks too slow for the tier-1 tests, as one pytest file.
 
 They run lcprof at sizes the tier-1 tests do not reach: gamma,
-plcp-enum and `profile --json` over 2^18 F_2 terms under a memory
-bound, the size guards at n = 10^18, every benchmark workload against
+plcp-enum, `profile --json` over 2^18 F_2 terms and rueppel at its
+guard under a memory bound, the size guards at n = 10^18, every benchmark workload against
 the benchmark's oracle, the profile table against the JSON's mu and
 mu', and the recursive block against the per-step core at 8192 terms.
 From a checkout:
@@ -91,6 +91,20 @@ def test_profile_json_at_2_18_terms_under_36_mib(tmp_path):
     # mu is monic over F_2, so its text starts with its leading term
     assert report["mu"].split("+", 1)[0] == f"x^{report['lc'][-1]}"
     assert rss < 36 * MIB, f"profile --json over 2^18 terms peaked at {rss} KiB"
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_rueppel_at_the_guard_under_96_mib(tmp_path, flags):
+    # 2^22 terms, the most the guard admits; one that copied the terms to
+    # a list and joined one str per term peaked at 113 (json) and 346 MiB
+    out = tmp_path / "rueppel.out"
+    code, rss = _peak_kib(["rueppel", "--n", str(2**22), *flags], out)
+    assert code == 0, code
+    text = out.read_text()
+    terms = (json.loads(text)["terms"] if flags
+             else [int(t) for t in text.rstrip("\n").split(",")])
+    assert terms[:4] == [1, 1, 0, 1] and len(terms) == 2**22, terms[:8]
+    assert rss < 96 * MIB, f"rueppel --n 2^22 {' '.join(flags)} peaked at {rss} KiB"
 
 
 @pytest.mark.parametrize("args", [
