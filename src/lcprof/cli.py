@@ -10,7 +10,8 @@ rather than reduced, and so is an --epsilon outside [0, p).
 (per suite for verify), with the bytes of json.dumps but each long list
 written in chunks, so no report's list is ever one string.  profile
 --json (engine.profile_json) writes lc and exponents as they are
-derived from the discrepancies and never holds either list, and
+derived from the discrepancies and never holds either list; minpoly
+runs the same engine run and builds mu alone as a Poly; and
 plcp-enum writes its sequences as the prefix walk yields them, text or
 JSON, and never holds the list.  Each subcommand takes only the flags
 it reads: all but stable (always over F_2), rueppel and gamma take
@@ -46,8 +47,7 @@ from .analysis import (
 )
 from .engine import (
     MPConfig,
-    feedback_polynomial,
-    mp_run,
+    _run,
     profile_json,
     profile_text_rows,
 )
@@ -57,7 +57,7 @@ from .errors import (
     SequenceParseError,
 )
 from .fields import PrimeField
-from .poly import Seq
+from .poly import Poly, Seq, reciprocal
 from .rueppel import gamma, rueppel_terms
 
 EXIT_OK = 0
@@ -207,16 +207,18 @@ def cmd_profile(args) -> int:
 def cmd_minpoly(args) -> int:
     config = MPConfig(epsilon=args.epsilon)
     for s in _input_sequences(args):
-        _, rep = mp_run(s, config)
-        fb, lc = feedback_polynomial(rep)
+        # mp_run's run, but only mu becomes a Poly: no profile list, no other row
+        dom = s.domain
+        core, _ = _run(dom, s.terms, config)
+        mu = Poly(dom, core.ring.to_coeffs(core.mu))
+        fb, lc, nabla = reciprocal(mu), mu.degree, dom.normalize(core.nabla)
         if args.json:
-            _emit({"mu": str(rep.minpoly), "lc": lc, "feedback": str(fb),
-                   "nabla": rep.nabla})
+            _emit({"mu": str(mu), "lc": lc, "feedback": str(fb), "nabla": nabla})
         else:
-            print(f"mu = {rep.minpoly}")
+            print(f"mu = {mu}")
             print(f"lc = {lc}")
             print(f"feedback = {fb}")
-            print(f"nabla = {rep.nabla}")
+            print(f"nabla = {nabla}")
     return EXIT_OK
 
 

@@ -60,13 +60,13 @@ only analysis.deltas_to_sequence steps a core: its two trial steps a
 term choose that term.
 
 _run serves the runs that read no per-step rows (mp_run, profile_json,
-and the profile behind height, lc_sum and char_equivalence) through
-_consume.  On a generic core over F_p (p >= 5 unless forced: the F_2
-and F_3 cores step term by term, which beats a block there) without
-per-step normalization it steps term by term until deg mu >=
-_BLOCK_MIN_DEG and then advances through all the remaining terms in one
-block.  A block is the product of
-its jump matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0'
+the CLI's minpoly, and the profile behind height, lc_sum and
+char_equivalence) through _consume.  On a generic core over F_p
+(p >= 5 unless forced: the F_2 and F_3 cores step term by term, which
+beats a block there) without per-step normalization it steps term by
+term until deg mu >= _BLOCK_MIN_DEG and then advances through all the
+remaining terms in one block.  A block is the product of its jump
+matrices, the transition (A, B; C, D) with mu = A mu0 + B mu0'
 (Berlekamp-Massey read as Euclid, as in Dornstetter 1987), and it is
 computed recursively, as the half-gcd of Brent-Gustavson-Yun 1980: a
 leaf of up to _LEAF steps carries the transition by the same update rule
@@ -91,7 +91,7 @@ from typing import NamedTuple
 
 from . import gf2, gf3
 from .errors import ResourceLimitError, UnsupportedDomainError
-from .fields import CoeffDomain, IntegerRing, PrimeField
+from .fields import CoeffDomain, PrimeField
 from .poly import (
     _BYTE_RESIDUES,
     ListRing,
@@ -186,9 +186,6 @@ class Mat2:
 
     def adjugate(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def mul_column(self, top: Poly, bottom: Poly) -> tuple[Poly, Poly]:
-        return self.a * top + self.b * bottom, self.c * top + self.d * bottom
 
     def text_rows(self) -> list[list[str]]:
         return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
@@ -840,9 +837,6 @@ class MPState:
     def matrix(self) -> Mat2:
         return Mat2(*_poly_rows(self.domain, self._core))
 
-    def sequence(self) -> Seq:
-        return Seq(self.domain, self.consumed)
-
 
 def mp_init(domain: CoeffDomain, config: MPConfig = MPConfig()) -> MPState:
     """State at step 0: mu_bar = (1, 0), mu_bar' = (eps, -1), e = 1."""
@@ -877,40 +871,6 @@ class ProfileReport:
     def minpoly(self) -> Poly:
         return self.final_matrix.a
 
-    @property
-    def jumps(self) -> list[int]:
-        return list(_jumps(self.deltas, self.exponents))
-
-    @property
-    def jump_exponents(self) -> list[int]:
-        return list(_jumps(self.deltas, self.exponents).values())
-
-    def to_json_dict(self) -> dict:
-        """The report as JSON-ready values; the dict shares the report's lists."""
-        return _json_layout(self.domain.p, self.epsilon, self.lc, self.deltas,
-                            self.exponents, self.final_matrix.text_rows(), self.nabla)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProfileReport":
-        p = data["field"]
-        domain = PrimeField(p) if p else IntegerRing()
-        rows = data["matrix"]
-        matrix = Mat2(
-            Poly.from_text(domain, rows[0][0]),
-            Poly.from_text(domain, rows[0][1]),
-            Poly.from_text(domain, rows[1][0]),
-            Poly.from_text(domain, rows[1][1]),
-        )
-        return cls(
-            domain=domain,
-            epsilon=data["epsilon"],
-            lc=list(data["lc"]),
-            deltas=list(data["deltas"]),
-            exponents=list(data["exponents"]),
-            final_matrix=matrix,
-            nabla=data["nabla"],
-        )
-
 
 def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
            force_generic: bool = False) -> tuple[Mat2, ProfileReport]:
@@ -940,43 +900,31 @@ def mp_run(s: Seq, config: MPConfig = MPConfig(), *,
     return matrix, report
 
 
-def _json_layout(field, epsilon, lc, deltas, exponents, rows, nabla) -> dict:
+def profile_json(s: Seq, config: MPConfig = MPConfig()) -> dict:
     """The profile report's JSON keys, in order, and their values.
 
-    rows holds the texts of the final matrix, [[mu, [mu]], [mu', [mu']]];
-    lc, deltas and exponents are lists (ProfileReport.to_json_dict) or
-    iterators that derive them as they are drawn (profile_json).
-    """
-    return {
-        "field": field,
-        "epsilon": epsilon,
-        "lc": lc,
-        "deltas": deltas,
-        "exponents": exponents,
-        "mu": rows[0][0],
-        "mu_prime": rows[1][0],
-        "nabla": nabla,
-        "matrix": rows,
-    }
-
-
-def profile_json(s: Seq, config: MPConfig = MPConfig()) -> dict:
-    """mp_run(s, config)[1].to_json_dict(), holding the deltas alone per step.
-
-    lc and exponents are iterators that derive them from the deltas as
-    they are drawn (_exponents, _lcs), so a writer that draws them in
-    chunks never holds either list.  The four matrix texts are rendered
-    from the core's own rows, with no Poly built; the run is mp_run's
-    (_run), blocked where it can be.
+    The values are mp_run(s, config)[1]'s, holding the deltas alone per
+    step: lc and exponents are iterators that derive them from the deltas
+    as they are drawn (_exponents, _lcs), so a writer that draws them in
+    chunks never holds either list.  The four texts of the final matrix,
+    [[mu, [mu]], [mu', [mu']]], are rendered from the core's own rows,
+    with no Poly built; the run is mp_run's (_run), blocked where it can be.
     """
     domain = s.domain
     core, deltas = _run(domain, s.terms, config)
     to_coeffs = core.ring.to_coeffs
     mu, mu_part, mup, mup_part = (coeffs_to_text(to_coeffs(r)) for r in core.rows())
-    return _json_layout(domain.p, domain.normalize(config.epsilon),
-                        _lcs(_exponents(domain, deltas)), deltas,
-                        _exponents(domain, deltas), [[mu, mu_part], [mup, mup_part]],
-                        domain.normalize(core.nabla))
+    return {
+        "field": domain.p,
+        "epsilon": domain.normalize(config.epsilon),
+        "lc": _lcs(_exponents(domain, deltas)),
+        "deltas": deltas,
+        "exponents": _exponents(domain, deltas),
+        "mu": mu,
+        "mu_prime": mup,
+        "nabla": domain.normalize(core.nabla),
+        "matrix": [[mu, mu_part], [mup, mup_part]],
+    }
 
 
 def profile_steps(s: Seq, config: MPConfig = MPConfig()) -> list[ProfileRow]:

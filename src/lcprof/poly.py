@@ -27,14 +27,12 @@ Text format (bit-exact, used by the CLI and JSON reports): terms in
 descending degree, "x^k" for k >= 2, "x" for degree 1, constants as
 integers, terms joined by "+" (a negative integer coefficient absorbs
 the separator, e.g. "x^2-3x"); the zero polynomial is "0".  JSON reports
-carry this text form too; ``Poly.json_coeffs`` gives the ascending
-coefficient list.
+carry this text form too.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 import sys
 from array import array
 from typing import Iterable
@@ -44,8 +42,6 @@ from .errors import DomainMismatchError, UnsupportedDomainError
 from .fields import CoeffDomain, is_prime
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
-
-_TERM_RE = re.compile(r"^(-?\d+)?(x(\^(\d+))?)?$")
 
 # array type code of each unsigned item size in bytes: a Kronecker slot
 # of 1, 2, 4 or 8 bytes is one array item
@@ -196,27 +192,6 @@ def coeffs_to_text(coeffs) -> str:
     return "+".join(parts).replace("+-", "-")
 
 
-def text_to_coeffs(text: str) -> list[int]:
-    """Parse the text format back to an ascending coefficient list."""
-    text = text.strip().replace(" ", "")
-    if text in ("", "0"):
-        return []
-    coeffs: dict[int, int] = {}
-    for term in text.replace("-", "+-").lstrip("+").split("+"):
-        m = _TERM_RE.match(term)
-        # a nonempty match holds a coefficient, an x, or both
-        if not m or not m.group(0):
-            raise ValueError(f"bad polynomial term {term!r}")
-        cs, xpart, _, ks = m.group(1), m.group(2), m.group(3), m.group(4)
-        c = int(cs) if cs is not None else 1
-        k = 0 if xpart is None else (1 if ks is None else int(ks))
-        coeffs[k] = coeffs.get(k, 0) + c
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return _trim(out)
-
-
 class Poly:
     """Immutable dense polynomial over a :class:`CoeffDomain`."""
 
@@ -225,10 +200,6 @@ class Poly:
     def __init__(self, domain: CoeffDomain, coeffs: Iterable[int] = ()):
         self.domain = domain
         self.coeffs = tuple(_trim([domain.normalize(c) for c in coeffs]))
-
-    @classmethod
-    def from_text(cls, domain: CoeffDomain, text: str) -> "Poly":
-        return cls(domain, text_to_coeffs(text))
 
     @property
     def degree(self):
@@ -297,14 +268,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = d.add(d.mul(acc, x), c)
         return acc
-
-    def json_coeffs(self) -> list[int]:
-        """JSON form: the ascending coefficient array."""
-        return list(self.coeffs)
-
-    @classmethod
-    def from_json_coeffs(cls, domain: CoeffDomain, coeffs) -> "Poly":
-        return cls(domain, coeffs)
 
     def __eq__(self, other):
         return (

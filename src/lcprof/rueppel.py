@@ -133,16 +133,6 @@ def u_power(k: int) -> Mat2:
     return _mat2(u_power_packed(k))
 
 
-def jump_matrix() -> Mat2:
-    """U itself."""
-    return u_power(1)
-
-
-def step2_matrix() -> Mat2:
-    """M, the engine matrix after the first two terms."""
-    return _mat2(_STEP2_PACKED)
-
-
 def gamma_identities(m: int, n: int, g: list[int]) -> bool:
     """Check the family identities at the given pair of indices.
 

@@ -27,9 +27,10 @@ from lcprof.cli import (
     profile_table_lines,
     render_profile_table,
 )
-from lcprof.engine import MPConfig, ProfileReport, profile_steps
+from lcprof.engine import MPConfig, profile_steps
 from lcprof.errors import SequenceParseError, UnsupportedDomainError
 from lcprof.fields import GF2, PrimeField
+from ring_reference import report_json_dict
 
 R6_TABLE = """\
 j  Delta_j  e_{j-1}  mu^(j)     mu'^(j)
@@ -174,8 +175,8 @@ def test_profile_json_round_trip(capsys):
     data = json.loads(out)
     assert data["mu"] == "x^3+x^2+1" and data["mu_prime"] == "x^2+x+1"
     assert data["deltas"] == [1, 1, 1, 0, 1, 0]
-    rep = ProfileReport.from_json_dict(data)
-    assert json.dumps(rep.to_json_dict()) == out.strip()
+    rep = engine.mp_run(GF2.seq([1, 1, 0, 1, 0, 0]))[1]
+    assert json.dumps(report_json_dict(rep)) == out.strip()
 
 
 def test_profile_file_input(tmp_path, capsys):
@@ -315,7 +316,7 @@ def test_profile_json_stream_equals_the_report(tmp_path, capsys, p):
         assert code == 0
         config = MPConfig(epsilon=eps)
         assert out.splitlines() == [
-            json.dumps(engine.mp_run(s, config)[1].to_json_dict()) for s in seqs]
+            json.dumps(report_json_dict(engine.mp_run(s, config)[1])) for s in seqs]
 
 
 @pytest.mark.parametrize("json_flag, bound", [((), 0.25), (("--json",), 4)])
@@ -1177,8 +1178,8 @@ def test_epsilon_outside_the_field_exit_2(capsys, monkeypatch, command, eps, jso
     def no_work(*args, **kwargs):
         raise AssertionError("the engine ran on an out-of-range epsilon")
 
-    monkeypatch.setattr(cli, "mp_run", no_work)
-    monkeypatch.setattr(cli, "analysis_report", no_work)
+    for name in ("_run", "profile_json", "profile_text_rows", "analysis_report"):
+        monkeypatch.setattr(cli, name, no_work)
     code, out, err = run(capsys, command, "--field", "5", "--epsilon", str(eps),
                          "--seq", "1,2,3", *json_flag)
     assert (code, out) == (2, "")

@@ -1,8 +1,9 @@
 """Source hygiene in lcprof: no unused imports, no dead private helpers,
-no core built or stepped outside engine.py, no Kronecker slot sized
-outside poly.py, no guard constant read outside its module, one Poly
-constructor and Seq._canonical read by its three readers alone, CI checks
-that stay runnable code, and no tool that nothing runs.
+no public name that only the tests use, no core built or stepped outside
+engine.py, no Kronecker slot sized outside poly.py, no guard constant
+read outside its module, one Poly constructor and Seq._canonical read by
+its three readers alone, CI checks that stay runnable code, and no tool
+that nothing runs.
 
 The stdlib ast module reads the sources; the CI checks file is also
 collected by pytest in a child process.  The package __init__ is exempt:
@@ -10,6 +11,7 @@ its imports are the public re-exports.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,35 @@ def test_every_private_module_name_is_referenced():
                   for name, line in _private_defs(_tree(path)).items()
                   if name not in used)
     assert not dead, f"private names that nothing references: {dead}"
+
+
+def _public_defs(tree):
+    """(name, qualified name, line) of each public module-level function
+    and class, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                yield from ((m.name, f"{node.name}.{m.name}", m.lineno)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef) and m.name[0] != "_")
+
+
+def test_every_public_name_is_called_or_documented():
+    # the surface is what the package calls, README documents and the
+    # acceptance tests read; a name that only the other tests use is a
+    # test helper, and lives under tests/ (matched by bare name, as
+    # _uses reads attributes)
+    readme = (ROOT / "README.md").read_text()
+    spans = "\n".join(span for _, span in re.findall(r"(`+)(.+?)\1", readme, re.S))
+    known = (set().union(*(_uses(_tree(p)) for p in MODULES))
+             | set(re.findall(r"\w+", spans))
+             | _uses(_tree(ROOT / "tests" / "test_acceptance.py")))
+    unused = sorted(f"{path.name}:{line} {qualified}"
+                    for path in MODULES
+                    for name, qualified, line in _public_defs(_tree(path))
+                    if name not in known)
+    assert not unused, f"public names that only the tests use: {unused}"
 
 
 # Only engine.py builds or steps a core: other modules get one from
@@ -189,6 +220,7 @@ test_gamma_at_the_guard_under_40_mib
 test_plcp_enum_streams_under_64_mib[json]
 test_plcp_enum_streams_under_64_mib[text]
 test_profile_json_at_2_18_terms_under_36_mib
+test_minpoly_json_at_2_18_terms_under_30_mib
 test_rueppel_at_the_guard_under_96_mib[json]
 test_rueppel_at_the_guard_under_96_mib[text]
 test_size_guard_exits_4_at_10_18[plcp-enum]

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from lcprof import gf2, rueppel
-from lcprof.engine import Mat2, mp_run, profile_steps
+from lcprof.engine import Mat2, _jumps, mp_run, profile_steps
 from lcprof.errors import ResourceLimitError
 from lcprof.fields import GF2
 from lcprof.poly import Poly, poly_gcd
@@ -14,20 +14,23 @@ from lcprof.rueppel import (
     gamma_identities,
     gamma_members,
     gamma_packed,
-    jump_matrix,
     power_column_identity,
     rueppel_matrix_check,
     rueppel_matrix_pattern,
     rueppel_mp,
     rueppel_mp_packed,
     rueppel_terms,
-    step2_matrix,
     u_power,
 )
+from ring_reference import text_to_coeffs
 
 
 def p(text):
-    return Poly.from_text(GF2, text)
+    return Poly(GF2, text_to_coeffs(text))
+
+
+# M, the engine matrix after the first two terms
+M = Mat2(p("x+1"), p("1"), p("1"), p("0"))
 
 
 def unpack(r: int) -> Poly:
@@ -76,14 +79,14 @@ def test_lucas_members_match_the_recurrence():
 
 def test_u_power_small():
     assert u_power(0) == Mat2.identity(GF2)
-    assert u_power(1) == jump_matrix()
+    assert u_power(1) == Mat2(p("x"), p("1"), p("1"), p("0"))
     assert u_power(2) == Mat2(p("x^2+1"), p("x"), p("x"), p("1"))
     assert u_power(3) == Mat2(p("x^3"), p("x^2+1"), p("x^2+1"), p("x"))
 
 
 def test_u_power_matches_repeated_product():
     acc = Mat2.identity(GF2)
-    u = jump_matrix()
+    u = u_power(1)
     for k in range(1, 10):
         acc = u @ acc
         assert u_power(k) == acc
@@ -153,11 +156,10 @@ def _packed(f: Poly) -> int:
 
 
 def test_packed_forms_match_poly_forms():
-    m = step2_matrix()
     prev = None
     for n in range(2, 131):
         # M at n = 2, U^((n-1)/2) M at odd n, the odd matrix again at even n
-        want = u_power((n - 1) // 2) @ m
+        want = u_power((n - 1) // 2) @ M
         rows = tuple(_packed(f) for f in (want.a, want.b, want.c, want.d))
         assert rueppel_matrix_pattern(n, rows, prev), n
         for i in range(4):
@@ -176,7 +178,7 @@ def test_matrix_pattern():
     m4, _ = mp_run(rueppel_terms(4))
     assert m4 == Mat2(p("x^2+x+1"), p("x"), p("x+1"), p("1"))
     m2, _ = mp_run(rueppel_terms(2))
-    assert m2 == step2_matrix()
+    assert m2 == M
     for n in range(2, 65):
         assert rueppel_matrix_check(n)
     with pytest.raises(ValueError):
@@ -186,15 +188,14 @@ def test_matrix_pattern():
 def test_jump_pattern_and_profile():
     _, rep = mp_run(rueppel_terms(128))
     assert rep.lc == [(j + 1) // 2 for j in range(1, 129)]
-    assert rep.jumps == list(range(1, 129, 2))
+    assert list(_jumps(rep.deltas, rep.exponents)) == list(range(1, 129, 2))
     assert all(e in (0, 1) for e in rep.exponents)
 
 
 def test_profile_snapshots_follow_u_powers():
     rows = profile_steps(rueppel_terms(33))
-    m = step2_matrix()
     for n in range(3, 34, 2):
-        want = u_power((n - 1) // 2) @ m
+        want = u_power((n - 1) // 2) @ M
         got = Mat2(rows[n].mu, rows[n].mu_part, rows[n].mu_prev, rows[n].mu_prev_part)
         assert got == want
         even = rows[n + 1] if n + 1 <= 33 else None
@@ -222,10 +223,10 @@ def test_column_closed_form_generic_route():
         q = 2**k - 2
         upow = u_power(q)
         assert upow.det() == one
-        m = step2_matrix()
-        assert m.det() == one
-        top, bottom = upow.adjugate().mul_column(p("1"), p("x+1"))
-        top, bottom = m.adjugate().mul_column(top, bottom)
+        assert M.det() == one
+        col = Mat2(p("1"), p("0"), p("x+1"), p("0"))
+        col = M.adjugate() @ upow.adjugate() @ col
+        top, bottom = col.a, col.c
         want_top = Poly(GF2, ())
         for i in range(k + 1):
             want_top = want_top + one.shift(2**k - 2**i)

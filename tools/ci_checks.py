@@ -1,10 +1,11 @@
 """The checks too slow for the tier-1 tests, as one pytest file.
 
 They run lcprof at sizes the tier-1 tests do not reach: gamma,
-plcp-enum, `profile --json` over 2^18 F_2 terms and rueppel at its
-guard under a memory bound, the size guards at n = 10^18, every benchmark workload against
-the benchmark's oracle, the profile table against the JSON's mu and
-mu', and the recursive block against the per-step core at 8192 terms.
+plcp-enum, `profile --json` and `minpoly --json` over 2^18 F_2 terms and
+rueppel at its guard under a memory bound, the size guards at n = 10^18,
+every benchmark workload against the benchmark's oracle, the profile
+table against the JSON's mu and mu', and the recursive block against the
+per-step core at 8192 terms.
 From a checkout:
 
     PYTHONPATH=src python -m pytest -q tools/ci_checks.py
@@ -91,6 +92,19 @@ def test_profile_json_at_2_18_terms_under_36_mib(tmp_path):
     # mu is monic over F_2, so its text starts with its leading term
     assert report["mu"].split("+", 1)[0] == f"x^{report['lc'][-1]}"
     assert rss < 36 * MIB, f"profile --json over 2^18 terms peaked at {rss} KiB"
+
+
+def test_minpoly_json_at_2_18_terms_under_30_mib(tmp_path):
+    # the run builds mu alone as a Poly; one through mp_run, which also
+    # held the lc and exponents lists and four Poly rows, peaked at 35.0 MiB
+    r = random.Random(2**18)
+    terms, out = tmp_path / "terms", tmp_path / "minpoly.json"
+    terms.write_text(",".join(str(r.randrange(2)) for _ in range(2**18)) + "\n")
+    code, rss = _peak_kib(["minpoly", "--json", "--field", "2", "--in", str(terms)], out)
+    assert code == 0, code
+    report = json.loads(out.read_text())
+    assert report["mu"].split("+", 1)[0] == f"x^{report['lc']}"
+    assert rss < 30 * MIB, f"minpoly --json over 2^18 terms peaked at {rss} KiB"
 
 
 @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
