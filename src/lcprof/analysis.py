@@ -5,7 +5,10 @@ one engine run and the profile derived from its discrepancies: the
 perfect-profile predicate and its six equivalent characterizations,
 binary stability, the sequence height, the continued-fraction oracle,
 linear-complexity sums, profile counting, and the bijection between
-sequences and discrepancy lists.
+sequences and discrepancy lists.  The profile verdicts are one fold
+over (LC_j, e_j, j), _profile_step, run by char_equivalence,
+analysis_report and verify's sweeps; height and lc_sum, faster without
+it, read max and sum off the run's lists.
 """
 
 from __future__ import annotations
@@ -39,29 +42,35 @@ def _run_profile(s: Seq) -> tuple[list[int], list[int]]:
     return _profile(s.domain, _run(s.domain, s.terms)[1])
 
 
-# Row-level helpers: each reads the profile lc = [LC_1, ..., LC_n] of
-# one run, so one run serves every analysis.
+class _Profile(NamedTuple):
+    """The profile verdicts on a prefix after j steps (_profile_step)."""
 
-def _halves(n: int) -> list[int]:
-    return [(j + 1) // 2 for j in range(1, n + 1)]
-
-
-def _perfect(lc: list[int]) -> bool:
-    return lc == _halves(len(lc))
-
-
-def _lc_sum(lc: list[int]) -> tuple[int, int]:
-    return sum(lc), (len(lc) + 1) ** 2 // 4
+    perfect: bool   # LC_i = floor((i+1)/2) for every i <= j
+    below: bool     # LC_i <= floor((i+1)/2) for every i <= j
+    above: bool     # LC_i >= floor((i+1)/2) for every i <= j
+    lc_sum: int     # LC_1 + ... + LC_j
+    height: int     # max(e_0, ..., e_j)
 
 
-def _char(lc: list[int]) -> tuple[bool, bool, bool]:
-    halves = _halves(len(lc))
-    sigma, bound = _lc_sum(lc)
-    return (
-        _perfect(lc),
-        all(a <= b for a, b in zip(lc, halves)) and sigma == bound,
-        all(a >= b for a, b in zip(lc, halves)),
-    )
+# the empty prefix: every verdict holds, the sum is empty and e_0 = 1
+_PROFILE_START = _Profile(True, True, True, 0, 1)
+
+
+def _profile_step(st: _Profile, lc: int, e: int, j: int) -> _Profile:
+    """Fold step j, which left LC_j = lc and e_j = e, into the verdicts."""
+    half = (j + 1) // 2
+    return _Profile(st.perfect and lc == half, st.below and lc <= half,
+                    st.above and lc >= half, st.lc_sum + lc, max(st.height, e))
+
+
+def _lc_sum_bound(n: int) -> int:
+    """floor((n+1)^2 / 4): the LC sum of the perfect profile of n terms."""
+    return (n + 1) ** 2 // 4
+
+
+def _char_verdicts(st: _Profile, n: int) -> tuple[bool, bool, bool]:
+    """The three char_equivalence forms of a prefix of n terms."""
+    return st.perfect, st.below and st.lc_sum == _lc_sum_bound(n), st.above
 
 
 def is_plcp(s: Seq) -> bool:
@@ -147,8 +156,10 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
         fails |= 4
     if odd and delta == 0:
         fails |= 8
-    # a jump at every odd step pins the index history two steps back
-    last_jump = j - 1 if delta != 0 and trail.e > 0 else trail.last_jump
+    # a jump at every odd step pins the index history two steps back; a
+    # jump is the one step that changes LC, read off LC rather than e so
+    # that a fault in e fails the exponent condition alone
+    last_jump = j - 1 if lc != trail.lc else trail.last_jump
     if last_jump != j - 2 + odd:
         fails |= 16
     # the pair recursion re-derives mu from the two-term recursions; the
@@ -173,25 +184,24 @@ def _witness_step(trail: _WitnessTrail, j: int, core, delta: int,
                          (row,) + trail.rows[:2]), fails
 
 
-def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, list[int]]:
-    """The six witnesses and the discrepancies delta_1..delta_n of one run.
+def _witness_run(s: Seq, epsilon: int = 0) -> tuple[PlcpWitness, _Profile]:
+    """The six witnesses and the profile verdicts (_profile_step) of one run.
 
-    The profile derived from them does not depend on epsilon (it only
-    seeds the displaced row), so it serves the epsilon-free analyses too.
+    The profile does not depend on epsilon (it only seeds the displaced
+    row), so its verdicts serve the epsilon-free analyses too.
     """
     dom = s.domain
     core = _make_core(dom, MPConfig(epsilon=epsilon))
     eps = dom.normalize(epsilon)
-    trail = _WITNESS_START
+    trail, profile = _WITNESS_START, _PROFILE_START
     fails: dict[str, list[int]] = {name: [] for name in WITNESSES}
-    deltas = []
     for j, delta in enumerate(_each_step(core, s.terms), start=1):
-        deltas.append(delta)
         trail, bits = _witness_step(trail, j, core, delta, eps)
+        profile = _profile_step(profile, trail.lc, trail.e, j)
         for i, name in enumerate(WITNESSES):
             if bits >> i & 1:
                 fails[name].append(j + 1 if name == "index" else j)
-    return PlcpWitness({k: v for k, v in fails.items() if v}), deltas
+    return PlcpWitness({k: v for k, v in fails.items() if v}), profile
 
 
 def plcp_witnesses(s: Seq, epsilon: int = 0) -> PlcpWitness:
@@ -257,18 +267,15 @@ class HeightReport:
     exponents: list[int]
 
 
-def _height(exps: list[int]) -> HeightReport:
-    h = max(exps)
-    return HeightReport(height=h, argmax_j=exps.index(h), exponents=exps)
-
-
 def height(s: Seq) -> HeightReport:
     """Sequence height: max over the exponents e_0..e_n of one run.
 
     The seed exponent e_0 = 1 participates, so the height is always at
     least 1 and equals 1 exactly on perfect-profile sequences.
     """
-    return _height(_run_profile(s)[1])
+    exps = _run_profile(s)[1]
+    h = max(exps)
+    return HeightReport(height=h, argmax_j=exps.index(h), exponents=exps)
 
 
 def cf_partial_quotients(s: Seq) -> list[Poly]:
@@ -307,7 +314,7 @@ def _cf_quotients(s: Seq):
 
 def lc_sum(s: Seq) -> tuple[int, int]:
     """(sum of LC_1..LC_n, the bound floor((n+1)^2 / 4))."""
-    return _lc_sum(_run_profile(s)[0])
+    return sum(_run_profile(s)[0]), _lc_sum_bound(len(s))
 
 
 def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
@@ -317,7 +324,11 @@ def char_equivalence(s: Seq) -> tuple[bool, bool, bool]:
     the LC sum attains its bound; (iii) profile never below
     floor((i+1)/2).
     """
-    return _char(_run_profile(s)[0])
+    lc, exps = _run_profile(s)
+    st = _PROFILE_START
+    for j, (c, e) in enumerate(zip(lc, exps[1:]), start=1):
+        st = _profile_step(st, c, e, j)
+    return _char_verdicts(st, len(lc))
 
 
 # The most decimal digits a count may have: CPython's default limit on
@@ -425,15 +436,14 @@ def deltas_to_sequence(domain: CoeffDomain, deltas, epsilon: int = 0) -> Seq:
 
 def analysis_report(s: Seq, epsilon: int = 0) -> dict:
     """One-stop JSON-ready summary of the profile analyses (one engine run)."""
-    wit, deltas = _witness_run(s, epsilon)
-    lc, exps = _profile(s.domain, deltas)
-    sigma, bound = _lc_sum(lc)
+    wit, profile = _witness_run(s, epsilon)
+    n = len(s)
     return {
-        "plcp": _perfect(lc),
+        "plcp": profile.perfect,
         "witnesses": wit.as_dict(),
         "stable": is_stable(s) if s.domain.p == 2 else None,
-        "height": _height(exps).height,
-        "lc_sum": sigma,
-        "lc_sum_bound": bound,
-        "char_equivalence": list(_char(lc)),
+        "height": profile.height,
+        "lc_sum": profile.lc_sum,
+        "lc_sum_bound": _lc_sum_bound(n),
+        "char_equivalence": list(_char_verdicts(profile, n)),
     }

@@ -47,6 +47,7 @@ from .analysis import (
 )
 from .engine import (
     MPConfig,
+    _mu,
     _run,
     profile_json,
     profile_text_rows,
@@ -57,7 +58,7 @@ from .errors import (
     SequenceParseError,
 )
 from .fields import PrimeField
-from .poly import Poly, Seq, reciprocal
+from .poly import Seq, reciprocal
 from .rueppel import gamma, rueppel_terms
 
 EXIT_OK = 0
@@ -210,7 +211,7 @@ def cmd_minpoly(args) -> int:
         # mp_run's run, but only mu becomes a Poly: no profile list, no other row
         dom = s.domain
         core, _ = _run(dom, s.terms, config)
-        mu = Poly(dom, core.ring.to_coeffs(core.mu))
+        mu = _mu(dom, core)
         fb, lc, nabla = reciprocal(mu), mu.degree, dom.normalize(core.nabla)
         if args.json:
             _emit({"mu": str(mu), "lc": lc, "feedback": str(fb), "nabla": nabla})

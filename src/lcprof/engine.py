@@ -15,9 +15,11 @@ A core keeps no log: step returns delta_j, the driver of a run collects
 the discrepancies (_consume returns them), and the profile is derived
 from them alone after the run, by one generator (_exponents): e_0 = 1,
 e_j = e_{j-1} + 1, negated first when delta_j != 0 and e_{j-1} > 0, and
-LC_j = (j + 1 - e_j)/2 (_lcs).  _profile lists them; profile_json, the
+LC_j = (j + 1 - e_j)/2 (_lcs).  _profile lists both; profile_json, the
 CLI's JSON report, hands both on as iterators, so its writer draws lc
-and exponents as they are derived and never holds either list.  MPState
+and exponents as they are derived and never holds either list.  Only
+_exponents tests a discrepancy for zero; a jump is then read off the
+exponents as a step with e_j != e_{j-1} + 1 (_lcs, _jumps).  MPState
 carries its chain's discrepancies only, and reads the shift p_shift
 (steps since the last jump) off the core's degrees and e.
 
@@ -702,6 +704,11 @@ def _walk_prefixes(core, q: int, max_n: int, fold, state):
         stack.extend(reversed(children))
 
 
+def _mu(domain: CoeffDomain, core) -> Poly:
+    """The core's mu as a Poly, by ring.to_coeffs: no other row is converted."""
+    return Poly(domain, core.ring.to_coeffs(core.mu))
+
+
 def _poly_rows(domain: CoeffDomain, core) -> list[Poly]:
     """The core's native rows (core.rows()) as Poly values, by ring.to_coeffs."""
     to_coeffs = core.ring.to_coeffs
@@ -753,9 +760,10 @@ def _profile(domain: CoeffDomain, deltas) -> tuple[list[int], list[int]]:
     return list(_lcs(exps)), exps
 
 
-def _jumps(deltas, exponents) -> dict[int, int]:
-    """{j: e_{j-1}} over the jump steps j: delta_j != 0 and e_{j-1} > 0."""
-    return {j: e for j, (d, e) in enumerate(zip(deltas, exponents), 1) if d and e > 0}
+def _jumps(exponents) -> dict[int, int]:
+    """{j: e_{j-1}} over the jump steps j of e_0..e_n: e_j != e_{j-1} + 1."""
+    return {j: e for j, (e, nxt) in enumerate(itertools.pairwise(exponents), 1)
+            if nxt != e + 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -817,7 +825,7 @@ class MPState:
     def log(self) -> tuple[StepRecord, ...]:
         lc, exps = _profile(self.domain, self._deltas)
         return tuple(
-            StepRecord(j, delta, exps[j - 1], c, bool(delta) and exps[j - 1] > 0)
+            StepRecord(j, delta, exps[j - 1], c, exps[j] != exps[j - 1] + 1)
             for j, (delta, c) in enumerate(zip(self._deltas, lc), start=1)
         )
 

@@ -18,6 +18,8 @@ every length of a sweep.  The reported counterexample is the one a
 length-by-length scan would report first: the least length, then the
 least value (first term the low bit), with the sequences of the shorter
 checked lengths counted as checked.  The seeded suites draw by _draw.
+plcp-equiv and height fold each node's LC and exponent through
+analysis's own profile fold (_profile_step), not a copy of it.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from typing import Callable, NamedTuple
 
 from .analysis import (
     WITNESSES,
+    _PROFILE_START,
     _WITNESS_START,
     _cf_quotients,
+    _char_verdicts,
     _guard_binary_sweep,
     _guard_enumeration,
+    _lc_sum_bound,
+    _profile_step,
     _witness_step,
     enumerate_plcp,
     height,
@@ -49,6 +55,7 @@ from .engine import (
     _exponents,
     _jumps,
     _make_core,
+    _mu,
     _profile,
     _run,
     _walk_prefixes,
@@ -154,32 +161,6 @@ def _tree_sweep(start, fold, check, lengths: range) -> tuple[int, str]:
     return sum(counts[:least[0]]), least[2]
 
 
-class _Profile(NamedTuple):
-    """Prefix-local profile verdicts after j steps."""
-
-    perfect: bool   # LC_i = floor((i+1)/2) for every i <= j
-    below: bool     # LC_i <= floor((i+1)/2) for every i <= j
-    above: bool     # LC_i >= floor((i+1)/2) for every i <= j
-    lc_sum: int     # LC_1 + ... + LC_j
-    height: int     # max(e_0, ..., e_j)
-
-
-_PROFILE_START = _Profile(True, True, True, 0, 1)
-
-
-def _profile_step(st: _Profile, core, delta: int, j: int) -> _Profile:
-    lc = core.cur_lc()
-    half = (j + 1) // 2
-    return _Profile(st.perfect and lc == half, st.below and lc <= half,
-                    st.above and lc >= half, st.lc_sum + lc,
-                    max(st.height, core.e))
-
-
-def _char_verdicts(st: _Profile, n: int) -> tuple[bool, bool, bool]:
-    """The three char_equivalence forms of a prefix of n terms."""
-    return st.perfect, st.below and st.lc_sum == (n + 1) ** 2 // 4, st.above
-
-
 # ---------------------------------------------------------------- oracle
 
 def _oracle_check(mu: Poly, terms) -> str:
@@ -187,10 +168,6 @@ def _oracle_check(mu: Poly, terms) -> str:
     s = Seq._canonical(mu.domain, terms)
     ok = mu.degree == brute_force_minpoly(s)[0] and annihilates(mu, s)
     return "" if ok else f"F_{mu.domain.p} {list(terms)}"
-
-
-def _packed_mu(st, core, delta: int, j: int) -> Poly:
-    return Poly(GF2, core.ring.to_coeffs(core.mu))
 
 
 def _guard_brute_force(fields, trials: int, max_n: int) -> None:
@@ -216,12 +193,14 @@ def verify_oracle(fields=(2, 3, 5), exhaustive_n: int = 10,
     if drawn:
         _guard_brute_force(drawn, trials, max_n)
     if 2 in fields:  # every sequence of 1..exhaustive_n terms
-        yield _tree_sweep(None, _packed_mu, _oracle_check, range(1, exhaustive_n + 1))
+        yield _tree_sweep(None, lambda st, core, delta, j: _mu(GF2, core),
+                          _oracle_check, range(1, exhaustive_n + 1))
     rng = random.Random(DEFAULT_SEED)
     for q in drawn:
+        dom = PrimeField(q)
         for _ in range(trials):
-            s = Seq(PrimeField(q), _draw(rng, q, max_n))
-            yield 1, _oracle_check(mp_run(s)[1].minpoly, s.terms)
+            terms = _draw(rng, q, max_n)
+            yield 1, _oracle_check(_mu(dom, _run(dom, terms)[0]), terms)
 
 
 # ---------------------------------------------------------------- bezout
@@ -306,9 +285,9 @@ def verify_plcp_count(cases=((2, 14), (3, 8))) -> VerifyResult:
 
 
 class _Equiv(NamedTuple):
-    profile: _Profile
-    trail: object   # analysis._WitnessTrail
-    failed: int     # bit i: WITNESSES[i] failed at some step
+    profile: object  # analysis._Profile
+    trail: object    # analysis._WitnessTrail
+    failed: int      # bit i: WITNESSES[i] failed at some step
 
 
 _EQUIV_START = _Equiv(_PROFILE_START, _WITNESS_START, 0)
@@ -316,7 +295,7 @@ _EQUIV_START = _Equiv(_PROFILE_START, _WITNESS_START, 0)
 
 def _equiv_step(st: _Equiv, core, delta: int, j: int) -> _Equiv:
     trail, fails = _witness_step(st.trail, j, core, delta, 0)
-    return _Equiv(_profile_step(st.profile, core, delta, j), trail,
+    return _Equiv(_profile_step(st.profile, core.cur_lc(), core.e, j), trail,
                   st.failed | fails)
 
 
@@ -333,7 +312,7 @@ def _equiv_check(st: _Equiv, terms) -> str:
     c = _char_verdicts(st.profile, n)
     if len(set(c)) != 1 or c[0] != w[0]:
         return f"n={n} {list(terms)} char {c}"
-    sigma, bound = st.profile.lc_sum, (n + 1) ** 2 // 4
+    sigma, bound = st.profile.lc_sum, _lc_sum_bound(n)
     if sigma > bound:
         return f"n={n} {list(terms)} sum {sigma} > {bound}"
     return ""
@@ -404,7 +383,7 @@ def verify_rueppel(profile_n: int = 4096, matrix_n: int = 512,
 
 # ------------------------------------------------------------- height
 
-def _height_check(st: _Profile, terms) -> str:
+def _height_check(st, terms) -> str:
     return "" if (st.height == 1) == st.perfect else f"n={len(terms)} {list(terms)}"
 
 
@@ -414,8 +393,8 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
     """Height bounds, the height-1 characterization, and the CF oracle."""
     hr = height(rueppel_terms(rueppel_n))
     yield 1, "" if hr.height == 1 else f"power-of-two height {hr.height}"
-    yield _tree_sweep(_PROFILE_START, _profile_step, _height_check,
-                      range(1, exhaustive_n + 1))
+    yield _tree_sweep(_PROFILE_START, lambda st, core, delta, j: _profile_step(
+        st, core.cur_lc(), core.e, j), _height_check, range(1, exhaustive_n + 1))
     rng = random.Random(DEFAULT_SEED)
     for _ in range(bound_trials):
         q = rng.choice((2, 3))
@@ -430,7 +409,7 @@ def verify_height(rueppel_n: int = 512, exhaustive_n: int = 14,
             terms[0] = rng.randrange(1, q)
             s = Seq(dom, terms)
             _, deltas = _run(dom, terms)
-            jexp = list(_jumps(deltas, _exponents(dom, deltas)).values())
+            jexp = list(_jumps(_exponents(dom, deltas)).values())
             ring, quotients = _cf_quotients(s)
             degs = list(map(ring.degree, quotients))
             yield 1, "" if len(degs) >= len(jexp) else f"cf too short F_{q} {terms}"

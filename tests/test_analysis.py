@@ -408,7 +408,7 @@ def test_bounded_exponent_criteria():
                 assert height(s).height == k
                 hits += 1
         # lower bound keeps the exponents below k up to the last jump
-        jumps = list(_jumps(rep.deltas, exps))
+        jumps = list(_jumps(exps))
         if jumps:
             k = max(1, 1 - min(exps[1:]))
             assert max(exps[1:jumps[-1] + 1]) <= k
@@ -443,7 +443,7 @@ def test_cf_quotients_extend_jump_exponents():
         terms[0] = rng.randrange(1, q)
         s = Seq(dom, terms)
         _, rep = mp_run(s)
-        jexp = list(_jumps(rep.deltas, rep.exponents).values())
+        jexp = list(_jumps(rep.exponents).values())
         degs = [int(a.degree) for a in cf_partial_quotients(s)]
         assert degs[: len(jexp)] == jexp
         # quotient degrees sum to the index of the last nonzero term

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcprof import cli, engine, gf3, poly
-from lcprof.analysis import height as analysis_height
+from lcprof.analysis import height as analysis_height, plcp_witnesses
 from lcprof.engine import (
     Mat2,
     MPConfig,
@@ -27,6 +27,7 @@ from lcprof.engine import (
     profile_steps,
     updating_matrix,
     _GenericCore,
+    _jumps,
     _PackedCore,
     _TernaryCore,
 )
@@ -279,6 +280,23 @@ def test_division_free_lift(q):
         assert lifted.lc == modular.lc
         assert lifted.nabla % q == modular.nabla
         assert [c % q for c in lifted.minpoly.coeffs] == list(modular.minpoly.coeffs)
+
+
+def test_jumps_are_read_off_the_exponents_under_the_lift():
+    # over the lift delta_5 = -2 is a nonzero int that is zero mod 2: no
+    # jump, so LC stays 2 at step 5.  The exponents carry the domain's
+    # zero test; the jumps and the log read them, the index witness LC
+    terms = [1, 0, 1, 1, 0, 0, 1, 0]
+    lifted = Seq(LiftedView(2), terms)
+    _, rep = mp_run(lifted)
+    _, modular = mp_run(GF2.seq(terms), force_generic=True)
+    assert rep.deltas == [1, 0, 1, 1, -2, -1, 2, -1]
+    assert rep.lc == modular.lc == [1, 1, 2, 2, 2, 4, 4, 4]
+    (state,) = run_states(lifted)[-1:]
+    assert [r.j for r in state.log if r.jumped] == [1, 3, 6]
+    index = plcp_witnesses(lifted).details["index"]
+    assert index == plcp_witnesses(GF2.seq(terms)).details["index"] == [6, 7, 8, 9]
+    assert list(_jumps(rep.exponents)) == list(_jumps(modular.exponents)) == [1, 3, 6]
 
 
 def test_integer_domain_runs_without_division():

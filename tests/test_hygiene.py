@@ -221,6 +221,8 @@ test_plcp_enum_streams_under_64_mib[json]
 test_plcp_enum_streams_under_64_mib[text]
 test_profile_json_at_2_18_terms_under_36_mib
 test_minpoly_json_at_2_18_terms_under_30_mib
+test_plcp_check_at_2_18_terms_under_64_mib[json]
+test_plcp_check_at_2_18_terms_under_64_mib[text]
 test_rueppel_at_the_guard_under_96_mib[json]
 test_rueppel_at_the_guard_under_96_mib[text]
 test_size_guard_exits_4_at_10_18[plcp-enum]

@@ -188,7 +188,7 @@ def test_matrix_pattern():
 def test_jump_pattern_and_profile():
     _, rep = mp_run(rueppel_terms(128))
     assert rep.lc == [(j + 1) // 2 for j in range(1, 129)]
-    assert list(_jumps(rep.deltas, rep.exponents)) == list(range(1, 129, 2))
+    assert list(_jumps(rep.exponents)) == list(range(1, 129, 2))
     assert all(e in (0, 1) for e in rep.exponents)
 
 

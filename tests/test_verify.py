@@ -32,7 +32,7 @@ def test_walk_verdicts_match_public_functions():
         n = len(terms)
         s = GF2.seq(terms)
         assert verify_mod._witness_verdicts(st) == plcp_witnesses(s).all(), terms
-        assert verify_mod._char_verdicts(st.profile, n) == char_equivalence(s), terms
+        assert analysis._char_verdicts(st.profile, n) == char_equivalence(s), terms
         assert (st.profile.lc_sum, (n + 1) ** 2 // 4) == lc_sum(s), terms
         assert st.profile.height == height(s).height, terms
         assert st.profile.perfect == is_plcp(s), terms
@@ -42,6 +42,26 @@ def test_walk_verdicts_match_public_functions():
     assert len(seen) == 2**11 - 1
     for n in range(11):
         assert [t for t in seen if len(t) == n] == list(product((0, 1), repeat=n))
+
+
+def test_sweeps_and_analyses_share_one_profile_fold(monkeypatch):
+    # a fault in the one fold, the "above" form skipping step 3, shows in
+    # char_equivalence and in the plcp-equiv sweep alike: neither keeps a copy
+    real = analysis._profile_step
+
+    def faulty(st, lc, e, j):
+        new = real(st, lc, e, j)
+        return new._replace(above=st.above) if j == 3 else new
+
+    three_ones = GF2.seq([1, 1, 1])
+    assert char_equivalence(three_ones) == (False, False, False)
+    assert verify_mod.verify_plcp_equivalence(max_n=6).ok
+    for mod in (analysis, verify_mod):
+        monkeypatch.setattr(mod, "_profile_step", faulty)
+    assert char_equivalence(three_ones) == (False, False, True)
+    result = verify_mod.verify_plcp_equivalence(max_n=6)
+    assert (result.ok, result.checked) == (False, 1 + 2 + 4)
+    assert result.detail == "n=3 [1, 0, 0] char (False, False, True)"
 
 
 def _scan_wang_massey(max_n, transform=t_transform):
@@ -237,7 +257,7 @@ def test_oracle_sweeps_f2_without_a_run_per_sequence(monkeypatch):
 # Each case that differs fails and prints its fresh hash; an intended
 # change of the draws edits that hash here and says so in CHANGES.md.
 DRAW_SHA256 = [
-    (("oracle", "--field", "3"), "mp_run", 0,
+    (("oracle", "--field", "3"), "_oracle_check", 1,
      "e5f6ba75799da9fcdd434b3eae3de1dd4d84f3627650474f1da916ff7185d305"),
     (("bezout",), "_each_step", 1,
      "e238310a741e54066dee628d00c96de202262675605ec1b72417318cdb62b39d"),

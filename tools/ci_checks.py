@@ -1,11 +1,11 @@
 """The checks too slow for the tier-1 tests, as one pytest file.
 
 They run lcprof at sizes the tier-1 tests do not reach: gamma,
-plcp-enum, `profile --json` and `minpoly --json` over 2^18 F_2 terms and
-rueppel at its guard under a memory bound, the size guards at n = 10^18,
-every benchmark workload against the benchmark's oracle, the profile
-table against the JSON's mu and mu', and the recursive block against the
-per-step core at 8192 terms.
+plcp-enum, `profile --json`, `minpoly --json` and `plcp-check` over 2^18
+F_2 terms and rueppel at its guard under a memory bound, the size guards
+at n = 10^18, every benchmark workload against the benchmark's oracle,
+the profile table against the JSON's mu and mu', and the recursive block
+against the per-step core at 8192 terms.
 From a checkout:
 
     PYTHONPATH=src python -m pytest -q tools/ci_checks.py
@@ -105,6 +105,24 @@ def test_minpoly_json_at_2_18_terms_under_30_mib(tmp_path):
     report = json.loads(out.read_text())
     assert report["mu"].split("+", 1)[0] == f"x^{report['lc']}"
     assert rss < 30 * MIB, f"minpoly --json over 2^18 terms peaked at {rss} KiB"
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_plcp_check_at_2_18_terms_under_64_mib(tmp_path, flags):
+    # the profile verdicts are folded step by step, so only the witnesses'
+    # failing steps are held per term; one that also held the deltas and
+    # the lc and exponent lists peaked at 72.2 (json) and 72.3 MiB
+    r = random.Random(2**18)
+    terms, out = tmp_path / "terms", tmp_path / "plcp.out"
+    terms.write_text(",".join(str(r.randrange(2)) for _ in range(2**18)) + "\n")
+    args = ["plcp-check", "--field", "2", "--in", str(terms), *flags]
+    code, rss = _peak_kib(args, out)
+    assert code == 0, code
+    text = out.read_text()
+    # random terms leave the perfect profile at once
+    plcp = json.loads(text)["plcp"] if flags else text.split("\n", 1)[0]
+    assert plcp in (False, "plcp = false"), text[:80]
+    assert rss < 64 * MIB, f"plcp-check {' '.join(flags)} 2^18 terms peaked at {rss} KiB"
 
 
 @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
